@@ -3,13 +3,14 @@
 The threaded :class:`~repro.service.shard.ShardedPlacementFabric` already
 parallelizes the Algorithm-1 sweep across shards, but every scheduler
 thread still shares one interpreter and one GIL — the sweep's numpy
-kernels release it, the bookkeeping around them does not. The
-:class:`~repro.service.proc.ProcFabric` moves each shard's service into
+kernels release it, the bookkeeping around them does not.
+``build_fabric(workers="proc")`` runs the same fabric over
+:class:`~repro.service.proc.ProcBackend`, moving each shard's service into
 its own **spawned child process** behind the length-prefixed wire
 protocol, buying real parallelism at the cost of one RPC round-trip per
 admission and a long-poll hop per decision.
 
-Both fabrics serve the same seeded closed-loop workload (24 in-flight
+Both backends serve the same seeded closed-loop workload (24 in-flight
 clients, exponential lease holding times) at 240/480 nodes with 4 shards.
 Per size we record sustained throughput, acceptance, mean committed
 ``DC``, and client-observed p50/p99 latency into
@@ -29,8 +30,7 @@ from pathlib import Path
 from repro.analysis import format_table
 from repro.cluster import PoolSpec, VMTypeCatalog, random_pool
 from repro.obs import MetricsRegistry
-from repro.service import LoadGenConfig, ServiceConfig, run_loadgen
-from repro.service.proc import ProcFabric
+from repro.service import LoadGenConfig, ServiceConfig, build_fabric, run_loadgen
 from repro.service.shard import FabricConfig, RackGroupPlan, ShardedPlacementFabric
 
 from benchmarks.conftest import emit
@@ -90,18 +90,18 @@ def run_threaded(racks: int, nodes_per_rack: int):
 
 
 def run_proc(racks: int, nodes_per_rack: int):
-    fabric = ProcFabric(
+    built = build_fabric(
         make_pool(racks, nodes_per_rack),
-        plan=RackGroupPlan(NUM_SHARDS),
+        RackGroupPlan(NUM_SHARDS),
+        workers="proc",
         config=FabricConfig(service=SERVICE_CONFIG),
         obs=MetricsRegistry(),
     )
-    fabric.start()
+    built.start()
     try:
-        return run_loadgen(fabric, loadgen_config())
+        return run_loadgen(built.service, loadgen_config())
     finally:
-        codes = fabric.shutdown()
-        assert all(code == 0 for code in codes.values()), codes
+        assert built.shutdown() == 0, built.worker_exit_codes
 
 
 def run_comparison():

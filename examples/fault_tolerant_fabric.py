@@ -131,7 +131,7 @@ def main() -> None:
     restore_events = supervisor.monitor(now=clock.t)
     assert restore_events and restore_events[0].restored
     assert fabric.down_shards == frozenset()
-    restored_bytes = checkpoint_bytes(fabric.shards[victim].state)
+    restored_bytes = checkpoint_bytes(fabric.shards[victim].state).encode("utf-8")
     assert restored_bytes == payload, "restore must be byte-identical"
     assert set(fabric.shards[victim].state.leases) == victim_leases
     print(f"\nrestored shard {victim} from {len(payload)} replicated bytes "

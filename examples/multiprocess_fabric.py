@@ -4,21 +4,23 @@
 The in-process fabrics (`sharded_service.py`, `fault_tolerant_fabric.py`)
 share one interpreter and one GIL. This example scales past that: each
 shard's :class:`PlacementService` runs in its own **spawned child
-process** (`repro.service.proc`), fronted by a :class:`ProcFabric` that
-speaks the versioned length-prefixed wire protocol, while a real TCP
-coordination server (`repro.service.coord.net`) carries heartbeats, the
-lease ledger, and write-ahead checkpoint replication between them.
+process** (`repro.service.proc`). It is the same
+:class:`ShardedPlacementFabric` and the same :class:`FabricSupervisor` —
+``build_fabric(workers="proc")`` only swaps the backend each shard is
+reached through, here the versioned length-prefixed worker wire — while a
+real TCP coordination server (`repro.service.coord.net`) carries
+heartbeats, the lease ledger, and write-ahead checkpoint replication.
 
 The walk-through:
 
-1. start a loopback :class:`CoordinationServer` and a 4-shard
-   :class:`ProcFabric` wired to it — four real child PIDs;
+1. start a loopback :class:`CoordinationServer` and build a supervised
+   4-shard fabric over proc workers wired to it — four real child PIDs;
 2. place a seeded trace across the shards and sync the replicated
    checkpoints;
 3. ``SIGKILL -9`` one child mid-run — no warning, no cleanup;
-4. let the :class:`ProcSupervisor` detect the death (process liveness +
-   heartbeat TTL), quarantine the shard, and respawn a fresh child from
-   the replicated checkpoint;
+4. let the supervisor detect the death (process liveness + heartbeat
+   TTL), quarantine the shard, and respawn a fresh child from the
+   replicated checkpoint;
 5. assert the restored worker state is **byte-identical** to the last
    write-ahead copy, that zero surviving leases were lost, and that the
    healed fabric still admits new work.
@@ -36,13 +38,13 @@ import numpy as np
 
 from repro.cluster import PoolSpec, VMTypeCatalog, random_pool
 from repro.obs import MetricsRegistry
-from repro.service import PlaceRequest, ServiceConfig, SupervisorConfig
-from repro.service.checkpoint import checkpoint_bytes
-from repro.service.coord.net import (
-    CoordinationServer,
-    NetworkedCoordinationBackend,
+from repro.service import (
+    PlaceRequest,
+    ServiceConfig,
+    SupervisorConfig,
+    build_fabric,
 )
-from repro.service.proc import ProcFabric, ProcSupervisor
+from repro.service.coord.net import CoordinationServer
 from repro.service.shard import FabricConfig, RackGroupPlan
 
 SHARDS = 4
@@ -73,16 +75,18 @@ def main() -> None:
 
     with CoordinationServer() as server:
         print(f"coordination server on {server.url}")
-        fabric = ProcFabric(
+        built = build_fabric(
             pool,
-            plan=RackGroupPlan(SHARDS),
+            RackGroupPlan(SHARDS),
+            workers="proc",
             config=FabricConfig(service=ServiceConfig(batch_window=0.0)),
             obs=MetricsRegistry(),
-            coord_url=server.url,
+            coord=server.url,
+            supervise=True,
             supervisor_config=sup_cfg,
         )
-        backend = NetworkedCoordinationBackend.from_url(server.url)
-        supervisor = ProcSupervisor(fabric, backend, sup_cfg)
+        fabric, supervisor = built.service, built.supervisor
+        backend = supervisor.backend
         try:
             pids = {h.shard_id: h.pid for h in fabric.handles}
             print(f"spawned {SHARDS} workers: {pids}")
@@ -102,7 +106,8 @@ def main() -> None:
                     )
                 )
             pump(fabric)
-            fabric.sync_workers()  # replicate checkpoints + lease ledger
+            for worker in supervisor.workers:
+                worker.sync()  # replicate checkpoints + lease ledger now
             placed = {
                 rid
                 for rid, t in tickets.items()
@@ -143,8 +148,8 @@ def main() -> None:
             assert new_pid != pids[victim]
 
             # ---- 5. byte-identical restore, zero lost leases ----------
-            restored = fabric.fetch_worker_state(victim)
-            assert checkpoint_bytes(restored).encode("utf-8") == payload, (
+            _, restored = fabric.handles[victim].call({"op": "checkpoint"})
+            assert restored == payload, (
                 "restored state differs from the write-ahead checkpoint"
             )
             lost = [r for r in placed if fabric.owner_of(r) is None]
@@ -170,10 +175,9 @@ def main() -> None:
                 f"deaths={stats.shard_deaths} restores={stats.shard_restores}"
             )
         finally:
-            backend.close()
-            codes = fabric.shutdown()
-            print(f"worker exit codes: {codes}")
-            assert all(code == 0 for code in codes.values()), codes
+            exit_code = built.shutdown()
+            print(f"worker exit codes: {built.worker_exit_codes}")
+            assert exit_code == 0
     print("multiprocess fabric example OK")
 
 

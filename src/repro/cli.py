@@ -272,7 +272,6 @@ def _build_service(args):
                 heartbeat_ttl=args.heartbeat_ttl,
                 monitor_interval=args.monitor_interval,
             ),
-            codec=getattr(args, "worker_codec", None),
         )
     except ValidationError as exc:
         raise SystemExit(str(exc))
@@ -640,11 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coordination server for proc workers: "
                             "tcp://HOST:PORT of a `repro coordd`, or "
                             "'auto' to run one in-process")
-        p.add_argument("--worker-codec", choices=["auto", "json", "binary"],
-                       default=None,
-                       help="wire codec for proc workers' cmd/events "
-                            "channels (default: auto — binary when both "
-                            "ends speak it)")
         p.add_argument("--supervise", action="store_true",
                        help="run shard workers under the fault-tolerant "
                             "supervisor (requires --shards)")

@@ -37,17 +37,24 @@ Modules
     connection at the hello exchange.
 ``factory``
     :func:`build_fabric` — the one construction path for every serving
-    topology (thread/aio/proc workers, optional supervision/coordination).
+    topology (thread/aio/proc workers, optional supervision/coordination);
+    ``workers=`` is the only place a shard backend is chosen.
 ``loadgen``
     Open-loop Poisson and closed-loop load generators with latency
     percentiles; :class:`WireLoadClient` drives a served endpoint over TCP.
 ``shard``
-    :class:`ShardedPlacementFabric` — rack-aligned pool partitions, a
-    scoring router with spillover, cross-shard rebalancing, and
-    fabric-level checkpoint/restore (see :doc:`docs/SHARDING`).
+    :class:`ShardedPlacementFabric` — the one fabric: rack-aligned pool
+    partitions, a scoring router with spillover, batched and speculative
+    admission, failover re-routing, cross-shard rebalancing, and
+    fabric-level checkpoint/restore (see :doc:`docs/SHARDING`). It reaches
+    each shard's service through a :class:`ShardBackend`
+    (``shard.backend``): :class:`LocalBackend` calls a service in this
+    process; ``proc``'s :class:`ProcBackend` drives one in a child. A
+    backend applies decisions to the routing state in the service's commit
+    order, and never serves a checkpoint from a mirror.
 ``wire``
     Versioned length-prefixed line-JSON framing (with optional binary
-    blobs) shared by the proc fabric and the networked coordination
+    blobs) shared by the proc worker wire and the networked coordination
     backend.
 ``coord``
     :class:`CoordinationBackend` — worker registry, TTL'd heartbeats and
@@ -55,14 +62,14 @@ Modules
     implementation plus the :mod:`~repro.service.coord.net` TCP
     server/client pair).
 ``proc``
-    :class:`ProcFabric` / :class:`ProcSupervisor` — the sharded fabric
-    with every shard worker in its own spawned process, supervised via
-    real heartbeats and respawned from replicated checkpoints (see
-    :doc:`docs/RELIABILITY`).
+    The out-of-process backend: the worker child runtime
+    (``proc.worker``) and :class:`ProcBackend` — process handle, mirror
+    state fed by decision events, respawn from a replicated checkpoint.
+    No fabric or supervisor of its own.
 ``supervisor``
-    :class:`FabricSupervisor` — supervised shard workers with heartbeat
-    failure detection and byte-identical checkpoint failover (see
-    :doc:`docs/RELIABILITY`).
+    :class:`FabricSupervisor` — the one supervisor: heartbeat and
+    process-liveness failure detection, quarantine, gated byte-identical
+    checkpoint restore, for either backend (see :doc:`docs/RELIABILITY`).
 ``chaos``
     :class:`FabricChaosInjector` — seeded worker kills, heartbeat delays,
     and checkpoint write faults for chaos testing the supervised fabric.
@@ -129,8 +136,7 @@ from repro.service.coord.net import (
     parse_coord_url,
 )
 from repro.service.proc import (
-    ProcFabric,
-    ProcSupervisor,
+    ProcBackend,
     ProcWorkerHandle,
     ProcWorkerProxy,
 )
@@ -146,7 +152,9 @@ from repro.service.shard import (
     CapacityBalancedPlan,
     FabricConfig,
     FabricStats,
+    LocalBackend,
     RackGroupPlan,
+    ShardBackend,
     ShardedPlacementFabric,
     ShardPlan,
     ShardRouter,
@@ -201,8 +209,7 @@ __all__ = [
     "InMemoryCoordinationBackend",
     "LeaseRecord",
     "NetworkedCoordinationBackend",
-    "ProcFabric",
-    "ProcSupervisor",
+    "ProcBackend",
     "ProcWorkerHandle",
     "ProcWorkerProxy",
     "WorkerRecord",
@@ -216,7 +223,9 @@ __all__ = [
     "CapacityBalancedPlan",
     "FabricConfig",
     "FabricStats",
+    "LocalBackend",
     "RackGroupPlan",
+    "ShardBackend",
     "ShardPlan",
     "ShardRouter",
     "ShardedPlacementFabric",

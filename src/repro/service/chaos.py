@@ -26,13 +26,13 @@ seeded RNG so a chaos run replays exactly:
 Drive it manually (``advance(now)`` between trace steps) for deterministic
 tests, with the supervisor's ``monitor(now)`` interleaved by the caller.
 
-The injector is duck-typed over the supervisor: pointed at a
-:class:`~repro.service.proc.supervisor.ProcSupervisor`, a due kill
-delivers a **real SIGKILL** to the shard's child process (via
-:meth:`~repro.service.proc.supervisor.ProcWorkerProxy.kill`) and recovery
+The injector drives whatever worker objects the supervisor holds: over
+out-of-process shards a due kill delivers a **real SIGKILL** to the shard's
+child process (via
+:meth:`~repro.service.proc.backend.ProcWorkerProxy.kill`) and recovery
 is an actual respawn-from-replicated-checkpoint. The heartbeat-delay and
 checkpoint-fault knobs are in-process-only (the parent cannot reach into a
-child's heartbeat loop) — leave them at zero for proc fabrics.
+child's heartbeat loop) — leave them at zero for proc workers.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ class FabricChaosInjector:
     Parameters
     ----------
     supervisor:
-        The supervisor — :class:`~repro.service.supervisor.FabricSupervisor`
-        or :class:`~repro.service.proc.supervisor.ProcSupervisor` — whose
+        The :class:`~repro.service.supervisor.FabricSupervisor` whose
         workers are the blast radius. The injector installs itself as the
         supervisor's ``restore_gate`` so kills honor their drawn repair
         times.

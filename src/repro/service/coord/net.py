@@ -20,7 +20,7 @@ Design points:
   preserves the byte-identity recovery invariant with zero re-encoding.
 * **caller-supplied clocks survive the wire** — timestamps are floats in
   the JSON document; the server still never reads a clock. Cross-process
-  callers must therefore share a comparable clock (the proc fabric uses
+  callers must therefore share a comparable clock (proc workers use
   ``time.time()``).
 * **client reconnects** — the client holds one persistent connection under
   a lock and transparently redials once on a broken pipe, so a coordination
@@ -45,14 +45,13 @@ from repro.service.coord import (
     LeaseRecord,
     WorkerRecord,
 )
-from repro.service.transports import TcpServerHandle, warn_legacy_construction
+from repro.service.transports import TcpServerHandle
 from repro.util.errors import TransportError, ValidationError
 
 __all__ = [
     "CoordinationServer",
     "NetworkedCoordinationBackend",
     "parse_coord_url",
-    "serve_coordination",
 ]
 
 
@@ -193,15 +192,6 @@ class _CoordHandler(socketserver.StreamRequestHandler):
         raise ValidationError(f"unknown coordination op {op!r}")
 
 
-def serve_coordination(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    backend: "InMemoryCoordinationBackend | None" = None,
-) -> "CoordinationServer":
-    """Canonical constructor for a coordination server (not yet started)."""
-    return CoordinationServer(host, port, backend, _via_transport=True)
-
-
 class CoordinationServer:
     """A stdlib-TCP coordination service around the in-memory backend.
 
@@ -209,8 +199,7 @@ class CoordinationServer:
     (injectable for tests); connection handling rides the shared threaded
     substrate (:class:`~repro.service.transports.TcpServerHandle`), one
     daemon thread per connection. Use as a context manager or call
-    :meth:`start`/:meth:`stop`. Build via :func:`serve_coordination`;
-    direct construction still works but is the deprecated spelling.
+    :meth:`start`/:meth:`stop`.
     """
 
     def __init__(
@@ -218,11 +207,7 @@ class CoordinationServer:
         host: str = "127.0.0.1",
         port: int = 0,
         backend: "InMemoryCoordinationBackend | None" = None,
-        *,
-        _via_transport: bool = False,
     ) -> None:
-        if not _via_transport:
-            warn_legacy_construction(type(self), "serve_coordination(host, port, ...)")
         self.backend = backend if backend is not None else InMemoryCoordinationBackend()
         self._handle = TcpServerHandle(
             _CoordHandler,

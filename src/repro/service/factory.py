@@ -1,11 +1,11 @@
 """One construction path for every serving topology: :func:`build_fabric`.
 
-The CLI, examples, and tests previously assembled services three divergent
-ways — a bare :class:`~repro.service.server.PlacementService`, an in-process
-:class:`~repro.service.shard.ShardedPlacementFabric`, and an out-of-process
-:class:`~repro.service.proc.ProcFabric`, each with its own supervisor and
-coordination wiring. :func:`build_fabric` folds those into one factory keyed
-by ``workers``:
+There are two things to serve — a bare
+:class:`~repro.service.server.PlacementService`, or a
+:class:`~repro.service.shard.ShardedPlacementFabric` whose shards run on one
+of two :class:`~repro.service.shard.backend.ShardBackend` kinds — plus
+optional supervision and coordination wiring. :func:`build_fabric` is the
+one factory for all of it, keyed by ``workers``:
 
 * ``"thread"`` — in-process shard services on background threads (or a
   single unsharded service when *plan* is ``None``), served over the
@@ -13,9 +13,11 @@ by ``workers``:
 * ``"aio"`` — the same in-process fabric, but :meth:`BuiltFabric.serve`
   binds the asyncio endpoint (one loop multiplexing every connection,
   cross-connection admission batching through ``submit_batch``);
-* ``"proc"`` — one child process per shard, optionally registered with a
-  coordination server (``coord="auto"`` starts one in-process) and watched
-  by a respawning supervisor.
+* ``"proc"`` — the same fabric over
+  :class:`~repro.service.proc.backend.ProcBackend`: one child process per
+  shard, optionally registered with a coordination server (``coord="auto"``
+  starts one in-process) and watched by the same supervisor, which then
+  respawns dead children.
 
 The returned :class:`BuiltFabric` owns the whole assembly — fabric,
 supervisor, coordination server — and tears it down in the right order in
@@ -85,8 +87,9 @@ class BuiltFabric:
         """Stop everything in dependency order; returns a process exit code.
 
         Supervisor first (no respawns during teardown), then the fabric —
-        a proc fabric reaps its children, and any nonzero child exit code
-        turns into exit code 1 — then the coordination server.
+        out-of-process shards are drained and their children reaped, and any
+        nonzero child exit code turns into exit code 1 — then the
+        coordination server.
         """
         exit_code = 0
         if self.supervisor is not None:
@@ -97,7 +100,9 @@ class BuiltFabric:
                 close()
         shutdown = getattr(self.service, "shutdown", None)
         if callable(shutdown):
-            self.worker_exit_codes = codes = shutdown()
+            codes = shutdown()
+            if codes:
+                self.worker_exit_codes = codes
             if any(c not in (0, None) for c in codes.values()):
                 exit_code = 1
         else:
@@ -118,7 +123,6 @@ def build_fabric(
     supervisor_config=None,
     policy=None,
     obs=None,
-    codec: "str | None" = None,
 ) -> BuiltFabric:
     """Assemble a serving fabric over *pool*; see the module docstring.
 
@@ -130,7 +134,7 @@ def build_fabric(
         How to shard it: a :class:`~repro.service.shard.plan.ShardPlan`, an
         ``int`` (that many rack-group shards), or ``None`` for a single
         unsharded service (proc workers have no unsharded mode — ``None``
-        falls through to the proc fabric's default by-rack plan).
+        falls through to the fabric's default by-rack plan).
     workers:
         ``"thread"``, ``"aio"``, or ``"proc"`` — see :data:`WORKER_KINDS`.
     config:
@@ -142,20 +146,15 @@ def build_fabric(
         ``"auto"`` to start one in-process, or ``None``. Thread/aio workers
         coordinate in-process and refuse a URL.
     supervise:
-        Attach (but do not start) the matching supervisor:
-        :class:`~repro.service.supervisor.FabricSupervisor` in-process,
-        :class:`~repro.service.proc.ProcSupervisor` for children.
+        Attach (but do not start) a
+        :class:`~repro.service.supervisor.FabricSupervisor`. For proc
+        workers pass *coord* too: without the children's heartbeats and
+        checkpoints it can only watch process liveness.
     supervisor_config / policy / obs:
         Forwarded to the underlying constructors. *policy* is a wire policy
         name (any path) or a zero-arg policy factory (in-process paths
         only — arbitrary code never crosses the proc boundary); ``None``
         picks each path's default.
-    codec:
-        Wire codec for proc workers' cmd/events channels (``"auto"``,
-        ``"json"``, or ``"binary"`` — see
-        :class:`~repro.service.proc.ProcFabric`). In-process workers have
-        no inter-process wire, so anything but ``None`` is refused there;
-        their *serving* codec is negotiated per client connection instead.
     """
     from repro.obs import MetricsRegistry
     from repro.service.server import ServiceConfig
@@ -184,58 +183,91 @@ def build_fabric(
         obs = MetricsRegistry()
     transport = "aio" if workers == "aio" else "thread"
 
-    if workers == "proc":
-        return _build_proc(
-            pool, plan, config, coord, supervise, supervisor_config,
-            policy, obs, transport, codec,
-        )
-    if coord is not None:
-        raise ValidationError(
-            "coord requires proc workers (thread/aio workers coordinate "
-            "in-process)"
-        )
-    if codec is not None:
-        raise ValidationError(
-            "codec applies to proc workers only (in-process workers "
-            "negotiate the serving codec per client connection)"
-        )
-    if plan is None:
-        if supervise:
+    if workers != "proc":
+        if coord is not None:
             raise ValidationError(
-                "supervise requires a sharded fabric (pass a plan)"
+                "coord requires proc workers (thread/aio workers coordinate "
+                "in-process)"
             )
-        from repro.core import OnlineHeuristic
-        from repro.service.server import PlacementService
-        from repro.service.state import ClusterState
+        if plan is None:
+            if supervise:
+                raise ValidationError(
+                    "supervise requires a sharded fabric (pass a plan)"
+                )
+            from repro.core import OnlineHeuristic
+            from repro.service.server import PlacementService
+            from repro.service.state import ClusterState
 
-        factory = _resolve_policy_factory(policy) or OnlineHeuristic
-        service = PlacementService(
-            ClusterState.from_pool(pool),
-            policy=factory(),
-            config=config.service,
-            obs=obs,
+            factory = _resolve_policy_factory(policy) or OnlineHeuristic
+            service = PlacementService(
+                ClusterState.from_pool(pool),
+                policy=factory(),
+                config=config.service,
+                obs=obs,
+            )
+            return BuiltFabric(service=service, workers=workers, transport=transport)
+    elif policy is not None and not isinstance(policy, str):
+        raise ValidationError(
+            "proc workers take a wire policy name (arbitrary code never "
+            "crosses the process boundary)"
         )
-        return BuiltFabric(service=service, workers=workers, transport=transport)
+
+    import time
 
     from repro.service.shard import ShardedPlacementFabric
+    from repro.service.supervisor import FabricSupervisor
 
-    fabric = ShardedPlacementFabric(
-        pool,
-        plan=plan,
-        policy_factory=_resolve_policy_factory(policy),
-        config=config,
-        obs=obs,
-    )
-    supervisor = None
-    if supervise:
-        from repro.service.supervisor import FabricSupervisor
+    # One fabric, one supervisor; the worker kind only picks the backend
+    # each shard is reached through (and, with it, whose clock beats).
+    coord_server = coord_backend = fabric = supervisor = None
+    clock = time.monotonic
+    try:
+        if workers == "proc":
+            from repro.service.coord.net import (
+                CoordinationServer,
+                NetworkedCoordinationBackend,
+            )
+            from repro.service.proc import proc_backend_factory
 
-        supervisor = FabricSupervisor(fabric, config=supervisor_config)
+            if coord == "auto":
+                coord_server = CoordinationServer()
+                coord_server.start()
+                coord = coord_server.url
+            where = {
+                "backend_factory": proc_backend_factory(
+                    service_config=config.service,
+                    obs=obs,
+                    coord_url=coord,
+                    policy=policy or "heuristic",
+                    supervisor_config=supervisor_config,
+                )
+            }
+            if supervise and coord:
+                coord_backend = NetworkedCoordinationBackend.from_url(coord)
+            clock = time.time  # children beat on the wall clock
+        else:
+            where = {"policy_factory": _resolve_policy_factory(policy)}
+        fabric = ShardedPlacementFabric(
+            pool, plan=plan, config=config, obs=obs, **where
+        )
+        if supervise:
+            supervisor = FabricSupervisor(
+                fabric, coord_backend, supervisor_config, clock=clock
+            )
+    except BaseException:
+        if coord_backend is not None:
+            coord_backend.close()
+        if fabric is not None:
+            fabric.shutdown()
+        if coord_server is not None:
+            coord_server.stop()
+        raise
     return BuiltFabric(
         service=fabric,
         workers=workers,
         transport=transport,
         supervisor=supervisor,
+        coord_server=coord_server,
     )
 
 
@@ -252,55 +284,3 @@ def _resolve_policy_factory(policy):
             f"of {sorted(POLICY_REGISTRY)}"
         )
     return factory
-
-
-def _build_proc(
-    pool, plan, config, coord, supervise, supervisor_config, policy, obs,
-    transport, codec,
-) -> BuiltFabric:
-    from repro.service.coord.net import (
-        NetworkedCoordinationBackend,
-        serve_coordination,
-    )
-    from repro.service.proc import ProcFabric, ProcSupervisor
-
-    if policy is not None and not isinstance(policy, str):
-        raise ValidationError(
-            "proc workers take a wire policy name (arbitrary code never "
-            "crosses the process boundary)"
-        )
-    coord_server = None
-    coord_url = coord
-    if coord == "auto":
-        coord_server = serve_coordination()
-        coord_server.start()
-        coord_url = coord_server.url
-    kwargs = {}
-    if policy is not None:
-        kwargs["policy"] = policy
-    if codec is not None:
-        kwargs["codec"] = codec
-    fabric = ProcFabric(
-        pool,
-        plan=plan,
-        config=config,
-        obs=obs,
-        coord_url=coord_url,
-        supervisor_config=supervisor_config,
-        **kwargs,
-    )
-    supervisor = None
-    if supervise:
-        backend = (
-            NetworkedCoordinationBackend.from_url(coord_url)
-            if coord_url
-            else None
-        )
-        supervisor = ProcSupervisor(fabric, backend, supervisor_config)
-    return BuiltFabric(
-        service=fabric,
-        workers="proc",
-        transport=transport,
-        supervisor=supervisor,
-        coord_server=coord_server,
-    )

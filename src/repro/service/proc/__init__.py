@@ -4,26 +4,31 @@ The package splits along the process boundary:
 
 * :mod:`repro.service.proc.worker` — the child entrypoint
   (:func:`~repro.service.proc.worker.worker_main`): runs one shard's
-  :class:`~repro.service.server.PlacementService` and answers the fabric's
+  :class:`~repro.service.server.PlacementService` and answers the parent's
   RPCs over the :mod:`repro.service.wire` framing;
-* :mod:`repro.service.proc.fabric` — :class:`~repro.service.proc.fabric.
-  ProcFabric`, the parent-side front end, duck-type compatible with
-  :class:`~repro.service.shard.fabric.ShardedPlacementFabric` so loadgen,
-  the CLI, the TCP transport, and the differential suite run unchanged;
-* :mod:`repro.service.proc.supervisor` — :class:`~repro.service.proc.
-  supervisor.ProcSupervisor`, which watches real heartbeats in a
-  (typically networked) coordination backend, SIGKILL-detects via process
-  liveness and TTLs, and respawns workers from replicated checkpoints.
+* :mod:`repro.service.proc.backend` — the parent side:
+  :class:`~repro.service.proc.backend.ProcBackend`, the
+  :class:`~repro.service.shard.backend.ShardBackend` that reaches the child
+  (process handle, mirror state fed by decision events,
+  respawn-from-checkpoint), and :class:`~repro.service.proc.backend.
+  ProcWorkerProxy`, what the supervisor watches of it.
+
+The fabric and the supervisor are the ordinary ones, running over this
+backend; ``build_fabric(workers="proc")`` assembles them.
 """
 
-from repro.service.proc.fabric import ProcFabric, ProcWorkerHandle
-from repro.service.proc.supervisor import ProcSupervisor, ProcWorkerProxy
+from repro.service.proc.backend import (
+    ProcBackend,
+    ProcWorkerHandle,
+    ProcWorkerProxy,
+    proc_backend_factory,
+)
 from repro.service.proc.worker import worker_main
 
 __all__ = [
-    "ProcFabric",
-    "ProcSupervisor",
+    "ProcBackend",
     "ProcWorkerHandle",
     "ProcWorkerProxy",
+    "proc_backend_factory",
     "worker_main",
 ]

@@ -1,7 +1,8 @@
 """The shard worker child process: one `PlacementService` behind a wire.
 
 :func:`worker_main` is the spawn entrypoint. The child dials *two*
-connections back to the fabric's listener — a **cmd** channel the parent
+connections back to its parent-side handle's listener
+(:class:`~repro.service.proc.backend.ProcWorkerHandle`) — a **cmd** channel the parent
 drives request/reply (submit, release, step, checkpoint, shutdown …) and an
 **events** channel the parent long-polls for asynchronous placement
 decisions. Keeping both request/reply (the parent always writes first)
@@ -14,9 +15,9 @@ in the ``submit`` reply so the fabric can spill over synchronously; an
 *admitted* submission registers a ticket callback that pushes the eventual
 decision — tagged with the attempt token the parent supplied on the wire —
 into the outbox for the events channel. The attempt token is the failover
-fence: the parent drops any event whose token no longer matches its
-in-flight table, exactly like the in-process fabric fences a dying shard's
-late callbacks.
+fence: the parent delivers no event whose token no longer matches what it
+is waiting for, and the fabric fences a dying shard's late decisions by
+the same token whichever backend the shard runs on.
 
 When a coordination backend is configured, the child reuses the existing
 :class:`~repro.service.supervisor.ShardWorker` wrapper over a
@@ -54,6 +55,11 @@ from repro.util.errors import TransportError, ValidationError
 
 _log = logging.getLogger(__name__)
 
+#: What both ends of the worker wire speak once the (legacy-framed) hellos
+#: are through. Parent and child are the same installed package — the child
+#: is spawned from it — so there is no other build to negotiate with.
+WIRE_CODEC = wire.resolve_wire_codec("binary")
+
 #: Placement policies a worker can be asked to run, by wire name. The
 #: registry keeps arbitrary code off the wire: the parent names a policy,
 #: it does not ship one.
@@ -84,7 +90,7 @@ class _Outbox:
 
 
 def _decision_doc(decision) -> dict:
-    return {
+    doc = {
         "request_id": decision.request_id,
         "status": decision.status,
         "placements": [list(p) for p in decision.placements],
@@ -93,6 +99,10 @@ def _decision_doc(decision) -> dict:
         "latency": decision.latency,
         "detail": decision.detail,
     }
+    if decision.survivability is not None:
+        # The achieved-survivability report of a targeted request.
+        doc["survivability"] = decision.survivability
+    return doc
 
 
 class WorkerProcess:
@@ -122,25 +132,18 @@ class WorkerProcess:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(None)
         rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
-        # The hello offers every codec this build speaks; the fabric's reply
-        # names the one this channel uses from here on (absent against an
-        # old fabric, which leaves the channel on the legacy JSON framing).
         wire.send_hello(
-            wfile,
-            role=role,
-            shard_id=self.shard_id,
-            token=self.token,
-            codecs=wire.offer_codecs(),
+            wfile, role=role, shard_id=self.shard_id, token=self.token
         )
-        hello = wire.expect_hello(rfile, role="fabric")
-        return sock, rfile, wfile, hello.get("codec")
+        wire.expect_hello(rfile, role="fabric")
+        return sock, rfile, wfile
 
     def _events_loop(self) -> None:
         """Answer the parent's long-poll requests with outbox batches."""
-        sock, rfile, wfile, codec = self._events
+        _, rfile, wfile = self._events
         try:
             while True:
-                frame = wire.read_op(rfile, codec=codec)
+                frame = wire.read_op(rfile, codec=WIRE_CODEC)
                 if frame is None:
                     return
                 doc, _ = frame
@@ -148,12 +151,14 @@ class WorkerProcess:
                     wire.write_op(
                         wfile,
                         {"ok": False, "error": "events channel only polls"},
-                        codec=codec,
+                        codec=WIRE_CODEC,
                     )
                     continue
                 timeout = min(5.0, max(0.0, float(doc.get("timeout", 0.25))))
                 events = self.outbox.drain(timeout)
-                wire.write_op(wfile, {"ok": True, "events": events}, codec=codec)
+                wire.write_op(
+                    wfile, {"ok": True, "events": events}, codec=WIRE_CODEC
+                )
         except (TransportError, OSError, ValueError):
             # ValueError: _cleanup closed the file objects under us.
             return
@@ -213,13 +218,10 @@ class WorkerProcess:
                 sup_config,
                 clock=time.time,
             )
-            now = time.time()
-            self.worker.register(now)
-            if not self.worker.replicate(now, force=True):
+            if not self.worker.enroll(time.time()):
                 raise ValidationError(
                     f"initial checkpoint replication failed for {self.worker_id}"
                 )
-            self.worker.beat(now)
         return {
             "ok": True,
             "pid": os.getpid(),
@@ -248,6 +250,7 @@ class WorkerProcess:
                 request_id=int(doc["request_id"]),
                 priority=int(doc.get("priority", 0)),
                 tag=str(doc.get("tag", "")),
+                survivability=doc.get("survivability"),
             )
             attempt = int(doc["attempt"])
             with self._alock:
@@ -297,8 +300,6 @@ class WorkerProcess:
             return {"ok": True, "version": version}, payload
         if op == "stats":
             return {"ok": True, "stats": service.stats.to_dict()}, None
-        if op == "describe":
-            return {"ok": True, "shards": service.describe_shards()}, None
         if op == "metrics":
             fmt = str(doc.get("format", "prometheus"))
             return {"ok": True, "body": render(self.obs, fmt)}, None
@@ -306,9 +307,7 @@ class WorkerProcess:
             # Force a replication + heartbeat/ledger sync right now — used
             # by audits that must not wait for the next scheduler tick.
             if self.worker is not None:
-                now = time.time()
-                self.worker.replicate(now, force=bool(doc.get("force", True)))
-                self.worker.beat(now)
+                self.worker.sync(force=bool(doc.get("force", True)))
             return {"ok": True, "coordinated": self.worker is not None}, None
         if op == "shutdown":
             if bool(doc.get("drain", True)):
@@ -333,10 +332,10 @@ class WorkerProcess:
             daemon=True,
         )
         events_thread.start()
-        _, rfile, wfile, codec = self._cmd
+        _, rfile, wfile = self._cmd
         try:
             while self._running:
-                frame = wire.read_op(rfile, codec=codec)
+                frame = wire.read_op(rfile, codec=WIRE_CODEC)
                 if frame is None:
                     break
                 doc, blob = frame
@@ -350,7 +349,7 @@ class WorkerProcess:
                         "ok": False,
                         "error": f"internal error: {exc}",
                     }, None
-                wire.write_op(wfile, reply, reply_blob, codec=codec)
+                wire.write_op(wfile, reply, reply_blob, codec=WIRE_CODEC)
             return 0
         finally:
             self._cleanup()

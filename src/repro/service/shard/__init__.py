@@ -1,11 +1,13 @@
 """Sharded placement fabric: rack-aligned partitions of one pool.
 
 See :mod:`repro.service.shard.plan` (how the pool is cut),
-:mod:`repro.service.shard.router` (who serves each request first), and
+:mod:`repro.service.shard.router` (who serves each request first),
+:mod:`repro.service.shard.backend` (how a shard's service is reached), and
 :mod:`repro.service.shard.fabric` (the serving surface gluing N
 :class:`~repro.service.server.PlacementService` workers together).
 """
 
+from repro.service.shard.backend import LocalBackend, ShardBackend
 from repro.service.shard.fabric import (
     FABRIC_CHECKPOINT_VERSION,
     FabricConfig,
@@ -37,11 +39,13 @@ __all__ = [
     "ExplicitPlan",
     "FabricConfig",
     "FabricStats",
+    "LocalBackend",
     "RackGroupPlan",
     "RebalanceReport",
     "RouteResult",
     "Shard",
     "ShardAssignment",
+    "ShardBackend",
     "ShardPlan",
     "ShardRouter",
     "ShardedPlacementFabric",

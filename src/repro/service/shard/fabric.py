@@ -3,7 +3,9 @@
 :class:`ShardedPlacementFabric` cuts a pristine :class:`ResourcePool` into
 rack-aligned shards (:mod:`repro.service.shard.plan`), runs one
 :class:`~repro.service.server.PlacementService` per shard over its own
-:class:`~repro.service.state.ClusterState`, and fronts them with a
+:class:`~repro.service.state.ClusterState` — reached through a
+:class:`~repro.service.shard.backend.ShardBackend`, so the service may be an
+object in this process or a spawned child — and fronts them with a
 :class:`~repro.service.shard.router.ShardRouter`:
 
 * **submit** — the router ranks shards by free-capacity-scaled estimated
@@ -11,7 +13,8 @@ rack-aligned shards (:mod:`repro.service.shard.plan`), runs one
   when a shard declines at the door (queue full, draining), and is refused
   or rejected at the fabric level when no shard can admit it. Decisions come
   back in **global** node ids — clients never see the partition.
-* **rebalance** — a periodic (or explicitly invoked) sweep that applies the
+* **rebalance** (in-process shards only) — a periodic (or explicitly
+  invoked) sweep that applies the
   paper's Theorem-2 logic across shard boundaries through a two-phase
   reserve/commit on the owning shards: *migrations* re-place a badly-fitted
   lease into the shard the router now prefers (reserve capacity in the
@@ -26,7 +29,7 @@ rack-aligned shards (:mod:`repro.service.shard.plan`), runs one
 * **drain** — per-shard graceful drain; whatever cannot be served resolves
   as ``dropped`` exactly like the single service.
 
-Lock ordering (deadlock-free by construction): shard service locks are only
+Lock ordering (deadlock-free by construction): shard backend locks are only
 ever taken in ascending shard-id order, and the fabric's own bookkeeping
 lock is only taken *after* (or without) shard locks, never before.
 """
@@ -57,8 +60,9 @@ from repro.service.api import (
     ReleaseRequest,
     ReleaseResponse,
 )
-from repro.service.checkpoint import checkpoint_to_dict, state_from_checkpoint
+from repro.service.checkpoint import checkpoint_bytes, state_from_checkpoint
 from repro.service.server import PlacementService, ServiceConfig, Ticket
+from repro.service.shard.backend import LocalBackend, ShardBackend
 from repro.service.shard.plan import (
     ByRackPlan,
     ShardAssignment,
@@ -190,21 +194,21 @@ class RebalanceReport:
 
 
 class Shard:
-    """One rack-aligned partition: id maps plus its placement service.
+    """One rack-aligned partition: id maps plus the backend serving it.
 
     ``to_global[i]`` is the global node id of local node ``i``; decisions
     produced by the shard's service are translated through it before any
     caller outside the fabric sees them.
     """
 
-    __slots__ = ("shard_id", "racks", "to_global", "_to_local", "service")
+    __slots__ = ("shard_id", "racks", "to_global", "_to_local", "backend")
 
     def __init__(
         self,
         shard_id: int,
         racks: tuple[int, ...],
         node_ids: tuple[int, ...],
-        service: PlacementService,
+        backend: ShardBackend,
         num_global_nodes: int,
     ) -> None:
         self.shard_id = shard_id
@@ -215,11 +219,17 @@ class Shard:
         to_local[self.to_global] = np.arange(len(node_ids), dtype=np.int64)
         to_local.flags.writeable = False
         self._to_local = to_local
-        self.service = service
+        self.backend = backend
 
     @property
     def state(self) -> ClusterState:
-        return self.service.state
+        """The state the router scores (a mirror for out-of-process shards)."""
+        return self.backend.state
+
+    @property
+    def service(self) -> "PlacementService | None":
+        """The live service, when the shard runs in this process."""
+        return self.backend.service
 
     @property
     def num_nodes(self) -> int:
@@ -238,6 +248,16 @@ class Shard:
             placements=placements,
             center=int(self.to_global[decision.center]),
         )
+
+    def check_partition(self, state: ClusterState) -> None:
+        """Raise unless *state* (a restored copy) has this shard's shape."""
+        if state.num_nodes != self.num_nodes or not np.array_equal(
+            state.max_capacity, self.state.max_capacity
+        ):
+            raise ValidationError(
+                f"restored state for shard {self.shard_id} does not match "
+                "the shard's partition of the pool"
+            )
 
     def contains(self, global_rows: np.ndarray) -> bool:
         """Whether every global node id in *global_rows* lives in this shard."""
@@ -295,11 +315,17 @@ class ShardedPlacementFabric:
         Zero-arg callable producing the per-shard placement policy
         (default: a fresh Algorithm-1 :class:`OnlineHeuristic` per shard —
         policies are stateful enough that sharing one across shard threads
-        is not allowed).
+        is not allowed). In-process shards only.
     config / obs:
         Fabric tunables and the metrics registry shared by the fabric and
         every shard service (counters therefore aggregate fabric-wide;
         per-shard series live in the ``repro_shard_*`` family).
+    backend_factory:
+        ``(shard_id, pristine_state) -> ShardBackend``: where each shard's
+        service runs. Default: a :class:`PlacementService` in this process
+        (:class:`~repro.service.shard.backend.LocalBackend`);
+        :func:`~repro.service.factory.build_fabric` passes the
+        out-of-process one for ``workers="proc"``.
     """
 
     def __init__(
@@ -310,6 +336,7 @@ class ShardedPlacementFabric:
         policy_factory=None,
         config: "FabricConfig | None" = None,
         obs=None,
+        backend_factory=None,
     ) -> None:
         if int(pool.allocated.sum()) != 0:
             raise ValidationError(
@@ -325,27 +352,46 @@ class ShardedPlacementFabric:
             plan = ByRackPlan()
         assignment = plan if isinstance(plan, ShardAssignment) else plan.partition(pool.topology)
         self.assignment = assignment
-        policy_factory = policy_factory or OnlineHeuristic
-        #: Kept for failover: a restored shard gets a *fresh* policy from
-        #: the same factory (policies are stateful; never share one).
-        self.policy_factory = policy_factory
+        if backend_factory is None:
+            policy_factory = policy_factory or OnlineHeuristic
+
+            def backend_factory(shard_id: int, state: ClusterState):
+                service = PlacementService(
+                    state,
+                    policy=policy_factory(),
+                    config=self.config.service,
+                    obs=self.obs,
+                )
+                return LocalBackend(shard_id, service, policy_factory)
+
         self._shards: list[Shard] = []
-        for shard_id, (racks, node_ids) in enumerate(
-            zip(assignment.racks, assignment.nodes)
-        ):
-            topo = shard_topology(pool.topology, node_ids)
-            state = ClusterState(
-                topo, pool.catalog, distance_model=pool.distance_model
-            )
-            service = PlacementService(
-                state,
-                policy=policy_factory(),
-                config=self.config.service,
-                obs=self.obs,
-            )
-            self._shards.append(
-                Shard(shard_id, racks, node_ids, service, pool.num_nodes)
-            )
+        try:
+            for shard_id, (racks, node_ids) in enumerate(
+                zip(assignment.racks, assignment.nodes)
+            ):
+                topo = shard_topology(pool.topology, node_ids)
+                state = ClusterState(
+                    topo, pool.catalog, distance_model=pool.distance_model
+                )
+                self._shards.append(
+                    Shard(
+                        shard_id, racks, node_ids,
+                        backend_factory(shard_id, state), pool.num_nodes,
+                    )
+                )
+            #: Cross-shard rebalancing mutates two shards' states in one
+            #: transaction, which only in-process services allow.
+            self._in_process = all(s.service is not None for s in self._shards)
+            if self.config.rebalance_interval is not None and not self._in_process:
+                raise ValidationError(
+                    "cross-shard rebalancing is not supported out-of-process; "
+                    "use rebalance_interval=None"
+                )
+        except BaseException:
+            # Whatever did come up (children already spawned) is not stranded.
+            for shard in self._shards:
+                shard.backend.close(5.0)
+            raise
         self._router = ShardRouter([s.state for s in self._shards])
         self._stats = FabricStats()
         #: request id → owning shard id (or _ROUTING while being placed).
@@ -450,6 +496,14 @@ class ShardedPlacementFabric:
         return tuple(self._shards)
 
     @property
+    def handles(self) -> tuple:
+        """Child-process handles of out-of-process shards, in shard order
+        (empty when every shard runs in this process)."""
+        return tuple(
+            s.backend.handle for s in self._shards if s.backend.handle is not None
+        )
+
+    @property
     def num_shards(self) -> int:
         return len(self._shards)
 
@@ -474,16 +528,13 @@ class ShardedPlacementFabric:
         with self._flock:
             stats = replace(self._stats)
         stats.batch_transfer_gain = float(
-            sum(s.service.stats.transfer_gain for s in self._shards)
+            sum(s.backend.transfer_gain for s in self._shards)
         )
         return stats
 
     @property
     def queued(self) -> int:
-        down = self.down_shards
-        return sum(
-            s.service.queued for s in self._shards if s.shard_id not in down
-        )
+        return sum(s.backend.queued for s in self._live_shards())
 
     def owner_of(self, request_id: int) -> "int | None":
         """Shard id holding (or placing) *request_id*, if any."""
@@ -502,36 +553,17 @@ class ShardedPlacementFabric:
         ``shard_unavailable`` when only a dead shard could have served it,
         ``rejected`` otherwise.
         """
-        ticket = Ticket(request.request_id)
-        with self._flock:
-            self._stats.submitted += 1
-            if request.request_id in self._owners:
-                self._stats.rejected += 1
-                ticket._resolve(
-                    PlacementDecision(
-                        request_id=request.request_id,
-                        status=DecisionStatus.REJECTED,
-                        detail="duplicate request id (pending or holding a lease)",
-                    )
-                )
-                return ticket
-            self._owners[request.request_id] = _ROUTING
-        self._dispatch(request, ticket, failover=False)
-        return ticket
+        tickets, fresh, _ = self._screen((request,))
+        for request, ticket in fresh:
+            self._dispatch(request, ticket, failover=False)
+        return tickets[0]
 
-    def submit_batch(self, requests: "list[PlaceRequest]") -> "list[Ticket]":
-        """Submit a whole drained batch through one vectorized routing pass.
+    def _screen(self, requests):
+        """Count arrivals, bounce duplicate ids, mark the rest as routing.
 
-        Semantically identical to calling :meth:`submit` once per request in
-        order — duplicate screening, owner registration, spillover, and
-        terminal outcomes all match, because batched routing is
-        decision-identical to sequential routing
-        (:meth:`ShardRouter.route_batch`) and submission never mutates the
-        states routing reads (placement happens in the shards' ``step``).
-        The win is the per-arrival routing overhead: one supply matmul and
-        one fill-bound kernel per shard for the whole batch instead of one
-        python scoring walk per request. The async endpoint feeds every
-        batch it drains from its connections through here.
+        Returns ``(tickets, fresh, down)``: one ticket per request in
+        order, the ``(request, ticket)`` pairs still to be dispatched, and
+        the dead-shard set as of the screening.
         """
         tickets: "list[Ticket]" = []
         fresh: "list[tuple[PlaceRequest, Ticket]]" = []
@@ -556,6 +588,23 @@ class ShardedPlacementFabric:
                     detail="duplicate request id (pending or holding a lease)",
                 )
             )
+        return tickets, fresh, down
+
+    def submit_batch(self, requests: "list[PlaceRequest]") -> "list[Ticket]":
+        """Submit a whole drained batch through one vectorized routing pass.
+
+        Semantically identical to calling :meth:`submit` once per request in
+        order — duplicate screening, owner registration, spillover, and
+        terminal outcomes all match, because batched routing is
+        decision-identical to sequential routing
+        (:meth:`ShardRouter.route_batch`) and submission never mutates the
+        states routing reads (placement happens in the shards' ``step``).
+        The win is the per-arrival routing overhead: one supply matmul and
+        one fill-bound kernel per shard for the whole batch instead of one
+        python scoring walk per request. The async endpoint feeds every
+        batch it drains from its connections through here.
+        """
+        tickets, fresh, down = self._screen(requests)
         if not fresh:
             return tickets
         # Survivability-constrained requests take the scalar routing path —
@@ -604,8 +653,7 @@ class ShardedPlacementFabric:
         """
         demand = np.asarray(request.demand, dtype=np.int64)
         target = request.survivability
-        with self._flock:
-            down = frozenset(self._down)
+        down = self.down_shards
         if route is None:
             with self.timer.phase("route"):
                 route = self._router.route(demand, exclude=down, target=target)
@@ -618,11 +666,12 @@ class ShardedPlacementFabric:
             if (self.config.spillover or failover)
             else route.ranked[:1]
         )
+        copies = 1
         if (
             self.config.speculation > 1
             and len(candidates) > 1
             and (
-                self._shards[candidates[0]].service.backlog_hint > 0
+                self._shards[candidates[0]].backend.backlog_hint > 0
                 or not self._shards[candidates[0]].state.can_satisfy(demand)
             )
         ):
@@ -635,10 +684,8 @@ class ShardedPlacementFabric:
             # shard's release schedule — this is the fabric's p99 lever.
             # Immediately-placeable traffic never speculates, so its
             # placements are identical with speculation on or off.
-            handled = self._admit_speculative(request, ticket, candidates)
-        else:
-            handled = self._admit_sequential(request, ticket, candidates)
-        if handled:
+            copies = self.config.speculation
+        if self._admit(request, ticket, candidates, copies):
             return
         # No shard admitted: refuse when nobody could *ever* serve it,
         # reject when live shards exist but all declined right now, and
@@ -682,16 +729,27 @@ class ShardedPlacementFabric:
             )
         )
 
-    def _admit_sequential(
-        self, request: PlaceRequest, ticket: Ticket, candidates
+    def _admit(
+        self, request: PlaceRequest, ticket: Ticket, candidates, copies: int
     ) -> bool:
-        """Walk *candidates* best-first until one shard admits the request.
+        """Admit *request* on up to *copies* of *candidates*, best first.
 
-        Returns ``True`` when the request was admitted somewhere (or a
-        concurrent failover took it over), ``False`` when every candidate
-        declined at the door — the caller resolves the terminal outcome.
+        ``copies=1`` is plain spillover; more races copies on the top
+        shards. Every copy shares one attempt token, so the whole group is
+        fenced as a unit: the first *placed* decision wins in
+        :meth:`_decision_callback` (which cancels or releases the losers),
+        and a failover re-route invalidates all copies at once. The owner
+        map points at the first admitted copy until a winner commits.
+        Returns ``True`` when a copy was admitted (or a concurrent failover
+        took the request over), ``False`` when every candidate declined at
+        the door — the caller resolves the terminal outcome.
         """
+        rid = request.request_id
+        attempt = None
+        admitted: "list[int]" = []
         for shard_id in candidates:
+            if len(admitted) >= copies:
+                break
             shard = self._shards[shard_id]
             # Register *before* handing the request to the shard: a worker
             # that dies mid-admission is scanned by mark_shard_down, which
@@ -699,61 +757,9 @@ class ShardedPlacementFabric:
             with self._flock:
                 if shard_id in self._down:
                     continue
-                self._attempts += 1
-                attempt = self._attempts
-                self._owners[request.request_id] = shard_id
-                self._inflight[request.request_id] = (
-                    request, ticket, attempt, frozenset((shard_id,)),
-                )
-            inner = shard.service.submit(request)
-            decision = inner.decision
-            if inner.done and decision is not None and not decision.placed:
-                # Declined at the door (queue full, draining, duplicate,
-                # dead worker fence) — spill to the next-best shard, unless
-                # a concurrent failover already took the request over.
-                with self._flock:
-                    entry = self._inflight.get(request.request_id)
-                    if entry is None or entry[2] != attempt:
-                        return True
-                    del self._inflight[request.request_id]
-                    self._owners[request.request_id] = _ROUTING
-                    self._stats.spillovers += 1
-                self._mc_rejected[shard_id].inc()
-                self._mc_spill[shard_id].inc()
-                continue
-            self._mc_admitted[shard_id].inc()
-            inner.add_done_callback(
-                self._decision_callback(shard, request.request_id, ticket, attempt)
-            )
-            self._mc_queue[shard_id].set(shard.service.queued)
-            return True
-        return False
-
-    def _admit_speculative(
-        self, request: PlaceRequest, ticket: Ticket, candidates
-    ) -> bool:
-        """Race copies of *request* on up to ``speculation`` top shards.
-
-        Every copy shares one attempt token, so the whole group is fenced
-        as a unit: the first *placed* decision wins in
-        :meth:`_decision_callback` (which cancels or releases the losers),
-        and a failover re-route invalidates all copies at once. The owner
-        map points at the first admitted copy until a winner commits.
-        Returns ``True`` when at least one copy was admitted, ``False``
-        when every candidate declined at the door.
-        """
-        rid = request.request_id
-        with self._flock:
-            self._attempts += 1
-            attempt = self._attempts
-        admitted: "list[int]" = []
-        for shard_id in candidates:
-            if len(admitted) >= self.config.speculation:
-                break
-            shard = self._shards[shard_id]
-            with self._flock:
-                if shard_id in self._down:
-                    continue
+                if attempt is None:
+                    self._attempts += 1
+                    attempt = self._attempts
                 entry = self._inflight.get(rid)
                 if admitted and entry is None:
                     # A copy already won (or lost terminally) while we were
@@ -767,11 +773,13 @@ class ShardedPlacementFabric:
                 )
                 if not admitted:
                     self._owners[rid] = shard_id
-            inner = shard.service.submit(request)
-            decision = inner.decision
-            if inner.done and decision is not None and not decision.placed:
-                # This copy declined at the door — shrink the group and try
-                # the next candidate.
+            if not shard.backend.submit(
+                request, attempt, self._decision_callback(shard, rid, ticket, attempt)
+            ):
+                # Declined at the door (queue full, draining, duplicate,
+                # dead worker) — drop this copy from the group and try the
+                # next-best shard, unless a concurrent failover already
+                # took the request over.
                 with self._flock:
                     entry = self._inflight.get(rid)
                     if entry is None or entry[2] != attempt:
@@ -789,16 +797,11 @@ class ShardedPlacementFabric:
                 continue
             admitted.append(shard_id)
             self._mc_admitted[shard_id].inc()
-            inner.add_done_callback(
-                self._decision_callback(shard, rid, ticket, attempt)
-            )
-            self._mc_queue[shard_id].set(shard.service.queued)
-        if not admitted:
-            return False
+            self._mc_queue[shard_id].set(shard.backend.queued)
         if len(admitted) > 1:
             with self._flock:
                 self._stats.speculations += 1
-        return True
+        return bool(admitted)
 
     def _decision_callback(
         self, shard: Shard, request_id: int, outer: Ticket, attempt: int
@@ -815,7 +818,7 @@ class ShardedPlacementFabric:
                     # speculative copy already won the group. A *placement*
                     # decided by a fenced copy on a live shard would leak
                     # capacity there — release it straight on the shard's
-                    # service (the fabric owner map points at the winner,
+                    # backend (the fabric owner map points at the winner,
                     # so fabric-level release would refuse). Dead shards
                     # keep the old behavior: their state is abandoned and
                     # rebuilt from the checkpoint, so the decision is void.
@@ -867,7 +870,7 @@ class ShardedPlacementFabric:
                                 self._stats.unavailable += 1
             if stale_release:
                 try:
-                    shard.service.release(
+                    shard.backend.release(
                         ReleaseRequest(request_id=request_id)
                     )
                 except ReproError:  # racing a shard death; nothing to free
@@ -877,7 +880,7 @@ class ShardedPlacementFabric:
                 # Loser copies still queued elsewhere: withdraw them. A
                 # copy that slips past the cancel (already being placed)
                 # resolves later as stale and is released above.
-                self._shards[sid].service.cancel(request_id)
+                self._shards[sid].backend.cancel(request_id)
             if resolve:
                 outer._resolve(translated)
 
@@ -889,21 +892,34 @@ class ShardedPlacementFabric:
         A lease on a dead shard answers ``shard_unavailable`` without
         touching the dead worker: mutating its abandoned state would be
         silently undone by the checkpoint restore (lease resurrection).
+
+        The owner is read and the lock dropped before the shard is asked,
+        so a rebalance move in between makes the old shard answer
+        ``unknown_lease`` for a live lease. The owner map is then re-read
+        and the lease followed; every further try needs another move to have
+        happened, and the tries are bounded by the shard count.
         """
-        with self._flock:
-            shard_id = self._owners.get(request.request_id)
-            if shard_id is not None and shard_id in self._down:
-                self._stats.unavailable += 1
-                return ReleaseResponse(
-                    request_id=request.request_id,
-                    status=DecisionStatus.SHARD_UNAVAILABLE,
-                )
-        if shard_id is None or shard_id == _ROUTING:
+        asked = response = None
+        for _ in range(len(self._shards) + 1):
+            with self._flock:
+                shard_id = self._owners.get(request.request_id)
+                if shard_id is not None and shard_id in self._down:
+                    self._stats.unavailable += 1
+                    return ReleaseResponse(
+                        request_id=request.request_id,
+                        status=DecisionStatus.SHARD_UNAVAILABLE,
+                    )
+            if shard_id is None or shard_id == _ROUTING or shard_id == asked:
+                break
+            response = self._shards[shard_id].backend.release(request)
+            if response.status != DecisionStatus.UNKNOWN_LEASE:
+                break
+            asked = shard_id
+        if response is None:
             return ReleaseResponse(
                 request_id=request.request_id,
                 status=DecisionStatus.UNKNOWN_LEASE,
             )
-        response = self._shards[shard_id].service.release(request)
         if response.released:
             with self._flock:
                 self._owners.pop(request.request_id, None)
@@ -918,20 +934,22 @@ class ShardedPlacementFabric:
                 return False
         if shard_id is None or shard_id == _ROUTING:
             return False
-        return self._shards[shard_id].service.cancel(request_id)
+        return self._shards[shard_id].backend.cancel(request_id)
 
     # ------------------------------------------------------------- failover
 
     def mark_shard_down(self, shard_id: int, *, reason: str = "") -> list[int]:
         """Quarantine a dead shard worker and re-route its in-flight requests.
 
-        Fences the shard's service (new submissions bounce, its loop exits),
-        removes the shard from routing, and re-dispatches every in-flight
-        request that was waiting on it through the surviving shards'
-        spillover path. Leases the dead shard *holds* stay in the owner map
-        (answering ``shard_unavailable``) until
-        :meth:`adopt_restored_service` re-adopts them from the replicated
-        checkpoint.
+        Quarantines the shard's backend (an in-process service is fenced —
+        new submissions bounce, its loop exits; a child process is
+        SIGKILLed: a quarantined worker must never commit further state, or
+        restore-from-checkpoint would fork the ledger), removes the shard
+        from routing, and re-dispatches every in-flight request that was
+        waiting on it through the surviving shards' spillover path. Leases
+        the dead shard *holds* stay in the owner map (answering
+        ``shard_unavailable``) until :meth:`restore_shard` re-adopts them
+        from the replicated checkpoint.
 
         Deliberately takes no dead-worker lock: a crashed or wedged worker
         thread may hold its service lock forever. Returns the re-routed
@@ -940,11 +958,7 @@ class ShardedPlacementFabric:
         """
         if not 0 <= shard_id < len(self._shards):
             raise ValidationError(f"no shard {shard_id} to mark down")
-        service = self._shards[shard_id].service
-        # Lock-free fence + stop flag: the dead worker's loop (if it still
-        # runs at all) observes these without us touching its lock.
-        service.fence = lambda: False
-        service._stop.set()
+        self._shards[shard_id].backend.quarantine()
         with self._flock:
             if shard_id in self._down:
                 return []
@@ -983,43 +997,42 @@ class ShardedPlacementFabric:
             # (and is released if it had placed).
             for sid in members:
                 if sid != shard_id and sid not in down:
-                    self._shards[sid].service.cancel(rid)
+                    self._shards[sid].backend.cancel(rid)
         for rid, (request, ticket, _attempt, _members) in sorted(victims):
             self._dispatch(request, ticket, failover=True)
         return [rid for rid, _ in sorted(victims)]
 
-    def adopt_restored_service(
-        self, shard_id: int, service: PlacementService
-    ) -> None:
-        """Swap a restored :class:`PlacementService` in for a dead shard.
+    def restore_shard(self, shard_id: int, payload: bytes) -> ClusterState:
+        """Bring a dead shard back from its replicated checkpoint *payload*.
 
-        *service* must be rebuilt from the shard's replicated checkpoint
-        (same partition, same capacity). The router is repointed at the
-        restored state, the owner map re-adopts the restored leases, and
-        the shard rejoins routing. Leases the checkpoint does not contain
-        but the owner map attributed to this shard (decided after the last
-        replication — a window the write-ahead hook keeps empty) are
-        dropped from the owner map.
+        The payload must re-serialize byte-identically (a torn copy is
+        never adopted) and match the shard's partition of the pool. The
+        backend then brings up a fresh service on it, the router is
+        repointed, the owner map re-adopts the restored leases, and the
+        shard rejoins routing. Leases the checkpoint does not contain but
+        the owner map attributed to this shard (decided after the last
+        replication — a window the write-ahead hook keeps empty) are dropped
+        from the owner map. Returns the restored state.
         """
         if not 0 <= shard_id < len(self._shards):
             raise ValidationError(f"no shard {shard_id} to restore")
         with self._flock:
             if shard_id not in self._down:
                 raise ValidationError(
-                    f"shard {shard_id} is not down; refusing to swap a live "
-                    "worker's service"
+                    f"shard {shard_id} is not down; refusing to restore over "
+                    "a live worker"
                 )
         shard = self._shards[shard_id]
-        if service.state.num_nodes != shard.num_nodes or not np.array_equal(
-            service.state.max_capacity, shard.state.max_capacity
-        ):
+        state = state_from_checkpoint(json.loads(payload))
+        if checkpoint_bytes(state).encode("utf-8") != payload:
             raise ValidationError(
-                f"restored service for shard {shard_id} does not match the "
-                "shard's partition of the pool"
+                f"replicated checkpoint for shard {shard_id} does not "
+                "round-trip to its payload"
             )
-        restored_leases = set(service.state.leases)
-        shard.service = service
-        self._router.replace_state(shard_id, service.state)
+        shard.check_partition(state)
+        shard.backend.restore(payload, state)
+        self._router.replace_state(shard_id, shard.state)
+        restored_leases = set(state.leases)
         with self._flock:
             stale = [
                 rid
@@ -1028,19 +1041,23 @@ class ShardedPlacementFabric:
             ]
             for rid in stale:
                 del self._owners[rid]
+            conflicts = []
             for rid in restored_leases:
                 other = self._owners.get(rid)
                 if other is not None and other not in (shard_id, _ROUTING):
-                    # The lease was re-routed to a survivor while this shard
-                    # was down (possible only for pre-replication decisions);
-                    # the survivor's copy wins, the restored one is freed.
-                    _log.warning(
-                        "restored shard %d lease %d now lives on shard %d; "
-                        "dropping the restored copy", shard_id, rid, other,
-                    )
-                    service.state.release_lease(rid)
-                    continue
-                self._owners[rid] = shard_id
+                    conflicts.append((rid, other))
+                else:
+                    self._owners[rid] = shard_id
+        for rid, other in conflicts:
+            # The lease was re-routed to a survivor while this shard was
+            # down (possible only for pre-replication decisions); the
+            # survivor's copy wins, the restored one is freed.
+            _log.warning(
+                "restored shard %d lease %d now lives on shard %d; "
+                "dropping the restored copy", shard_id, rid, other,
+            )
+            shard.backend.release(ReleaseRequest(request_id=rid))
+        with self._flock:
             self._down.discard(shard_id)
             self._stats.shard_restores += 1
             started = self._started
@@ -1050,14 +1067,19 @@ class ShardedPlacementFabric:
                 shard_id, len(stale), stale,
             )
         if started:
-            service.start()
+            shard.backend.start()
         self._refresh_gauges()
+        return shard.state
 
     @property
     def down_shards(self) -> frozenset:
         """Ids of shards currently quarantined by :meth:`mark_shard_down`."""
         with self._flock:
             return frozenset(self._down)
+
+    def _live_shards(self) -> "list[Shard]":
+        down = self.down_shards
+        return [s for s in self._shards if s.shard_id not in down]
 
     # ---------------------------------------------------------- scheduling
 
@@ -1067,24 +1089,18 @@ class ShardedPlacementFabric:
         Returns the union of shard decisions, translated to global node
         ids, in shard-id order.
         """
-        down = self.down_shards
         decisions: list[PlacementDecision] = []
-        for shard in self._shards:
-            if shard.shard_id in down:
-                continue
+        for shard in self._live_shards():
             decisions.extend(
-                shard.translate(d) for d in shard.service.step(now)
+                shard.translate(d) for d in shard.backend.step(now)
             )
         self._refresh_gauges()
         return decisions
 
     def _refresh_gauges(self) -> None:
-        down = self.down_shards
-        for shard in self._shards:
-            if shard.shard_id in down:
-                continue
+        for shard in self._live_shards():
             label = str(shard.shard_id)
-            self._m_shard_queue.labels(shard=label).set(shard.service.queued)
+            self._m_shard_queue.labels(shard=label).set(shard.backend.queued)
             self._m_shard_leases.labels(shard=label).set(shard.state.num_leases)
             self._m_shard_util.labels(shard=label).set(shard.state.utilization)
 
@@ -1092,18 +1108,16 @@ class ShardedPlacementFabric:
 
     @property
     def running(self) -> bool:
-        down = self.down_shards
-        live = [s for s in self._shards if s.shard_id not in down]
-        return bool(live) and all(s.service.running for s in live)
+        live = self._live_shards()
+        return bool(live) and all(s.backend.running for s in live)
 
     def start(self) -> None:
         """Start every live shard's scheduler loop and the rebalancer (idempotent)."""
-        down = self.down_shards
+        live = self._live_shards()
         with self._flock:
             self._started = True
-        for shard in self._shards:
-            if shard.shard_id not in down:
-                shard.service.start()
+        for shard in live:
+            shard.backend.start()
         if (
             self.config.rebalance_interval is not None
             and (self._rebalance_thread is None or not self._rebalance_thread.is_alive())
@@ -1133,28 +1147,43 @@ class ShardedPlacementFabric:
     def stop(self) -> None:
         """Halt the rebalancer and every live shard loop; queues are untouched."""
         self._stop_rebalancer()
-        down = self.down_shards
+        live = self._live_shards()
         with self._flock:
             self._started = False
-        for shard in self._shards:
-            if shard.shard_id not in down:
-                shard.service.stop()
+        for shard in live:
+            shard.backend.stop()
 
     def drain(self, timeout: float = 5.0) -> list[PlacementDecision]:
         """Gracefully drain every live shard; returns the translated decisions."""
         self._stop_rebalancer()
-        down = self.down_shards
+        live = self._live_shards()
         with self._flock:
             self._started = False
         decisions: list[PlacementDecision] = []
-        for shard in self._shards:
-            if shard.shard_id in down:
-                continue
+        for shard in live:
             decisions.extend(
-                shard.translate(d) for d in shard.service.drain(timeout)
+                shard.translate(d) for d in shard.backend.drain(timeout)
             )
         self._refresh_gauges()
         return decisions
+
+    def shutdown(self, timeout: float = 5.0) -> "dict[int, int | None]":
+        """Stop for good: the rebalancer, then every shard's backend.
+
+        An out-of-process shard is drained and its child reaped. Returns
+        the child exit code of every such shard (``None`` for one that could
+        not be reaped; nothing for shards that run in this process), for the
+        CLI's exit-code propagation. Idempotent.
+        """
+        self._stop_rebalancer()
+        with self._flock:
+            self._started = False
+        codes = {}
+        for shard in self._shards:
+            code = shard.backend.close(timeout)
+            if shard.backend.handle is not None:
+                codes[shard.shard_id] = code
+        return codes
 
     # ----------------------------------------------------------- rebalance
 
@@ -1175,7 +1204,14 @@ class ShardedPlacementFabric:
            allocations remain contained in single shards (rack-aligned
            placements stay rack-aligned); the two-phase release/allocate is
            rolled back if any commit leg fails.
+
+        Both passes mutate two shards' states inside one transaction, so
+        every shard's service must run in this process.
         """
+        if not self._in_process:
+            raise ValidationError(
+                "cross-shard rebalancing is not supported out-of-process"
+            )
         with self._rebalance_lock, self.timer.phase("rebalance"):
             migrations = transfers = pairs = 0
             gain = 0.0
@@ -1237,11 +1273,8 @@ class ShardedPlacementFabric:
 
     def _rebalance_candidates(self) -> list[tuple[int, int, float]]:
         """Up to ``rebalance_candidates`` worst-distance leases per live shard."""
-        down = self.down_shards
         out: list[tuple[int, int, float]] = []
-        for shard in self._shards:
-            if shard.shard_id in down:
-                continue
+        for shard in self._live_shards():
             with shard.service._lock:
                 leases = shard.state.leases
             ranked = sorted(
@@ -1255,11 +1288,11 @@ class ShardedPlacementFabric:
 
     @contextlib.contextmanager
     def _shard_locks(self, *shard_ids: int):
-        """Acquire the named shards' service locks in ascending id order."""
+        """Acquire the named shards' backend locks in ascending id order."""
         ordered = sorted(set(shard_ids))
         with contextlib.ExitStack() as stack:
             for shard_id in ordered:
-                stack.enter_context(self._shards[shard_id].service._lock)
+                stack.enter_context(self._shards[shard_id].backend.lock)
             yield
 
     def _wake(self, *shard_ids: int) -> None:
@@ -1403,7 +1436,7 @@ class ShardedPlacementFabric:
                 "racks": [int(r) for r in shard.racks],
                 "nodes": shard.num_nodes,
                 "leases": shard.state.num_leases,
-                "queued": shard.service.queued,
+                "queued": shard.backend.queued,
                 "utilization": shard.state.utilization,
             }
             for shard in self._shards
@@ -1421,10 +1454,13 @@ class ShardedPlacementFabric:
 
         Checks: the shard node sets partition the pool, every live shard's
         capacity matrix is the global one restricted to its nodes, every
-        live shard state passes its own incremental-aggregate verification,
-        the union allocation respects global capacity, no lease owner points
-        at an unregistered or dead shard, and the owner map and shard
-        ledgers agree bidirectionally.
+        live shard state passes its backend's verification (incremental
+        aggregates; for an out-of-process shard also mirror ≡ the worker's
+        authoritative state, so call this at quiescent points — a mirror is
+        allowed to lag while decisions are in flight), the union allocation
+        respects global capacity, no lease owner points at an unregistered
+        or dead shard, and the owner map and shard ledgers agree
+        bidirectionally.
 
         Only *live* shards are locked — a crashed worker may hold its
         service lock forever — so full verification demands a healthy
@@ -1456,7 +1492,7 @@ class ShardedPlacementFabric:
                     raise ValidationError(
                         f"shard {shard.shard_id} capacity diverged from the pool"
                     )
-                shard.state.verify_consistency()
+                shard.backend.verify_state()
                 total[shard.to_global] += shard.state.allocated
                 for rid in shard.state.leases:
                     if self._owners.get(rid) != shard.shard_id:
@@ -1479,9 +1515,9 @@ class ShardedPlacementFabric:
                         f"owner map points {rid} at dead shard {shard_id}; "
                         "the lease is stranded until the shard is restored"
                     )
-                service = self._shards[shard_id].service
                 if not (
-                    service.state.has_lease(rid) or rid in service._pending
+                    self._shards[shard_id].state.has_lease(rid)
+                    or rid in self._inflight
                 ):
                     raise ValidationError(
                         f"owner map points {rid} at shard {shard_id}, which "
@@ -1495,7 +1531,9 @@ class ShardedPlacementFabric:
 
         Refuses while any shard is down: a dead worker's lock may be
         wedged and its state is stale — restore it first (the supervisor's
-        job), then checkpoint the healthy fabric.
+        job), then checkpoint the healthy fabric. The same version-1
+        ``sharded-fabric`` document whichever backend the shards run on, so
+        it restores through :func:`fabric_from_checkpoint` either way.
         """
         down = self.down_shards
         if down:
@@ -1505,13 +1543,15 @@ class ShardedPlacementFabric:
             )
         started = time.perf_counter()
         with self._rebalance_lock, self._shard_locks(*range(len(self._shards))):
-            shard_docs = [checkpoint_to_dict(s.state) for s in self._shards]
-            with self._flock:
-                owners = sorted(
-                    (int(rid), int(sid))
-                    for rid, sid in self._owners.items()
-                    if sid != _ROUTING and self._shards[sid].state.has_lease(rid)
-                )
+            # The services' own documents, never a mirror's (its version
+            # counter legitimately diverges, which would break byte-identity).
+            shard_docs = [s.backend.checkpoint_doc() for s in self._shards]
+        # Read off the same documents: manifest and ledgers cannot disagree.
+        owners = sorted(
+            (int(lease["request_id"]), sid)
+            for sid, shard_doc in enumerate(shard_docs)
+            for lease in shard_doc["leases"]
+        )
         doc = {
             "version": FABRIC_CHECKPOINT_VERSION,
             "kind": "sharded-fabric",
@@ -1587,13 +1627,7 @@ def fabric_from_checkpoint(
         )
     for shard, shard_doc in zip(fabric.shards, shard_docs):
         restored = state_from_checkpoint(shard_doc)
-        if restored.num_nodes != shard.num_nodes or not np.array_equal(
-            restored.max_capacity, shard.state.max_capacity
-        ):
-            raise ValidationError(
-                f"checkpointed shard {shard.shard_id} does not match the "
-                "plan's partition of the pool"
-            )
+        shard.check_partition(restored)
         shard.service.state = restored
     fabric._router = ShardRouter([s.state for s in fabric.shards])
     fabric._owners = {

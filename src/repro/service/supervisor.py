@@ -1,8 +1,12 @@
 """Supervised shard workers: heartbeats, crash detection, checkpoint failover.
 
-:class:`FabricSupervisor` turns a :class:`ShardedPlacementFabric` into a
-fault-tolerant serving fabric. Each shard's :class:`PlacementService` runs
-under a :class:`ShardWorker` wrapper that
+:class:`FabricSupervisor` turns a
+:class:`~repro.service.shard.fabric.ShardedPlacementFabric` into a
+fault-tolerant serving fabric, whichever
+:class:`~repro.service.shard.backend.ShardBackend` its shards run on. Each
+shard's :class:`PlacementService` runs under a :class:`ShardWorker` wrapper
+— in this process for in-thread shards, inside the child for
+out-of-process ones — that
 
 * **heartbeats** — records a TTL'd liveness beat in the coordination
   backend on every scheduler tick and after every commit;
@@ -16,16 +20,16 @@ under a :class:`ShardWorker` wrapper that
   :meth:`FabricSupervisor.stranded_leases`.
 
 The supervisor's :meth:`~FabricSupervisor.monitor` sweep detects dead
-workers — an explicit crash flag (chaos kill, loop crash) or a heartbeat
-older than the configured TTL — quarantines the shard via
+workers — a crashed worker (chaos kill, loop crash, dead child process) or
+a heartbeat older than the configured TTL — quarantines the shard via
 :meth:`~repro.service.shard.fabric.ShardedPlacementFabric.mark_shard_down`
 (which re-routes the shard's in-flight requests through surviving shards),
-and, when recovery is permitted, restores the shard from its replicated
-checkpoint: the payload is parsed back into a byte-identical
-:class:`~repro.service.state.ClusterState`, wrapped in a fresh
-:class:`PlacementService` (new policy from the fabric's factory, same
-config, same registry), and swapped in with
-:meth:`~repro.service.shard.fabric.ShardedPlacementFabric.adopt_restored_service`.
+and, when recovery is permitted, hands the replicated checkpoint payload to
+:meth:`~repro.service.shard.fabric.ShardedPlacementFabric.restore_shard`:
+the payload is parsed back into a byte-identical
+:class:`~repro.service.state.ClusterState` and the shard's backend brings a
+fresh service up on it (a new in-process :class:`PlacementService`, or a
+respawned child).
 
 Time is injected (``clock``), so tests drive detection, TTL expiry, and
 restore ordering deterministically with explicit ``monitor(now=...)``
@@ -35,17 +39,15 @@ calls; live serving uses the background monitor thread started by
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
 from dataclasses import dataclass
 
-from repro.service.checkpoint import checkpoint_bytes, state_from_checkpoint
+from repro.service.checkpoint import checkpoint_bytes
 from repro.service.coord import CoordinationBackend, InMemoryCoordinationBackend
 from repro.service.server import PlacementService
-from repro.service.shard.fabric import ShardedPlacementFabric
-from repro.util.errors import ValidationError
+from repro.util.errors import TransportError, ValidationError
 
 _log = logging.getLogger(__name__)
 
@@ -101,6 +103,11 @@ class ShardWorker:
     survives to be rebound to the restored service.
     """
 
+    #: This worker's beats land in the supervisor's backend, so a stale
+    #: heartbeat means it is dead.
+    heartbeats = True
+    crash_reason = "worker crashed"
+
     def __init__(
         self,
         shard_id: int,
@@ -140,10 +147,14 @@ class ShardWorker:
         return not self.crashed
 
     def _on_commit(self, service: PlacementService) -> None:
+        self.sync()
+
+    def sync(self, *, force: bool = False) -> None:
+        """Replicate (if the state moved, or *force*) and beat, right now."""
         if self.crashed:
             return
         now = float(self.clock())
-        self.replicate(now)
+        self.replicate(now, force=force)
         self.beat(now)
 
     def _on_tick(self, service: PlacementService) -> None:
@@ -153,12 +164,15 @@ class ShardWorker:
 
     # ------------------------------------------------------------ liveness
 
-    def register(self, now: float) -> int:
-        """(Re-)register with the backend; returns the new incarnation."""
+    def enroll(self, now: float) -> bool:
+        """Start an incarnation: (re-)register, replicate the state as it
+        stands, beat. Returns whether the replication landed."""
         self.incarnation = self.backend.register_worker(
             self.worker_id, self.shard_id, now
         )
-        return self.incarnation
+        replicated = self.replicate(now, force=True)
+        self.beat(now)
+        return replicated
 
     def beat(self, now: float) -> None:
         """Heartbeat + lease-ledger sync (skipped while chaos-suppressed)."""
@@ -169,10 +183,6 @@ class ShardWorker:
             self._sync_ledger(now)
         except Exception:
             _log.exception("worker %s heartbeat failed", self.worker_id)
-
-    def heartbeat_age(self, now: float) -> float:
-        last = self.backend.last_beat(self.worker_id)
-        return float("inf") if last is None else max(0.0, now - last)
 
     def _sync_ledger(self, now: float) -> None:
         with self.service._lock:
@@ -255,15 +265,20 @@ class FabricSupervisor:
     Parameters
     ----------
     fabric:
-        The sharded fabric to supervise. The supervisor installs the
-        heartbeat/replication hooks on every shard service at construction
-        and immediately replicates each shard's initial state, so a crash at
-        any later point always has a checkpoint to restore from.
+        The sharded fabric to supervise. Every shard's backend is asked to
+        :meth:`~repro.service.shard.backend.ShardBackend.supervise` the
+        shard and each worker is enrolled (registered, initial state
+        replicated) at construction, so a crash at any later point always
+        has a checkpoint to restore from.
     backend:
-        The coordination backend (default: a fresh in-memory one).
+        The coordination backend (default: a fresh in-memory one). For
+        out-of-process shards, a client of the server the children write
+        to; without one only process liveness can be judged (no heartbeat
+        TTLs, no checkpoint to respawn from).
     config / clock:
         Detection tunables and the time source. Tests inject a fake clock
-        and call :meth:`monitor` with explicit ``now`` values.
+        and call :meth:`monitor` with explicit ``now`` values. Children beat
+        on the wall clock, so watch them with ``time.time``.
     restore_gate:
         Optional ``(shard_id, now) -> bool``; restoration of a dead shard is
         deferred while it returns False (the chaos injector uses this to
@@ -272,7 +287,7 @@ class FabricSupervisor:
 
     def __init__(
         self,
-        fabric: ShardedPlacementFabric,
+        fabric,
         backend: "CoordinationBackend | None" = None,
         config: "SupervisorConfig | None" = None,
         *,
@@ -310,19 +325,15 @@ class FabricSupervisor:
             labels=("shard",),
         )
         now = float(self.clock())
-        self.workers: list[ShardWorker] = []
+        self.workers: list = []
         for shard in fabric.shards:
-            worker = ShardWorker(
-                shard.shard_id, shard.service, self.backend, self.config, clock
-            )
-            worker.register(now)
-            if not worker.replicate(now, force=True):
+            worker = shard.backend.supervise(self.backend, self.config, clock)
+            if not worker.enroll(now):
                 raise ValidationError(
                     f"initial checkpoint replication failed for "
                     f"{worker.worker_id}"
                 )
-            self._m_replications.labels(shard=str(shard.shard_id)).inc()
-            worker.beat(now)
+            self._sync_replication_metrics(worker)
             self._m_up.labels(shard=str(shard.shard_id)).set(1)
             self.workers.append(worker)
 
@@ -331,9 +342,10 @@ class FabricSupervisor:
     def monitor(self, now: "float | None" = None) -> list[FailoverEvent]:
         """One detection + recovery sweep; returns the failover events.
 
-        Also retries restoration of shards that were detected dead earlier
-        but whose restore was gated (chaos repair time) or had no usable
-        checkpoint yet.
+        Per shard: a crashed worker first (a SIGKILLed child shows up within
+        one sweep), then the heartbeat TTL (wedged-but-running workers). Also
+        retries restoration of shards detected dead earlier whose restore was
+        gated (chaos repair time), failed, or had no usable checkpoint yet.
         """
         with self._mlock:
             if now is None:
@@ -361,15 +373,17 @@ class FabricSupervisor:
                             )
                         )
                     continue
-                age = worker.heartbeat_age(now)
-                self._m_hb_age.labels(shard=label).set(
-                    0.0 if age == float("inf") else age
-                )
                 reason = None
                 if worker.crashed:
-                    reason = "worker crashed"
-                elif age > self.config.heartbeat_ttl:
-                    reason = f"heartbeat age {age:.3f}s > ttl {self.config.heartbeat_ttl}s"
+                    reason = worker.crash_reason
+                elif worker.heartbeats:
+                    last = self.backend.last_beat(worker.worker_id)
+                    age = float("inf") if last is None else max(0.0, now - last)
+                    self._m_hb_age.labels(shard=label).set(
+                        0.0 if age == float("inf") else age
+                    )
+                    if age > self.config.heartbeat_ttl:
+                        reason = f"heartbeat age {age:.3f}s > ttl {self.config.heartbeat_ttl}s"
                 if reason is None:
                     self._m_up.labels(shard=label).set(1)
                     continue
@@ -390,9 +404,9 @@ class FabricSupervisor:
             self.events.extend(events)
             return events
 
-    def _sync_replication_metrics(self, worker: ShardWorker) -> None:
+    def _sync_replication_metrics(self, worker) -> None:
         label = str(worker.shard_id)
-        metered = getattr(worker, "_metered", (1, 0))  # initial replication
+        metered = getattr(worker, "_metered", (0, 0))
         done, failed = worker.replications, worker.replication_failures
         if done > metered[0]:
             self._m_replications.labels(shard=label).inc(done - metered[0])
@@ -402,7 +416,7 @@ class FabricSupervisor:
             )
         worker._metered = (done, failed)
 
-    def _try_restore(self, worker: ShardWorker, now: float) -> bool:
+    def _try_restore(self, worker, now: float) -> bool:
         if not self.config.auto_restore:
             return False
         gate = self.restore_gate
@@ -416,8 +430,9 @@ class FabricSupervisor:
         """Restore a dead shard from its replicated checkpoint.
 
         Returns False (shard stays quarantined, fabric keeps serving
-        degraded) when no checkpoint is available; raises if the payload is
-        corrupt — a torn copy must never be silently adopted.
+        degraded) when no checkpoint is available or the replacement worker
+        could not be brought up (retried next sweep); raises if the payload
+        is corrupt — a torn copy must never be silently adopted.
         """
         if now is None:
             now = float(self.clock())
@@ -429,23 +444,14 @@ class FabricSupervisor:
                 worker.worker_id,
             )
             return False
-        state = state_from_checkpoint(json.loads(payload))
-        if checkpoint_bytes(state).encode("utf-8") != payload:
-            raise ValidationError(
-                f"restored state for {worker.worker_id} does not round-trip "
-                "to the replicated payload"
+        try:
+            state = self.fabric.restore_shard(shard_id, payload)
+        except (TransportError, OSError):
+            _log.exception(
+                "restore of shard %d failed; will retry next sweep", shard_id
             )
-        service = PlacementService(
-            state,
-            policy=self.fabric.policy_factory(),
-            config=self.fabric.config.service,
-            obs=self.obs,
-        )
-        worker.rebind(service)
-        self.fabric.adopt_restored_service(shard_id, service)
-        worker.register(now)
-        worker.replicate(now, force=True)
-        worker.beat(now)
+            return False
+        worker.enroll(now)
         self._m_up.labels(shard=str(shard_id)).set(1)
         self._m_hb_age.labels(shard=str(shard_id)).set(0.0)
         _log.warning(
@@ -498,26 +504,30 @@ class FabricSupervisor:
     def verify_consistency(self) -> None:
         """Cross-check the backend's lease ledger against the fabric.
 
-        Every ledger lease owned by a live worker must map to a fabric
-        lease on that worker's shard, and every fabric-held lease must be
-        in the ledger under its shard's worker id. Requires a healthy
-        fabric (no shard down) and freshly synced beats.
+        Every worker is synced first (replication + heartbeat + ledger sync,
+        so the audit does not wait for the next scheduler tick); then every
+        ledger lease owned by a worker must map to a fabric lease on that
+        worker's shard, and every fabric-held lease must be in the ledger
+        under its shard's worker id. Requires a healthy fabric (no shard
+        down) whose workers all write to this supervisor's backend.
         """
         down = self.fabric.down_shards
         if down:
             raise ValidationError(
                 f"cannot verify ledger with dead shard(s) {sorted(down)}"
             )
-        ledger = self.backend.leases()
-        for rid, record in ledger.items():
-            shard_id = next(
-                (
-                    w.shard_id
-                    for w in self.workers
-                    if w.worker_id == record.owner
-                ),
-                None,
+        if not all(worker.heartbeats for worker in self.workers):
+            raise ValidationError(
+                "ledger verification needs workers that share this "
+                "supervisor's coordination backend (build proc workers "
+                "with coord=)"
             )
+        for worker in self.workers:
+            worker.sync()
+        ledger = self.backend.leases()
+        by_worker = {w.worker_id: w.shard_id for w in self.workers}
+        for rid, record in ledger.items():
+            shard_id = by_worker.get(record.owner)
             if shard_id is None:
                 raise ValidationError(
                     f"ledger lease {rid} owned by unknown worker "
@@ -529,8 +539,9 @@ class FabricSupervisor:
                     f"fabric places it on shard {self.fabric.owner_of(rid)}"
                 )
         for worker in self.workers:
-            with worker.service._lock:
-                held = set(worker.service.state.leases)
+            shard = self.fabric.shards[worker.shard_id]
+            with shard.backend.lock:
+                held = set(shard.state.leases)
             for rid in held:
                 record = ledger.get(rid)
                 if record is None or record.owner != worker.worker_id:

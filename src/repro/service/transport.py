@@ -61,7 +61,7 @@ from repro.service.codec import (
     resolve_codec,
 )
 from repro.service.server import PlacementService
-from repro.service.transports import TcpServerHandle, warn_legacy_construction
+from repro.service.transports import TcpServerHandle
 from repro.util.errors import ReproError, TransportError, TransportTimeout, ValidationError
 from repro.util.retry import TRANSPORT_RETRY, RetryPolicy
 
@@ -216,12 +216,7 @@ class ServiceEndpoint:
         host: str = "127.0.0.1",
         port: int = 0,
         codecs: "tuple[str, ...]" = SUPPORTED_CODECS,
-        _via_transport: bool = False,
     ) -> None:
-        if not _via_transport:
-            warn_legacy_construction(
-                type(self), 'resolve_transport("thread").serve(service, ...)'
-            )
         self.service = service
         self._handle = TcpServerHandle(
             _Handler,
@@ -288,12 +283,7 @@ class ServiceClient:
         retries: int = 0,
         retry_policy: RetryPolicy = TRANSPORT_RETRY,
         codec: str = "json",
-        _via_transport: bool = False,
     ) -> None:
-        if not _via_transport:
-            warn_legacy_construction(
-                type(self), 'resolve_transport("thread").connect(host, port, ...)'
-            )
         if retries < 0:
             raise ValidationError("retries must be >= 0")
         if codec not in _CLIENT_CODECS:

@@ -20,12 +20,9 @@ cross-connection admission batching). They serve the same envelope
 protocol, so any client speaks to either; pick with
 :func:`resolve_transport` or the CLI's ``--transport`` flag.
 
-The legacy constructors (``ServiceEndpoint(service)``,
-``ServiceClient(host, port)``, ``CoordinationServer(...)``) keep working —
-they *are* the objects the thread transport hands back — but direct
-construction is deprecated in favor of the factory surface and warns once
-per class, mirroring the PR-4 ``PlacementAlgorithm.place()`` migration.
-See ``docs/API.md`` for the timeline.
+``ServiceEndpoint(service)`` and ``ServiceClient(host, port)`` *are* the
+objects the thread transport hands back; constructing one directly is the
+same thing as asking the registry for it.
 
 :class:`TcpServerHandle` is the shared threaded-serving substrate: every
 blocking TCP listener in the package (placement endpoint, coordination
@@ -37,7 +34,6 @@ from __future__ import annotations
 
 import socketserver
 import threading
-import warnings
 from typing import Protocol, runtime_checkable
 
 from repro.util.errors import ValidationError
@@ -50,7 +46,6 @@ __all__ = [
     "Transport",
     "TRANSPORTS",
     "resolve_transport",
-    "warn_legacy_construction",
 ]
 
 
@@ -106,26 +101,6 @@ class Transport(Protocol):
 
     def connect(self, host: str, port: int, **options) -> Connection:
         """Dial a serving endpoint; negotiates the codec per *options*."""
-
-
-# ------------------------------------------------------- deprecation shim
-
-#: Classes that have already warned about direct (legacy) construction.
-_legacy_warned: set[type] = set()
-
-
-def warn_legacy_construction(cls: type, replacement: str) -> None:
-    """Warn once per class that direct construction is the legacy path."""
-    if cls in _legacy_warned:
-        return
-    _legacy_warned.add(cls)
-    warnings.warn(
-        f"constructing {cls.__name__} directly is deprecated; use "
-        f"{replacement} — see docs/API.md for the migration guide and "
-        "deprecation timeline",
-        DeprecationWarning,
-        stacklevel=4,
-    )
 
 
 # ------------------------------------------------- shared threaded substrate
@@ -199,12 +174,12 @@ class ThreadTransport:
     def serve(self, service, *, host: str = "127.0.0.1", port: int = 0, **options):
         from repro.service.transport import ServiceEndpoint
 
-        return ServiceEndpoint(service, host=host, port=port, _via_transport=True, **options)
+        return ServiceEndpoint(service, host=host, port=port, **options)
 
     def connect(self, host: str, port: int, **options):
         from repro.service.transport import ServiceClient
 
-        return ServiceClient(host, port, _via_transport=True, **options)
+        return ServiceClient(host, port, **options)
 
 
 class AioTransport:
@@ -222,10 +197,7 @@ class AioTransport:
 
         return AioServiceEndpoint(service, host=host, port=port, **options)
 
-    def connect(self, host: str, port: int, **options):
-        from repro.service.transport import ServiceClient
-
-        return ServiceClient(host, port, _via_transport=True, **options)
+    connect = ThreadTransport.connect
 
 
 #: Transport registry keyed by CLI-facing name.

@@ -49,13 +49,6 @@ class TestValidation:
                 make_pool(), RackGroupPlan(2), workers=workers, coord="auto"
             )
 
-    @pytest.mark.parametrize("workers", ["thread", "aio"])
-    def test_codec_applies_to_proc_workers_only(self, workers):
-        with pytest.raises(ValidationError, match="codec applies to proc"):
-            build_fabric(
-                make_pool(), RackGroupPlan(2), workers=workers, codec="binary"
-            )
-
     def test_supervise_requires_a_plan(self):
         with pytest.raises(ValidationError, match="supervise requires"):
             build_fabric(make_pool(), None, supervise=True)

@@ -1,13 +1,10 @@
-"""Out-of-process fabric tests: parity with the in-process fabric + kill/restore.
+"""Out-of-process shard workers: construction, client surface, SIGKILL restore.
 
-The differential test drives the same request trace through a
-:class:`ShardedPlacementFabric` (threads) and a :class:`ProcFabric`
-(spawned child processes) built from identical pools and plans, and
-requires decision-identical output — same status, same placements, same
-center, same distance for every request. Latency is excluded: it is the
-only field the process boundary is allowed to change.
-
-``PROC_SMOKE=1`` shrinks the trace for CI smoke jobs.
+What only a real child process can show — option validation that must not
+leave children behind, exit codes, a SIGKILLed worker detected and respawned
+byte-identically from its replicated checkpoint. Decision parity with
+in-process shards lives in ``test_backend_conformance.py``, which runs one
+trace over both backends.
 """
 
 import os
@@ -24,22 +21,12 @@ from repro.service import (
     PlaceRequest,
     ReleaseRequest,
     ServiceConfig,
+    build_fabric,
 )
-from repro.service.coord.net import (
-    CoordinationServer,
-    NetworkedCoordinationBackend,
-)
-from repro.service.proc import ProcFabric, ProcSupervisor
-from repro.service.shard import (
-    FabricConfig,
-    RackGroupPlan,
-    ShardedPlacementFabric,
-)
+from repro.service.coord.net import CoordinationServer
+from repro.service.shard import FabricConfig, RackGroupPlan
 from repro.service.supervisor import SupervisorConfig
 from repro.util.errors import ValidationError
-
-SMOKE = bool(os.environ.get("PROC_SMOKE"))
-TRACE_LEN = 24 if SMOKE else 60
 
 CATALOG = VMTypeCatalog.ec2_default()
 
@@ -59,12 +46,12 @@ def make_pool(seed=7, racks=4, nodes_per_rack=4, capacity_high=3):
 
 
 def make_proc_fabric(pool, shards=2, **kwargs):
-    kwargs.setdefault("plan", RackGroupPlan(shards))
+    """A ``BuiltFabric`` over proc workers; ``.service`` is the fabric."""
     kwargs.setdefault(
         "config", FabricConfig(service=ServiceConfig(batch_window=0.0))
     )
     kwargs.setdefault("obs", MetricsRegistry())
-    return ProcFabric(pool, **kwargs)
+    return build_fabric(pool, RackGroupPlan(shards), workers="proc", **kwargs)
 
 
 def pump(fabric, rounds=80):
@@ -96,17 +83,6 @@ def trace_demands(pool, n, seed=0):
     return demands
 
 
-def essence(decision):
-    """The fields that must match across execution models."""
-    return (
-        decision.request_id,
-        decision.status,
-        decision.placements,
-        decision.center,
-        round(decision.distance, 9),
-    )
-
-
 class TestConstruction:
     def test_rebalance_interval_rejected(self):
         with pytest.raises(ValidationError, match="rebalance"):
@@ -136,7 +112,8 @@ class TestLifecycle:
 
     def test_submit_release_checkpoint_shutdown(self):
         pool = make_pool(seed=7)
-        fabric = make_proc_fabric(pool)
+        built = make_proc_fabric(pool)
+        fabric = built.service
         try:
             demands = trace_demands(pool, 12, seed=3)
             tickets = [
@@ -179,12 +156,14 @@ class TestLifecycle:
             assert stats.placed == len(placed)
             assert stats.released == 1
         finally:
-            codes = fabric.shutdown()
+            assert built.shutdown() == 0
+        codes = built.worker_exit_codes
         assert codes and all(code == 0 for code in codes.values()), codes
 
     def test_global_allocated_matches_leases(self):
         pool = make_pool(seed=5)
-        fabric = make_proc_fabric(pool)
+        built = make_proc_fabric(pool)
+        fabric = built.service
         try:
             for i, d in enumerate(trace_demands(pool, 8, seed=5)):
                 fabric.submit(PlaceRequest(demand=d, request_id=i))
@@ -199,80 +178,7 @@ class TestLifecycle:
             )
             assert total == from_leases
         finally:
-            fabric.shutdown()
-
-
-class TestDecisionParity:
-    def test_zero_death_run_matches_in_process_fabric(self):
-        """Same trace, same pool, same plan — byte-for-byte same decisions."""
-        seed, shards = 13, 2
-        demands = trace_demands(make_pool(seed=seed), TRACE_LEN, seed=21)
-
-        def run(fabric_factory):
-            pool = make_pool(seed=seed)
-            fabric = fabric_factory(pool)
-            try:
-                tickets = {}
-                released = []
-                for i, d in enumerate(demands):
-                    tickets[i] = fabric.submit(
-                        PlaceRequest(demand=d, request_id=i)
-                    )
-                    # Interleave decision pumping and releases so spillover
-                    # pressure differs across the trace, not just at the end.
-                    if i % 7 == 6:
-                        pump(fabric)
-                        placed_so_far = [
-                            r
-                            for r, t in tickets.items()
-                            if (v := t.result(0.2)) is not None and v.placed
-                        ]
-                        victims = [
-                            r for r in placed_so_far if r % 3 == 0
-                        ][:2]
-                        for r in victims:
-                            if fabric.owner_of(r) is not None:
-                                fabric.release(ReleaseRequest(request_id=r))
-                                released.append(r)
-                pump(fabric)
-                # Requests the shards can't currently fit stay queued at a
-                # frozen clock; "still pending" is itself an outcome both
-                # execution models must agree on.
-                decisions, pending = {}, []
-                for r, t in tickets.items():
-                    verdict = t.result(0.2)
-                    if verdict is None:
-                        pending.append(r)
-                    else:
-                        decisions[r] = essence(verdict)
-                for r in pending:
-                    assert fabric.cancel(r)
-                checkpoint = fabric.checkpoint_doc()
-                return decisions, pending, released, checkpoint
-            finally:
-                if hasattr(fabric, "shutdown"):
-                    fabric.shutdown()
-
-        proc_decisions, proc_pending, proc_released, proc_doc = run(
-            lambda pool: make_proc_fabric(pool, shards=shards)
-        )
-        ref_decisions, ref_pending, ref_released, ref_doc = run(
-            lambda pool: ShardedPlacementFabric(
-                pool,
-                plan=RackGroupPlan(shards),
-                config=FabricConfig(service=ServiceConfig(batch_window=0.0)),
-                obs=MetricsRegistry(),
-            )
-        )
-
-        assert proc_released == ref_released
-        assert proc_pending == ref_pending
-        assert proc_decisions == ref_decisions
-        # End state matches too: same owners, same per-shard leases.
-        assert proc_doc["owners"] == ref_doc["owners"]
-        for proc_shard, ref_shard in zip(proc_doc["shards"], ref_doc["shards"]):
-            assert proc_shard["leases"] == ref_shard["leases"]
-            assert proc_shard["allocated"] == ref_shard["allocated"]
+            built.shutdown()
 
 
 class TestKillRestore:
@@ -288,18 +194,19 @@ class TestKillRestore:
             monitor_interval=0.1,
         )
         with CoordinationServer() as server:
-            fabric = make_proc_fabric(
-                pool, coord_url=server.url, supervisor_config=sup_cfg
+            built = make_proc_fabric(
+                pool, coord=server.url, supervise=True, supervisor_config=sup_cfg
             )
-            backend = NetworkedCoordinationBackend.from_url(server.url)
-            supervisor = ProcSupervisor(fabric, backend, sup_cfg)
+            fabric, supervisor = built.service, built.supervisor
+            backend = supervisor.backend
             try:
                 tickets = {
                     i: fabric.submit(PlaceRequest(demand=d, request_id=i))
                     for i, d in enumerate(trace_demands(pool, 10, seed=1))
                 }
                 pump(fabric)
-                fabric.sync_workers()
+                for worker in supervisor.workers:
+                    worker.sync()  # replicate checkpoints + lease ledger now
                 placed = {
                     r
                     for r, t in tickets.items()
@@ -330,13 +237,10 @@ class TestKillRestore:
 
                 # Byte-identical restore: the respawned child serves exactly
                 # the checkpointed state.
-                restored_bytes = fabric.fetch_worker_state(victim)
-                from repro.service.checkpoint import checkpoint_bytes
-
-                assert (
-                    checkpoint_bytes(restored_bytes).encode("utf-8")
-                    == payload_before
+                _, restored_bytes = fabric.handles[victim].call(
+                    {"op": "checkpoint"}
                 )
+                assert restored_bytes == payload_before
 
                 # Zero lost leases: every pre-kill owner survives the crash.
                 for r, shard in owners_before.items():
@@ -356,8 +260,9 @@ class TestKillRestore:
                     DecisionStatus.REJECTED,
                 )
             finally:
-                backend.close()
-                codes = fabric.shutdown()
+                exit_code = built.shutdown()
         # The victim's first incarnation died by SIGKILL; its replacement
         # (and every untouched worker) must exit cleanly.
+        codes = built.worker_exit_codes
+        assert exit_code == 0
         assert codes and all(code == 0 for code in codes.values()), codes

@@ -341,6 +341,74 @@ class TestRebalance:
             fabric.stop()
         assert fabric._rebalance_thread is None
 
+    def test_release_follows_a_lease_the_rebalancer_moved(self):
+        """``release`` reads the owner, drops the fabric lock, then asks the
+        shard; the rebalancer thread may migrate the lease in between. The
+        release must follow it, not answer ``unknown_lease`` for a live
+        lease. The window is microseconds wide, so the test holds a release
+        open inside it until the rebalancer has run."""
+        import threading
+        import time
+
+        def loaded(**fabric_kwargs):
+            pool = make_pool(seed=41, racks=6, nodes_per_rack=4, clouds=2)
+            fabric = make_fabric(pool, shards=2, **fabric_kwargs)
+            rng = np.random.default_rng(1)
+            for rid in range(40):
+                demand = [int(x) for x in rng.integers(0, 3, size=pool.num_types)]
+                if sum(demand) == 0:
+                    demand[0] = 1
+                fabric.submit(PlaceRequest(request_id=rid, demand=demand))
+            pump(fabric)
+            return fabric
+
+        # A twin fabric tells which lease the first sweep will migrate.
+        twin = loaded()
+        before = {rid: twin.owner_of(rid) for rid in range(40)}
+        assert twin.rebalance().migrations > 0
+        rid, source = next(
+            (rid, owner)
+            for rid, owner in before.items()
+            if owner is not None and twin.owner_of(rid) != owner
+        )
+
+        fabric = loaded(rebalance_interval=0.005)
+        assert fabric.owner_of(rid) == source
+        service = fabric.shards[source].service
+        shard_release = service.release
+        in_window = threading.Event()
+
+        def release_after_the_move(request):
+            # The fabric has read the owner and let go of its lock.
+            in_window.set()
+            deadline = time.monotonic() + 10.0
+            while (
+                fabric.owner_of(request.request_id) == source
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.001)
+            return shard_release(request)
+
+        service.release = release_after_the_move
+        responses = []
+        releaser = threading.Thread(
+            target=lambda: responses.append(
+                fabric.release(ReleaseRequest(request_id=rid))
+            )
+        )
+        releaser.start()
+        assert in_window.wait(10.0)
+        fabric.start()  # the rebalancer's first sweep migrates the lease
+        try:
+            releaser.join(15.0)
+        finally:
+            fabric.stop()
+        assert fabric.stats.rebalance_migrations > 0
+        assert responses and responses[0].released
+        assert fabric.owner_of(rid) is None
+        assert fabric.stats.released == 1
+        fabric.verify_consistency()
+
 
 class TestFabricCheckpoint:
     def test_round_trip_is_byte_identical(self):
