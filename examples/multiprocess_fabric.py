@@ -148,7 +148,7 @@ def main() -> None:
             assert new_pid != pids[victim]
 
             # ---- 5. byte-identical restore, zero lost leases ----------
-            _, restored = fabric.handles[victim].call({"op": "checkpoint"})
+            restored = fabric.handles[victim].call({"op": "checkpoint"})["payload"]
             assert restored == payload, (
                 "restored state differs from the write-ahead checkpoint"
             )

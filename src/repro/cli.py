@@ -321,7 +321,7 @@ def _cmd_serve(args) -> int:
     print(f"placement service listening on {host}:{port} "
           f"({service.num_nodes} nodes, {shards} shard(s), "
           f"{built.workers} workers, "
-          f"{args.transport or built.transport} transport, "
+          f"{args.transport} transport, "
           f"batch window {args.batch_window*1000:.1f} ms"
           f"{', supervised' if built.supervisor is not None else ''})")
     exit_code = 0
@@ -624,13 +624,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rebalance-interval", type=float, default=None,
                        help="seconds between cross-shard rebalance sweeps "
                             "(default: off)")
-        p.add_argument("--workers", choices=["thread", "aio", "proc"],
+        p.add_argument("--workers", choices=["thread", "proc"],
                        default="thread",
                        help="where shard workers run: threads in this "
-                            "process (thread/aio — aio also defaults the "
-                            "serving transport to the asyncio endpoint), or "
-                            "one spawned child process per shard (proc, "
-                            "requires --shards)")
+                            "process, or one spawned child process per "
+                            "shard (proc, requires --shards)")
         p.add_argument("--speculation", type=int, default=1,
                        help="speculative placement fan-out for contended "
                             "requests (1 = off): admit on up to this many "
@@ -651,10 +649,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pserve = add("serve", _cmd_serve, "run the online placement service (TCP)")
     add_service_args(pserve)
-    pserve.add_argument("--transport", choices=["thread", "aio"], default=None,
+    pserve.add_argument("--transport", choices=["thread", "aio"],
+                        default="thread",
                         help="serving transport: thread-per-connection or "
-                             "one asyncio loop (default: aio when --workers "
-                             "aio, else thread)")
+                             "one asyncio loop")
     pserve.add_argument("--host", default="127.0.0.1")
     pserve.add_argument("--port", type=int, default=0,
                         help="listen port (0 = ephemeral)")

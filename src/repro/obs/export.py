@@ -34,8 +34,11 @@ def _escape(value: str) -> str:
 
 
 def _unescape(value: str) -> str:
-    return (
-        value.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
+    # One left-to-right scan: undoing the escapes one kind at a time would
+    # read the tail of an escaped backslash as the head of the next escape
+    # (backslash + "n" is written ``\\n`` and must not come back a newline).
+    return re.sub(
+        r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1), value
     )
 
 

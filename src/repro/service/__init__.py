@@ -16,7 +16,9 @@ Modules
     with incrementally maintained free-capacity/rack aggregates, a lease
     ledger, and versioned snapshots.
 ``api``
-    Typed request/decision dataclasses and the JSON wire codec.
+    Typed request/decision dataclasses and their one message codec
+    (:func:`message_to_doc` / :func:`message_from_doc`), carried unchanged
+    by every hop.
 ``server``
     :class:`PlacementService` — admission control, batching window, transfer
     optimization, graceful drain.
@@ -33,12 +35,13 @@ Modules
     bounded per-connection write buffers, cross-connection admission
     batching.
 ``codec``
-    Wire codecs: line JSON and the compact binary framing, negotiated per
-    connection at the hello exchange.
+    Envelope codecs: line JSON and the compact binary framing, negotiated
+    per connection on the serving protocol's hello exchange.
 ``factory``
     :func:`build_fabric` — the one construction path for every serving
-    topology (thread/aio/proc workers, optional supervision/coordination);
-    ``workers=`` is the only place a shard backend is chosen.
+    topology (thread/proc workers, optional supervision/coordination);
+    ``workers=`` is the only place a shard backend is chosen, and
+    ``BuiltFabric.serve(transport=)`` the only place a transport is.
 ``loadgen``
     Open-loop Poisson and closed-loop load generators with latency
     percentiles; :class:`WireLoadClient` drives a served endpoint over TCP.
@@ -53,9 +56,10 @@ Modules
     backend applies decisions to the routing state in the service's commit
     order, and never serves a checkpoint from a mirror.
 ``wire``
-    Versioned length-prefixed line-JSON framing (with optional binary
-    blobs) shared by the proc worker wire and the networked coordination
-    backend.
+    The one internal link, :class:`Channel`: a version-checked hello, then
+    binary envelopes with ``bytes`` values embedded natively. Shard worker
+    cmd/events channels and coordination connections are all this; nothing
+    else reads or writes them.
 ``coord``
     :class:`CoordinationBackend` — worker registry, TTL'd heartbeats and
     leases, and the write-ahead checkpoint store (in-memory reference
@@ -83,6 +87,8 @@ from repro.service.api import (
     ReleaseResponse,
     decode_message,
     encode_message,
+    message_from_doc,
+    message_to_doc,
 )
 from repro.service.state import ClusterState, StateSnapshot
 from repro.service.server import (
@@ -171,6 +177,8 @@ __all__ = [
     "ReleaseResponse",
     "decode_message",
     "encode_message",
+    "message_from_doc",
+    "message_to_doc",
     "ClusterState",
     "StateSnapshot",
     "PlacementService",

@@ -34,14 +34,14 @@ loop via ``call_soon_threadsafe``.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import threading
 
-from repro.service.api import decode_message, encode_message
+from repro.service.api import message_from_doc, message_to_doc
 from repro.service.codec import (
     JsonLineCodec,
     SUPPORTED_CODECS,
+    error_response,
     resolve_codec,
 )
 from repro.service.transport import (
@@ -50,7 +50,7 @@ from repro.service.transport import (
     hello_response,
     submit_place,
 )
-from repro.util.errors import ReproError, TransportError, ValidationError
+from repro.util.errors import TransportError, ValidationError
 
 _log = logging.getLogger(__name__)
 
@@ -220,7 +220,7 @@ class AioServiceEndpoint:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
         try:
-            await self._read_ops(conn)
+            await self._read_loop(conn)
         except asyncio.CancelledError:
             pass  # endpoint shutdown cancelled us; exit the handler cleanly
         except Exception:  # pragma: no cover - defensive: reader never escapes
@@ -233,7 +233,7 @@ class AioServiceEndpoint:
                 pass
             writer.close()
 
-    async def _read_ops(self, conn: _Connection) -> None:
+    async def _read_loop(self, conn: _Connection) -> None:
         while True:
             await conn.room.wait()
             data = await conn.reader.read(1 << 16)
@@ -279,10 +279,8 @@ class AioServiceEndpoint:
                 self._enqueue_place(conn, envelope)
                 return
             conn.responses.put_nowait(dispatch_sync(self.service, envelope))
-        except ReproError as exc:
-            conn.responses.put_nowait({"ok": False, "error": str(exc)})
-        except Exception as exc:  # defensive: never kill the connection
-            conn.responses.put_nowait({"ok": False, "error": f"internal error: {exc}"})
+        except Exception as exc:  # never kill the connection
+            conn.responses.put_nowait(error_response(exc))
 
     # -------------------------------------------------------------- placing
 
@@ -313,37 +311,33 @@ class AioServiceEndpoint:
                 self._submit_one(conn, envelope, slot)
 
     def _submit_many(self, batch, submit_batch) -> None:
-        messages = []
+        # Every slot is resolved whatever is raised: this runs as a loop
+        # callback for a batch shared across connections, so an escaping
+        # exception would leave every client in the tick without a reply.
         decoded = []
         for conn, envelope, slot in batch:
             try:
-                message = decode_message(
-                    json.dumps(envelope.get("message", {}) | {"kind": "place"})
-                )
-            except ReproError as exc:
-                self._resolve_slot(slot, {"ok": False, "error": str(exc)})
+                message = message_from_doc(envelope.get("message", {}), "place")
+            except Exception as exc:
+                self._resolve_slot(slot, error_response(exc))
                 continue
-            messages.append(message)
-            decoded.append((conn, message, slot))
-        if not messages:
+            decoded.append((message, slot))
+        if not decoded:
             return
         try:
-            tickets = submit_batch(messages)
-        except ReproError as exc:
-            for conn, message, slot in decoded:
-                self._resolve_slot(slot, {"ok": False, "error": str(exc)})
+            tickets = submit_batch([message for message, _ in decoded])
+        except Exception as exc:
+            for _, slot in decoded:
+                self._resolve_slot(slot, error_response(exc))
             return
-        for (conn, message, slot), ticket in zip(decoded, tickets):
+        for (message, slot), ticket in zip(decoded, tickets):
             self._bridge_ticket(message, ticket, slot)
 
     def _submit_one(self, conn: _Connection, envelope: dict, slot) -> None:
         try:
             message, ticket = submit_place(self.service, envelope)
-        except ReproError as exc:
-            self._resolve_slot(slot, {"ok": False, "error": str(exc)})
-            return
-        except Exception as exc:  # defensive
-            self._resolve_slot(slot, {"ok": False, "error": f"internal error: {exc}"})
+        except Exception as exc:
+            self._resolve_slot(slot, error_response(exc))
             return
         self._bridge_ticket(message, ticket, slot)
 
@@ -357,9 +351,7 @@ class AioServiceEndpoint:
                 return
             if timeout_handle is not None:
                 timeout_handle.cancel()
-            slot.set_result(
-                {"ok": True, "decision": json.loads(encode_message(decision))}
-            )
+            slot.set_result({"ok": True, "decision": message_to_doc(decision)})
 
         def on_decision(decision) -> None:
             try:

@@ -1,10 +1,12 @@
-"""Typed service API: requests, decisions, and the JSON wire codec.
+"""Typed service API: requests, decisions, and their one message codec.
 
 The service speaks four message kinds — ``place``, ``decision``, ``release``,
-``release_response`` — each a frozen dataclass with an
-:func:`encode_message`/:func:`decode_message` JSON codec. Allocations travel
-as sparse ``[node, type, count]`` triples so wire size scales with the
-cluster's footprint, not the pool's node count.
+``release_response`` — each a frozen dataclass. :func:`message_to_doc` /
+:func:`message_from_doc` turn one into a JSON-shaped document and back;
+every hop (serving endpoints, client, worker link) carries that document,
+and :func:`encode_message`/:func:`decode_message` are its one-line JSON
+form. Allocations travel as sparse ``[node, type, count]`` triples so wire
+size scales with the cluster's footprint, not the pool's node count.
 """
 
 from __future__ import annotations
@@ -211,8 +213,9 @@ _KINDS = {
 _KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
 
 
-def encode_message(message) -> str:
-    """Serialize one API dataclass to a single-line JSON string."""
+def message_to_doc(message) -> dict:
+    """One API dataclass as a JSON-shaped document tagged with its ``kind``:
+    what serving envelopes, the worker link and the line codec all carry."""
     kind = _KIND_OF.get(type(message))
     if kind is None:
         raise ValidationError(f"cannot encode {type(message).__name__} messages")
@@ -228,7 +231,39 @@ def encode_message(message) -> str:
         elif isinstance(value, tuple):
             value = [list(v) if isinstance(v, tuple) else v for v in value]
         doc[name] = value
-    return json.dumps(doc, separators=(",", ":"))
+    return doc
+
+
+def message_from_doc(doc, kind: "str | None" = None):
+    """Rebuild the dataclass a :func:`message_to_doc` document describes.
+
+    *kind* names what the caller expects where the document travels untagged
+    (a serving envelope's ``"message"``) and overrides any tag it carries.
+    Whatever is wrong with a received document — shape, unknown or missing
+    field, a value of the wrong type — is a ``ValidationError``.
+    """
+    if not isinstance(doc, dict) or (kind is None and "kind" not in doc):
+        raise ValidationError("service message must be an object with a 'kind'")
+    doc = dict(doc)
+    tag = doc.pop("kind", None)
+    kind = tag if kind is None else kind
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValidationError(f"unknown message kind {kind!r}")
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValidationError(f"unknown fields for {kind!r}: {sorted(unknown)}")
+    try:
+        return cls(**doc)  # each dataclass normalizes its own fields
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid {kind!r} message: {exc}") from exc
+
+
+def encode_message(message) -> str:
+    """Serialize one API dataclass to a single-line JSON string."""
+    return json.dumps(message_to_doc(message), separators=(",", ":"))
 
 
 def decode_message(line: str):
@@ -237,18 +272,4 @@ def decode_message(line: str):
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not a valid service message: {exc}") from exc
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValidationError("service message must be an object with a 'kind'")
-    kind = doc.pop("kind")
-    cls = _KINDS.get(kind)
-    if cls is None:
-        raise ValidationError(f"unknown message kind {kind!r}")
-    fields = set(cls.__dataclass_fields__)
-    unknown = set(doc) - fields
-    if unknown:
-        raise ValidationError(f"unknown fields for {kind!r}: {sorted(unknown)}")
-    if "demand" in doc:
-        doc["demand"] = tuple(doc["demand"])
-    if "placements" in doc:
-        doc["placements"] = tuple(tuple(p) for p in doc["placements"])
-    return cls(**doc)
+    return message_from_doc(doc)

@@ -1,6 +1,6 @@
-"""Envelope codecs for the serving and worker wires: line JSON and binary.
+"""Envelope codecs: line JSON and binary.
 
-Every transport in the package exchanges *envelopes* — small JSON-shaped
+Every link in the package exchanges *envelopes* — small JSON-shaped
 dicts (``{"op": ..., "message": {...}}`` requests, ``{"ok": true, ...}``
 replies). A :class:`Codec` owns the byte representation of one envelope:
 
@@ -15,12 +15,12 @@ replies). A :class:`Codec` owns the byte representation of one envelope:
   and materially cheaper to encode/decode than line JSON for the hot
   ``place``/``decision``/``release``/heartbeat ops.
 
-Codecs are negotiated, never assumed: a connection opens in line JSON, the
-client offers its codecs in a hello (the serving transport's ``hello`` op,
-or the ``codecs`` capability in :func:`repro.service.wire.send_hello`), and
+On the serving protocol codecs are negotiated, never assumed: a connection
+opens in line JSON, the client offers its codecs in the ``hello`` op, and
 the server answers with its pick. A peer that never offers — any pre-codec
 client — simply stays on line JSON; nothing about the legacy exchange
-changed.
+changed. The internal links (:mod:`repro.service.wire`) negotiate nothing:
+past their own hello they always speak :class:`BinaryCodec`.
 
 Each codec exposes the blocking file-object surface the threaded
 transports use (``encode_op``/``decode_op``) *and* a sans-IO incremental
@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import struct
 
-from repro.util.errors import TransportError, ValidationError
+from repro.util.errors import ReproError, TransportError, ValidationError
 
 #: Hard byte budget for one encoded envelope (either codec). Matches the
 #: serving transport's historical per-line budget.
@@ -243,7 +243,7 @@ class _LineDecoder:
             raise TransportError(f"frame exceeds {self._max} bytes")
         if not raw.strip():
             return self.next_op()
-        return _parse_json_envelope(raw)
+        return parse_json_envelope(raw)
 
     @property
     def buffered(self) -> int:
@@ -297,7 +297,8 @@ class _FrameDecoder:
         return raw
 
 
-def _parse_json_envelope(raw: bytes) -> dict:
+def parse_json_envelope(raw: bytes) -> dict:
+    """One JSON envelope from its UTF-8 bytes; anything else is typed."""
     try:
         doc = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -307,6 +308,14 @@ def _parse_json_envelope(raw: bytes) -> dict:
     if not isinstance(doc, dict):
         raise TransportError("envelope must be a JSON object")
     return doc
+
+
+def error_response(exc: Exception) -> dict:
+    """The ``{"ok": false}`` reply envelope for whatever serving an op raised:
+    this package's own errors by message, anything else as an internal error."""
+    if isinstance(exc, ReproError):
+        return {"ok": False, "error": str(exc)}
+    return {"ok": False, "error": f"internal error: {exc}"}
 
 
 # ------------------------------------------------------------------- codecs
@@ -351,7 +360,7 @@ class JsonLineCodec:
                 raise TransportError(f"frame exceeds {self.max_bytes} bytes")
             if not raw.strip():
                 continue
-            return _parse_json_envelope(raw.rstrip(b"\n"))
+            return parse_json_envelope(raw.rstrip(b"\n"))
 
     def decoder(self) -> _LineDecoder:
         return _LineDecoder(self.max_bytes)

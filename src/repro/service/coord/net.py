@@ -3,8 +3,8 @@
 This is the redis-style half of the coordination story. The in-memory
 backend in :mod:`repro.service.coord` is authoritative *inside* one
 process; :class:`CoordinationServer` wraps that same implementation behind
-a TCP listener speaking the :mod:`repro.service.wire` framing, and
-:class:`NetworkedCoordinationBackend` is a drop-in
+a TCP listener whose every connection is a :class:`repro.service.wire.
+Channel`, and :class:`NetworkedCoordinationBackend` is a drop-in
 :class:`~repro.service.coord.CoordinationBackend` whose every method is one
 RPC against that server. Because both sides delegate to the reference
 implementation, the conformance suite runs identically over either backend
@@ -14,17 +14,22 @@ Design points:
 
 * **one op per protocol method** — the RPC vocabulary is exactly the
   :class:`CoordinationBackend` surface (``register``, ``beat``,
-  ``put_lease`` …), so there is no translation layer to drift.
-* **checkpoints ride as blobs** — ``put_checkpoint``/``get_checkpoint``
-  carry the payload as the frame's binary blob, never inside JSON, which
-  preserves the byte-identity recovery invariant with zero re-encoding.
+  ``put_lease`` …), one entry each in the server's op table, so there is no
+  translation layer to drift. The server coerces every argument it
+  receives; records go out as their dataclass fields.
+* **checkpoints are ``bytes`` values** — ``put_checkpoint``/
+  ``get_checkpoint`` carry the payload as a native ``bytes`` value of the
+  binary envelope, never as text, which preserves the byte-identity
+  recovery invariant with zero re-encoding.
 * **caller-supplied clocks survive the wire** — timestamps are floats in
-  the JSON document; the server still never reads a clock. Cross-process
+  the document; the server still never reads a clock. Cross-process
   callers must therefore share a comparable clock (proc workers use
   ``time.time()``).
 * **client reconnects** — the client holds one persistent connection under
-  a lock and transparently redials once on a broken pipe, so a coordination
-  server restart does not take the fabric down with it.
+  a lock and transparently redials once when the link breaks, so a
+  coordination server restart does not take the fabric down with it. An op
+  the server *rejects* (:class:`~repro.util.errors.RemoteOpError`) arrived
+  over a healthy link and is surfaced without a redial.
 
 Metrics (on the client, where the latency is felt): ``repro_coord_rpc_total
 {op}``, ``repro_coord_rpc_failures_total{op}`` and
@@ -33,20 +38,21 @@ Metrics (on the client, where the latency is felt): ``repro_coord_rpc_total
 
 from __future__ import annotations
 
-import socket
+import contextlib
+import dataclasses
 import socketserver
 import threading
 import time
 
 from repro.obs import ensure_registry
-from repro.service import wire
 from repro.service.coord import (
     InMemoryCoordinationBackend,
     LeaseRecord,
     WorkerRecord,
 )
 from repro.service.transports import TcpServerHandle
-from repro.util.errors import TransportError, ValidationError
+from repro.service.wire import Channel
+from repro.util.errors import RemoteOpError, TransportError, ValidationError
 
 __all__ = [
     "CoordinationServer",
@@ -73,123 +79,67 @@ def parse_coord_url(url: str) -> "tuple[str, int]":
         raise ValidationError(f"invalid coordination port {port!r}") from exc
 
 
-def _worker_doc(record: WorkerRecord) -> dict:
-    return {
-        "worker_id": record.worker_id,
-        "shard_id": record.shard_id,
-        "registered_at": record.registered_at,
-        "last_beat": record.last_beat,
-        "incarnation": record.incarnation,
-    }
+def _payload(value) -> bytes:
+    if not isinstance(value, bytes):
+        raise ValidationError("a checkpoint payload must be bytes")
+    return value
 
 
-def _lease_doc(record: LeaseRecord) -> dict:
-    return {
-        "request_id": record.request_id,
-        "owner": record.owner,
-        "granted_at": record.granted_at,
-        "expires_at": record.expires_at,
-    }
+#: The server's whole vocabulary: op → the :class:`CoordinationBackend`
+#: method it runs and, per argument that method takes from the request
+#: document, what the server coerces the received value to.
+_OPS = {
+    "register": ("register_worker", {"worker_id": str, "shard_id": int, "now": float}),
+    "deregister": ("deregister_worker", {"worker_id": str}),
+    "workers": ("workers", {}),
+    "beat": ("beat", {"worker_id": str, "now": float}),
+    "last_beat": ("last_beat", {"worker_id": str}),
+    "put_lease": (
+        "put_lease", {"request_id": int, "owner": str, "now": float, "ttl": float}
+    ),
+    "renew_leases": ("renew_leases", {"owner": str, "now": float, "ttl": float}),
+    "drop_lease": ("drop_lease", {"request_id": int}),
+    "leases": ("leases", {}),
+    "expired_leases": ("expired_leases", {"now": float}),
+    "put_checkpoint": ("put_checkpoint", {"worker_id": str, "payload": _payload}),
+    "get_checkpoint": ("get_checkpoint", {"worker_id": str}),
+}
 
 
-class _CoordHandler(socketserver.StreamRequestHandler):
-    """One client connection: hello handshake, then an op loop until EOF."""
+def _coord_ops(backend) -> dict:
+    """:data:`_OPS` bound to *backend*: the table ``Channel.serve`` answers
+    from. Records go out as their dataclass fields, under ``"result"``."""
 
-    #: RPCs are tiny request/reply frames; Nagle + delayed ACK would add
-    #: ~40 ms per round trip.
-    disable_nagle_algorithm = True
+    def bind(method: str, coercions: dict):
+        call = getattr(backend, method)
+
+        def handler(doc: dict) -> dict:
+            result = call(
+                **{name: coerce(doc[name]) for name, coerce in coercions.items()}
+            )
+            if isinstance(result, dict):
+                result = list(result.values())
+            if isinstance(result, list):
+                result = [dataclasses.asdict(record) for record in result]
+            return {"result": result}
+
+        return handler
+
+    return {"ping": lambda doc: None} | {op: bind(*spec) for op, spec in _OPS.items()}
+
+
+class _CoordHandler(socketserver.BaseRequestHandler):
+    """One client connection: hello handshake, then the op table until EOF."""
 
     def handle(self) -> None:  # noqa: D102 - framework hook
-        backend = self.server.backend  # type: ignore[attr-defined]
-        try:
-            hello = wire.expect_hello(self.rfile, role="coord-client")
-            # Hellos are always legacy frames; the codec the client offered
-            # (nothing, for pre-codec clients) governs every frame after.
-            codec = wire.negotiate_codec(hello)
-            wire.send_hello(
-                self.wfile,
-                role="coord-server",
-                codec=codec,
-                codecs=wire.offer_codecs(),
-            )
-        except (TransportError, OSError):
-            return
-        while True:
+        # A stranger at the hello, or a link that breaks mid-frame, is owed
+        # nothing; neither may reach the listener.
+        with contextlib.suppress(TransportError):
+            channel = Channel.adopt(self.request, "coord-server", ("coord-client",))
             try:
-                frame = wire.read_op(self.rfile, codec=codec)
-            except (TransportError, OSError):
-                return
-            if frame is None:
-                return
-            doc, blob = frame
-            try:
-                reply, reply_blob = self._dispatch(backend, doc, blob)
-            except (ValidationError, TransportError) as exc:
-                reply, reply_blob = {"ok": False, "error": str(exc)}, None
-            except Exception as exc:  # pragma: no cover - defensive
-                reply, reply_blob = {
-                    "ok": False,
-                    "error": f"internal error: {exc}",
-                }, None
-            try:
-                wire.write_op(self.wfile, reply, reply_blob, codec=codec)
-            except (TransportError, OSError):
-                return
-
-    def _dispatch(
-        self, backend, doc: dict, blob: "bytes | None"
-    ) -> "tuple[dict, bytes | None]":
-        op = doc.get("op")
-        if op == "ping":
-            return {"ok": True}, None
-        if op == "register":
-            incarnation = backend.register_worker(
-                str(doc["worker_id"]), int(doc["shard_id"]), float(doc["now"])
-            )
-            return {"ok": True, "incarnation": incarnation}, None
-        if op == "deregister":
-            backend.deregister_worker(str(doc["worker_id"]))
-            return {"ok": True}, None
-        if op == "workers":
-            docs = {wid: _worker_doc(r) for wid, r in backend.workers().items()}
-            return {"ok": True, "workers": docs}, None
-        if op == "beat":
-            backend.beat(str(doc["worker_id"]), float(doc["now"]))
-            return {"ok": True}, None
-        if op == "last_beat":
-            return {"ok": True, "last_beat": backend.last_beat(str(doc["worker_id"]))}, None
-        if op == "put_lease":
-            backend.put_lease(
-                int(doc["request_id"]),
-                str(doc["owner"]),
-                float(doc["now"]),
-                float(doc["ttl"]),
-            )
-            return {"ok": True}, None
-        if op == "renew_leases":
-            renewed = backend.renew_leases(
-                str(doc["owner"]), float(doc["now"]), float(doc["ttl"])
-            )
-            return {"ok": True, "renewed": renewed}, None
-        if op == "drop_lease":
-            return {"ok": True, "existed": backend.drop_lease(int(doc["request_id"]))}, None
-        if op == "leases":
-            docs = {str(rid): _lease_doc(r) for rid, r in backend.leases().items()}
-            return {"ok": True, "leases": docs}, None
-        if op == "expired_leases":
-            docs = [_lease_doc(r) for r in backend.expired_leases(float(doc["now"]))]
-            return {"ok": True, "leases": docs}, None
-        if op == "put_checkpoint":
-            if blob is None:
-                raise ValidationError("put_checkpoint requires a payload blob")
-            backend.put_checkpoint(str(doc["worker_id"]), blob)
-            return {"ok": True}, None
-        if op == "get_checkpoint":
-            payload = backend.get_checkpoint(str(doc["worker_id"]))
-            if payload is None:
-                return {"ok": True, "found": False}, None
-            return {"ok": True, "found": True}, payload
-        raise ValidationError(f"unknown coordination op {op!r}")
+                channel.serve(self.server.ops)  # type: ignore[attr-defined]
+            finally:
+                channel.close()
 
 
 class CoordinationServer:
@@ -213,7 +163,7 @@ class CoordinationServer:
             _CoordHandler,
             host=host,
             port=port,
-            context={"backend": self.backend},
+            context={"ops": _coord_ops(self.backend)},
             thread_name="coordination-server",
             poll_interval=0.05,
         )
@@ -247,13 +197,10 @@ class NetworkedCoordinationBackend:
     """Client-side :class:`CoordinationBackend` speaking to a coordination
     server over TCP.
 
-    One persistent connection guarded by a lock; a send that hits a dead
-    socket redials once before giving up. Every protocol method maps to one
-    RPC, and checkpoint payloads travel as binary blobs.
-
-    ``codec="auto"`` (default) offers the binary framing at the hello and
-    uses whatever the server picks — JSON against pre-codec servers;
-    ``codec="json"`` pins the legacy framing and skips the offer entirely.
+    One persistent :class:`~repro.service.wire.Channel` guarded by a lock; a
+    call that finds the link broken redials once before giving up. Every
+    protocol method maps to one RPC, and checkpoint payloads travel as
+    ``bytes`` values.
     """
 
     def __init__(
@@ -263,21 +210,12 @@ class NetworkedCoordinationBackend:
         connect_timeout: float = 5.0,
         op_timeout: float = 10.0,
         obs=None,
-        codec: str = "auto",
     ) -> None:
-        if codec not in ("auto", "json", "binary"):
-            raise ValidationError(
-                f"codec must be 'auto', 'json' or 'binary', got {codec!r}"
-            )
         self._addr = (host, port)
         self._connect_timeout = connect_timeout
         self._op_timeout = op_timeout
-        self._codec_pref = codec
-        self._codec: "str | None" = None
         self._lock = threading.Lock()
-        self._sock: "socket.socket | None" = None
-        self._rfile = None
-        self._wfile = None
+        self._channel: "Channel | None" = None
         registry = ensure_registry(obs)
         self._m_rpcs = registry.counter(
             "repro_coord_rpc_total",
@@ -301,178 +239,97 @@ class NetworkedCoordinationBackend:
 
     # -- connection management --------------------------------------------
 
-    def _connect_locked(self) -> None:
-        sock = socket.create_connection(self._addr, timeout=self._connect_timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(self._op_timeout)
-        rfile = sock.makefile("rb")
-        wfile = sock.makefile("wb")
-        try:
-            if self._codec_pref == "json":
-                wire.send_hello(wfile, role="coord-client")
-            else:
-                offer = ["binary"] if self._codec_pref == "binary" else wire.offer_codecs()
-                wire.send_hello(wfile, role="coord-client", codecs=offer)
-            hello = wire.expect_hello(rfile, role="coord-server")
-            chosen = hello.get("codec", "json")
-            if self._codec_pref == "binary" and chosen != "binary":
-                raise TransportError(
-                    f"coordination server negotiated {chosen!r}, binary required"
-                )
-        except Exception:
-            sock.close()
-            raise
-        self._sock, self._rfile, self._wfile = sock, rfile, wfile
-        self._codec = chosen
-
     def _close_locked(self) -> None:
-        for closable in (self._rfile, self._wfile, self._sock):
-            if closable is not None:
-                try:
-                    closable.close()
-                except OSError:
-                    pass
-        self._sock = self._rfile = self._wfile = None
+        if self._channel is not None:
+            self._channel.close()
+            self._channel = None
 
     def close(self) -> None:
         with self._lock:
             self._close_locked()
 
-    def _rpc(
-        self, doc: dict, blob: "bytes | None" = None
-    ) -> "tuple[dict, bytes | None]":
-        op = str(doc.get("op"))
+    def _rpc(self, op: str, **args):
+        """One op's ``result``; see :data:`_OPS` for the vocabulary."""
         started = time.monotonic()
         with self._lock:
             for attempt in (0, 1):
-                if self._sock is None:
-                    try:
-                        self._connect_locked()
-                    except OSError as exc:
-                        if attempt:
-                            self._m_failures.labels(op=op).inc()
-                            raise TransportError(
-                                f"cannot reach coordination server at "
-                                f"{self._addr[0]}:{self._addr[1]}: {exc}"
-                            ) from exc
-                        continue
                 try:
-                    reply = wire.rpc(
-                        self._rfile, self._wfile, doc, blob, codec=self._codec
-                    )
-                    self._m_rpcs.labels(op=op).inc()
-                    self._m_latency.observe(time.monotonic() - started)
-                    return reply
-                except TransportError as exc:
-                    # A server-side op rejection arrives as a well-formed
-                    # error reply over a healthy connection — surface it
-                    # without redialing. Framing-level failures drop the
-                    # connection and get one reconnect attempt.
-                    if "failed:" in str(exc):
-                        self._m_failures.labels(op=op).inc()
-                        raise
-                    self._close_locked()
-                    if attempt:
-                        self._m_failures.labels(op=op).inc()
-                        raise
-                except OSError:
-                    self._close_locked()
-                    if attempt:
-                        self._m_failures.labels(op=op).inc()
-                        raise TransportError(
-                            f"coordination rpc {op!r} failed: connection lost"
+                    if self._channel is None:
+                        self._channel = Channel.dial(
+                            self._addr,
+                            "coord-client",
+                            "coord-server",
+                            timeout=self._connect_timeout,
                         )
-        raise TransportError(f"coordination rpc {op!r} failed")  # pragma: no cover
+                    reply = self._channel.call({"op": op, **args}, self._op_timeout)
+                except RemoteOpError:
+                    # Rejected over a healthy link: nothing to redial.
+                    self._m_failures.labels(op=op).inc()
+                    raise
+                except TransportError:
+                    # The link itself failed: drop it, redial exactly once.
+                    self._close_locked()
+                    if attempt:
+                        self._m_failures.labels(op=op).inc()
+                        raise
+                    continue
+                self._m_rpcs.labels(op=op).inc()
+                self._m_latency.observe(time.monotonic() - started)
+                return reply.get("result")
 
     # -- worker registry --------------------------------------------------
 
     def register_worker(self, worker_id: str, shard_id: int, now: float) -> int:
-        reply, _ = self._rpc(
-            {"op": "register", "worker_id": worker_id, "shard_id": shard_id, "now": now}
+        return int(
+            self._rpc("register", worker_id=worker_id, shard_id=shard_id, now=now)
         )
-        return int(reply["incarnation"])
 
     def deregister_worker(self, worker_id: str) -> None:
-        self._rpc({"op": "deregister", "worker_id": worker_id})
+        self._rpc("deregister", worker_id=worker_id)
 
     def workers(self) -> "dict[str, WorkerRecord]":
-        reply, _ = self._rpc({"op": "workers"})
-        return {
-            wid: WorkerRecord(
-                worker_id=doc["worker_id"],
-                shard_id=int(doc["shard_id"]),
-                registered_at=float(doc["registered_at"]),
-                last_beat=float(doc["last_beat"]),
-                incarnation=int(doc["incarnation"]),
-            )
-            for wid, doc in reply["workers"].items()
-        }
+        records = (WorkerRecord(**doc) for doc in self._rpc("workers"))
+        return {record.worker_id: record for record in records}
 
     # -- heartbeats -------------------------------------------------------
 
     def beat(self, worker_id: str, now: float) -> None:
-        self._rpc({"op": "beat", "worker_id": worker_id, "now": now})
+        self._rpc("beat", worker_id=worker_id, now=now)
 
     def last_beat(self, worker_id: str) -> "float | None":
-        reply, _ = self._rpc({"op": "last_beat", "worker_id": worker_id})
-        value = reply.get("last_beat")
+        value = self._rpc("last_beat", worker_id=worker_id)
         return None if value is None else float(value)
 
     # -- lease ledger -----------------------------------------------------
 
     def put_lease(self, request_id: int, owner: str, now: float, ttl: float) -> None:
-        self._rpc(
-            {
-                "op": "put_lease",
-                "request_id": int(request_id),
-                "owner": owner,
-                "now": now,
-                "ttl": ttl,
-            }
-        )
+        self._rpc("put_lease", request_id=int(request_id), owner=owner, now=now, ttl=ttl)
 
     def renew_leases(self, owner: str, now: float, ttl: float) -> int:
-        reply, _ = self._rpc(
-            {"op": "renew_leases", "owner": owner, "now": now, "ttl": ttl}
-        )
-        return int(reply["renewed"])
+        return int(self._rpc("renew_leases", owner=owner, now=now, ttl=ttl))
 
     def drop_lease(self, request_id: int) -> bool:
-        reply, _ = self._rpc({"op": "drop_lease", "request_id": int(request_id)})
-        return bool(reply["existed"])
+        return bool(self._rpc("drop_lease", request_id=int(request_id)))
+
+    def _lease_records(self, op: str, **args) -> "list[LeaseRecord]":
+        return [LeaseRecord(**doc) for doc in self._rpc(op, **args)]
 
     def leases(self) -> "dict[int, LeaseRecord]":
-        reply, _ = self._rpc({"op": "leases"})
-        return {
-            int(rid): _lease_from_doc(doc) for rid, doc in reply["leases"].items()
-        }
+        return {record.request_id: record for record in self._lease_records("leases")}
 
     def expired_leases(self, now: float) -> "list[LeaseRecord]":
-        reply, _ = self._rpc({"op": "expired_leases", "now": now})
-        return [_lease_from_doc(doc) for doc in reply["leases"]]
+        return self._lease_records("expired_leases", now=now)
 
     # -- checkpoint store -------------------------------------------------
 
     def put_checkpoint(self, worker_id: str, payload: bytes) -> None:
         if not isinstance(payload, bytes):
             raise ValidationError("checkpoint payload must be bytes")
-        self._rpc({"op": "put_checkpoint", "worker_id": worker_id}, blob=payload)
+        self._rpc("put_checkpoint", worker_id=worker_id, payload=payload)
 
     def get_checkpoint(self, worker_id: str) -> "bytes | None":
-        reply, blob = self._rpc({"op": "get_checkpoint", "worker_id": worker_id})
-        if not reply.get("found"):
-            return None
-        return blob if blob is not None else b""
+        return self._rpc("get_checkpoint", worker_id=worker_id)
 
     def __repr__(self) -> str:
         host, port = self._addr
         return f"NetworkedCoordinationBackend(tcp://{host}:{port})"
-
-
-def _lease_from_doc(doc: dict) -> LeaseRecord:
-    return LeaseRecord(
-        request_id=int(doc["request_id"]),
-        owner=doc["owner"],
-        granted_at=float(doc["granted_at"]),
-        expires_at=float(doc["expires_at"]),
-    )

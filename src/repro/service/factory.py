@@ -8,11 +8,7 @@ optional supervision and coordination wiring. :func:`build_fabric` is the
 one factory for all of it, keyed by ``workers``:
 
 * ``"thread"`` — in-process shard services on background threads (or a
-  single unsharded service when *plan* is ``None``), served over the
-  hardened thread-per-connection transport;
-* ``"aio"`` — the same in-process fabric, but :meth:`BuiltFabric.serve`
-  binds the asyncio endpoint (one loop multiplexing every connection,
-  cross-connection admission batching through ``submit_batch``);
+  single unsharded service when *plan* is ``None``);
 * ``"proc"`` — the same fabric over
   :class:`~repro.service.proc.backend.ProcBackend`: one child process per
   shard, optionally registered with a coordination server (``coord="auto"``
@@ -21,7 +17,7 @@ one factory for all of it, keyed by ``workers``:
 
 The returned :class:`BuiltFabric` owns the whole assembly — fabric,
 supervisor, coordination server — and tears it down in the right order in
-:meth:`BuiltFabric.shutdown`.
+:meth:`BuiltFabric.shutdown`; :meth:`BuiltFabric.serve` picks the transport.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from repro.util.errors import ValidationError
 __all__ = ["WORKER_KINDS", "BuiltFabric", "build_fabric"]
 
 #: Accepted ``workers=`` values, in documentation order.
-WORKER_KINDS = ("thread", "aio", "proc")
+WORKER_KINDS = ("thread", "proc")
 
 
 @dataclass
@@ -44,13 +40,10 @@ class BuiltFabric:
     ``service`` duck-types the placement interface every worker kind shares
     (``submit``/``release``/``cancel``/``start``/``drain``/``stop``);
     ``supervisor`` and ``coord_server`` are present only when requested.
-    ``transport`` is the default serving transport for this assembly —
-    :meth:`serve` uses it unless overridden.
     """
 
     service: object
     workers: str
-    transport: str
     supervisor: "object | None" = None
     coord_server: "object | None" = None
     #: Per-shard child exit codes, populated by :meth:`shutdown` for proc
@@ -69,19 +62,15 @@ class BuiltFabric:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        transport: "str | None" = None,
+        transport: str = "thread",
         **options,
     ):
-        """Bind a serving endpoint around the fabric (not yet started).
-
-        Uses the assembly's default transport (``aio`` for
-        ``workers="aio"``, ``thread`` otherwise) unless *transport*
-        overrides it.
-        """
+        """Bind a serving endpoint around the fabric (not yet started)."""
         from repro.service.transports import resolve_transport
 
-        chosen = resolve_transport(transport or self.transport)
-        return chosen.serve(self.service, host=host, port=port, **options)
+        return resolve_transport(transport).serve(
+            self.service, host=host, port=port, **options
+        )
 
     def shutdown(self) -> int:
         """Stop everything in dependency order; returns a process exit code.
@@ -136,14 +125,14 @@ def build_fabric(
         unsharded service (proc workers have no unsharded mode — ``None``
         falls through to the fabric's default by-rack plan).
     workers:
-        ``"thread"``, ``"aio"``, or ``"proc"`` — see :data:`WORKER_KINDS`.
+        ``"thread"`` or ``"proc"`` — see :data:`WORKER_KINDS`.
     config:
         A :class:`~repro.service.shard.FabricConfig`, or a bare
         :class:`~repro.service.server.ServiceConfig` which is wrapped into
         one (fabric defaults for everything else).
     coord:
         Coordination server URL for proc workers: ``tcp://HOST:PORT``,
-        ``"auto"`` to start one in-process, or ``None``. Thread/aio workers
+        ``"auto"`` to start one in-process, or ``None``. Thread workers
         coordinate in-process and refuse a URL.
     supervise:
         Attach (but do not start) a
@@ -181,12 +170,11 @@ def build_fabric(
         )
     if obs is None:
         obs = MetricsRegistry()
-    transport = "aio" if workers == "aio" else "thread"
 
     if workers != "proc":
         if coord is not None:
             raise ValidationError(
-                "coord requires proc workers (thread/aio workers coordinate "
+                "coord requires proc workers (thread workers coordinate "
                 "in-process)"
             )
         if plan is None:
@@ -205,7 +193,7 @@ def build_fabric(
                 config=config.service,
                 obs=obs,
             )
-            return BuiltFabric(service=service, workers=workers, transport=transport)
+            return BuiltFabric(service=service, workers=workers)
     elif policy is not None and not isinstance(policy, str):
         raise ValidationError(
             "proc workers take a wire policy name (arbitrary code never "
@@ -265,7 +253,6 @@ def build_fabric(
     return BuiltFabric(
         service=fabric,
         workers=workers,
-        transport=transport,
         supervisor=supervisor,
         coord_server=coord_server,
     )

@@ -5,7 +5,7 @@ The package splits along the process boundary:
 * :mod:`repro.service.proc.worker` — the child entrypoint
   (:func:`~repro.service.proc.worker.worker_main`): runs one shard's
   :class:`~repro.service.server.PlacementService` and answers the parent's
-  RPCs over the :mod:`repro.service.wire` framing;
+  RPCs from one op table over :class:`repro.service.wire.Channel` links;
 * :mod:`repro.service.proc.backend` — the parent side:
   :class:`~repro.service.proc.backend.ProcBackend`, the
   :class:`~repro.service.shard.backend.ShardBackend` that reaches the child

@@ -9,17 +9,18 @@ exactly the allocation deltas the child commits, in the child's commit
 order, routing and spillover are decision-identical to an in-process shard
 on the same trace (the backend conformance suite asserts this).
 
-Wire discipline per worker (:class:`ProcWorkerHandle`): a **cmd** connection
-driven request/reply under a lock, and an **events** connection a dedicated
-thread long-polls for asynchronous decisions. Both open with a
-legacy-framed, version-checked hello carrying the spawn nonce and then
-speak the binary codec — parent and child are always the same build, so
-there is nothing to negotiate. Submissions carry the fabric's attempt
-token; the child echoes it on the decision event and a decision whose token
-no longer matches is not delivered. Checkpoints are *always* fetched from
-the child — the mirror's version counter legitimately diverges (the child's
-in-batch transfer phase mutates its version), so serializing a mirror would
-break byte-identity.
+Wire discipline per worker (:class:`ProcWorkerHandle`): a **cmd** link
+driven request/reply under a lock, and an **events** link a dedicated
+thread long-polls for asynchronous decisions — both
+:class:`~repro.service.wire.Channel`s, opened by a version-checked hello
+carrying the spawn nonce. Requests, decisions and release responses cross
+as their :func:`~repro.service.api.message_to_doc` documents, checkpoints
+as ``bytes`` values. Submissions carry the fabric's attempt token; the
+child echoes it on the decision event and a decision whose token no longer
+matches is not delivered. Checkpoints are *always* fetched from the child —
+the mirror's version counter legitimately diverges (the child's in-batch
+transfer phase mutates its version), so serializing a mirror would break
+byte-identity.
 """
 
 from __future__ import annotations
@@ -37,18 +38,25 @@ import numpy as np
 
 from repro.core.problem import Allocation
 from repro.obs.registry import ensure_registry
-from repro.service import wire
 from repro.service.api import (
     DecisionStatus,
     PlacementDecision,
     ReleaseResponse,
+    message_from_doc,
+    message_to_doc,
 )
 from repro.service.checkpoint import checkpoint_bytes, state_from_checkpoint
-from repro.service.proc.worker import POLICY_REGISTRY, WIRE_CODEC, worker_main
+from repro.service.proc.worker import POLICY_REGISTRY, worker_main
 from repro.service.server import ServiceConfig
 from repro.service.state import ClusterState
 from repro.service.supervisor import SupervisorConfig
-from repro.util.errors import CapacityError, TransportError, ValidationError
+from repro.service.wire import Channel
+from repro.util.errors import (
+    CapacityError,
+    RemoteOpError,
+    TransportError,
+    ValidationError,
+)
 
 _log = logging.getLogger(__name__)
 
@@ -58,17 +66,6 @@ SPAWN_TIMEOUT = 30.0
 DEFAULT_RPC_TIMEOUT = 30.0
 
 _CHANNEL_ROLES = ("worker-cmd", "worker-events")
-
-
-def _close_channel(channel) -> None:
-    if channel is None:
-        return
-    sock, rfile, wfile = channel
-    for closable in (rfile, wfile, sock):
-        try:
-            closable.close()
-        except OSError:
-            pass
 
 
 class ProcWorkerHandle:
@@ -88,8 +85,8 @@ class ProcWorkerHandle:
         self.pid: "int | None" = None
         self.dead = False
         self._on_event = on_event
-        self._cmd = None
-        self._evt = None
+        self._cmd: "Channel | None" = None
+        self._evt: "Channel | None" = None
         self._cmd_lock = threading.Lock()
         self._stop_events = threading.Event()
         self._events_thread: "threading.Thread | None" = None
@@ -147,7 +144,7 @@ class ProcWorkerHandle:
             channels = self._accept_channels(listener)
         self._cmd = channels["worker-cmd"]
         self._evt = channels["worker-events"]
-        reply, _ = self.call({"op": "init", **init_doc}, blob=payload)
+        reply = self.call({"op": "init", **init_doc, "state": payload})
         self.pid = int(reply.get("pid", self.process.pid or -1))
         self._stop_events.clear()
         self._events_thread = threading.Thread(
@@ -172,38 +169,22 @@ class ProcWorkerHandle:
                         f"spawned worker never connected its {missing} "
                         f"channel(s): {exc}"
                     ) from exc
-                greeted = self._handshake(sock)
-                if greeted is not None:
-                    channels[greeted[0]] = greeted[1]
+                try:
+                    # The token must be this handle's spawn nonce: anyone
+                    # else who finds the ephemeral port is hung up on.
+                    channel = Channel.adopt(
+                        sock, "fabric", _CHANNEL_ROLES, token=self.token
+                    )
+                except TransportError:
+                    continue
+                channels[channel.peer["role"]] = channel
         except BaseException:
             for channel in channels.values():
-                _close_channel(channel)
+                channel.close()
             raise
         return channels
 
-    def _handshake(self, sock: socket.socket):
-        """Validate one dialer's hello; ``None`` (and closed) for a stranger."""
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(10.0)
-        channel = (sock, sock.makefile("rb"), sock.makefile("wb"))
-        try:
-            hello = wire.expect_hello(channel[1])
-            role = str(hello.get("role"))
-            if role not in _CHANNEL_ROLES:
-                raise TransportError(f"unexpected peer role {role!r}")
-            # The token must be this handle's spawn nonce: anyone else who
-            # finds the ephemeral port is hung up on.
-            if hello.get("token") != self.token:
-                raise TransportError("peer does not hold the spawn token")
-            wire.send_hello(channel[2], role="fabric")
-        except (TransportError, OSError):
-            _close_channel(channel)
-            return None
-        return role, channel
-
-    def call(
-        self, doc: dict, blob: "bytes | None" = None, timeout: float = DEFAULT_RPC_TIMEOUT
-    ) -> "tuple[dict, bytes | None]":
+    def call(self, doc: dict, timeout: float = DEFAULT_RPC_TIMEOUT) -> dict:
         """One cmd-channel RPC; marks the handle dead on connection loss."""
         op = str(doc.get("op"))
         started = time.monotonic()
@@ -212,21 +193,15 @@ class ProcWorkerHandle:
                 raise TransportError(
                     f"worker {self.worker_id} has no live cmd channel"
                 )
-            sock, rfile, wfile = self._cmd
-            sock.settimeout(timeout)
             try:
-                reply = wire.rpc(rfile, wfile, doc, blob, codec=WIRE_CODEC)
+                reply = self._cmd.call(doc, timeout)
             except TransportError as exc:
-                if "failed:" not in str(exc):
+                # A rejected op came back over a healthy link; anything
+                # else means the link (and with it the worker) is gone.
+                if not isinstance(exc, RemoteOpError):
                     self.dead = True
                 self._m_rpc_failures.labels(op=op).inc()
                 raise
-            except OSError as exc:
-                self.dead = True
-                self._m_rpc_failures.labels(op=op).inc()
-                raise TransportError(
-                    f"worker {self.worker_id} rpc {op!r} failed: {exc}"
-                ) from exc
         cell = self._rpc_cells.get(op)
         if cell is None:
             cell = self._rpc_cells[op] = self._m_rpcs.labels(op=op)
@@ -235,14 +210,10 @@ class ProcWorkerHandle:
         return reply
 
     def _event_loop(self) -> None:
-        sock, rfile, wfile = self._evt
-        sock.settimeout(10.0)
         while not self._stop_events.is_set():
             try:
-                reply, _ = wire.rpc(
-                    rfile, wfile, {"op": "poll", "timeout": 0.25}, codec=WIRE_CODEC
-                )
-            except (TransportError, OSError):
+                reply = self._evt.call({"op": "poll", "timeout": 0.25}, 10.0)
+            except TransportError:
                 self.dead = True
                 return
             for event in reply.get("events", ()):
@@ -269,8 +240,9 @@ class ProcWorkerHandle:
     def close(self, join_timeout: float = 5.0) -> None:
         """Tear down connections and reap the child (escalating to kill)."""
         self.stop_events()
-        _close_channel(self._cmd)
-        _close_channel(self._evt)
+        for channel in (self._cmd, self._evt):
+            if channel is not None:
+                channel.close()
         self._cmd = self._evt = None
         process = self.process
         if process is not None and process.pid is not None:
@@ -368,7 +340,7 @@ class ProcBackend:
         """One RPC's reply, or ``None`` when the worker cannot answer: its
         death is the supervisor's business, the request's fate the fabric's."""
         try:
-            return self.handle.call(doc, timeout=timeout)[0]
+            return self.handle.call(doc, timeout=timeout)
         except TransportError:
             return None
 
@@ -379,17 +351,10 @@ class ProcBackend:
         # events thread deliver before the submit reply is even read.
         with self._delivered:
             self._waiting[rid] = (attempt, target, on_decision)
-        doc = {
-            "op": "submit",
-            "demand": list(request.demand),
-            "request_id": rid,
-            "priority": request.priority,
-            "tag": request.tag,
-            "attempt": attempt,
-        }
-        if target is not None:
-            doc["survivability"] = target.to_dict()
-        reply = self._ask(doc)  # a dead/dying worker is a decline
+        # A dead/dying worker is a decline.
+        reply = self._ask(
+            {"op": "submit", "request": message_to_doc(request), "attempt": attempt}
+        )
         admitted = bool(reply and reply.get("admitted"))
         if not admitted:
             with self._delivered:
@@ -399,28 +364,17 @@ class ProcBackend:
         return admitted
 
     def _apply_event(self, event: dict) -> None:
-        """One worker event: mirror the commit, then deliver the decision."""
-        if event.get("type") != "decision":
-            return
-        rid = int(event["request_id"])
+        """One worker event (a decision and the attempt it answers): mirror
+        the commit, then deliver the decision."""
+        local = message_from_doc(event["decision"], "decision")
+        rid = local.request_id
         attempt = int(event.get("attempt", -1))
-        doc = event["decision"]
         with self._delivered:
             entry = self._waiting.get(rid)
             if entry is not None and entry[0] == attempt:
                 del self._waiting[rid]
             else:
                 entry = None  # fenced: nobody waits on this attempt any more
-        local = PlacementDecision(
-            request_id=rid,
-            status=str(doc["status"]),
-            placements=tuple(tuple(p) for p in doc.get("placements", ())),
-            center=int(doc.get("center", -1)),
-            distance=float(doc.get("distance", 0.0)),
-            latency=float(doc.get("latency", 0.0)),
-            detail=str(doc.get("detail", "")),
-            survivability=doc.get("survivability"),
-        )
         if local.placed:
             # The child committed this whether or not anyone still waits.
             allocation = Allocation(
@@ -481,11 +435,7 @@ class ProcBackend:
             return ReleaseResponse(
                 request_id=rid, status=DecisionStatus.SHARD_UNAVAILABLE
             )
-        response = ReleaseResponse(
-            request_id=rid,
-            status=str(reply["status"]),
-            freed_vms=int(reply.get("freed_vms", 0)),
-        )
+        response = message_from_doc(reply["response"], "release_response")
         if response.released:
             with self.lock:
                 if self.state.has_lease(rid):
@@ -551,8 +501,7 @@ class ProcBackend:
     # -------------------------------------------------- checkpoint / failover
 
     def checkpoint_doc(self) -> dict:
-        _, payload = self.handle.call({"op": "checkpoint"})
-        return json.loads(payload)
+        return json.loads(self.handle.call({"op": "checkpoint"})["payload"])
 
     def _authoritative_state(self) -> ClusterState:
         return state_from_checkpoint(self.checkpoint_doc())
@@ -579,8 +528,7 @@ class ProcBackend:
     def restore(self, payload: bytes, state: ClusterState) -> None:
         self.handle.close(join_timeout=2.0)
         handle = self._spawn(payload)
-        _, child_payload = handle.call({"op": "checkpoint"})
-        if child_payload != payload:
+        if handle.call({"op": "checkpoint"})["payload"] != payload:
             handle.close()
             raise ValidationError(
                 f"respawned worker {self.shard_id} state is not "
@@ -602,7 +550,7 @@ class ProcBackend:
         handle.stop_events()
         if handle.alive:
             try:
-                reply, _ = handle.call(
+                reply = handle.call(
                     {"op": "shutdown", "drain": True, "timeout": timeout},
                     timeout=timeout + DEFAULT_RPC_TIMEOUT,
                 )

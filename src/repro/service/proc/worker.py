@@ -5,13 +5,15 @@ connections back to its parent-side handle's listener
 (:class:`~repro.service.proc.backend.ProcWorkerHandle`) — a **cmd** channel the parent
 drives request/reply (submit, release, step, checkpoint, shutdown …) and an
 **events** channel the parent long-polls for asynchronous placement
-decisions. Keeping both request/reply (the parent always writes first)
-avoids full-duplex framing entirely; the events channel's ``poll`` op simply
-blocks server-side until the outbox has something or the poll times out.
+decisions. Both are :class:`~repro.service.wire.Channel` links the child
+serves from a name → handler table. Keeping both request/reply (the parent
+always writes first) avoids full-duplex framing entirely; the events
+channel's ``poll`` op simply blocks server-side until the outbox has
+something or the poll times out.
 
 Decisions reach the parent exactly once: a submission the service resolves
-*immediately* (queue full, draining, refused, duplicate) is returned inline
-in the ``submit`` reply so the fabric can spill over synchronously; an
+*immediately* (queue full, draining, refused, duplicate) is answered
+``admitted: false`` so the fabric can spill over synchronously; an
 *admitted* submission registers a ticket callback that pushes the eventual
 decision — tagged with the attempt token the parent supplied on the wire —
 into the outbox for the events channel. The attempt token is the failover
@@ -38,27 +40,21 @@ import json
 import logging
 import os
 import signal
-import socket
 import sys
 import threading
 import time
 
 from repro.core.placement.greedy import OnlineHeuristic
-from repro.obs import MetricsRegistry, render
-from repro.service import wire
-from repro.service.api import PlaceRequest, ReleaseRequest
+from repro.obs import MetricsRegistry
+from repro.service.api import ReleaseRequest, message_from_doc, message_to_doc
 from repro.service.checkpoint import checkpoint_bytes, state_from_checkpoint
 from repro.service.coord.net import NetworkedCoordinationBackend
 from repro.service.server import PlacementService, ServiceConfig
 from repro.service.supervisor import ShardWorker, SupervisorConfig
+from repro.service.wire import Channel
 from repro.util.errors import TransportError, ValidationError
 
 _log = logging.getLogger(__name__)
-
-#: What both ends of the worker wire speak once the (legacy-framed) hellos
-#: are through. Parent and child are the same installed package — the child
-#: is spawned from it — so there is no other build to negotiate with.
-WIRE_CODEC = wire.resolve_wire_codec("binary")
 
 #: Placement policies a worker can be asked to run, by wire name. The
 #: registry keeps arbitrary code off the wire: the parent names a policy,
@@ -66,6 +62,14 @@ WIRE_CODEC = wire.resolve_wire_codec("binary")
 POLICY_REGISTRY = {
     "heuristic": OnlineHeuristic,
 }
+
+
+#: Every op the cmd channel answers (the events channel answers ``poll``);
+#: all but the first two need the service ``init`` builds.
+CMD_OPS = (
+    "ping", "init", "start", "stop", "submit", "release", "cancel", "step",
+    "drain", "checkpoint", "stats", "sync", "shutdown",
+)
 
 
 class _Outbox:
@@ -89,27 +93,10 @@ class _Outbox:
             return items
 
 
-def _decision_doc(decision) -> dict:
-    doc = {
-        "request_id": decision.request_id,
-        "status": decision.status,
-        "placements": [list(p) for p in decision.placements],
-        "center": decision.center,
-        "distance": decision.distance,
-        "latency": decision.latency,
-        "detail": decision.detail,
-    }
-    if decision.survivability is not None:
-        # The achieved-survivability report of a targeted request.
-        doc["survivability"] = decision.survivability
-    return doc
-
-
 class WorkerProcess:
     """One shard's serving runtime inside the child process."""
 
     def __init__(self, spec: dict) -> None:
-        self.spec = spec
         self.shard_id = int(spec["shard_id"])
         self.worker_id = str(spec["worker_id"])
         self.token = str(spec["token"])
@@ -119,72 +106,60 @@ class WorkerProcess:
         self.service: "PlacementService | None" = None
         self.backend: "NetworkedCoordinationBackend | None" = None
         self.worker: "ShardWorker | None" = None
-        self._running = True
         self._attempts: dict[int, int] = {}
         self._alock = threading.Lock()
-        self._cmd = None
-        self._events = None
+        self._cmd: "Channel | None" = None
+        self._events: "Channel | None" = None
 
     # ------------------------------------------------------------ plumbing
 
-    def _dial(self, role: str):
-        sock = socket.create_connection(self.addr, timeout=10.0)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(None)
-        rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
-        wire.send_hello(
-            wfile, role=role, shard_id=self.shard_id, token=self.token
+    def _dial(self, role: str) -> Channel:
+        return Channel.dial(
+            self.addr, role, "fabric", shard_id=self.shard_id, token=self.token
         )
-        wire.expect_hello(rfile, role="fabric")
-        return sock, rfile, wfile
 
     def _events_loop(self) -> None:
         """Answer the parent's long-poll requests with outbox batches."""
-        _, rfile, wfile = self._events
         try:
-            while True:
-                frame = wire.read_op(rfile, codec=WIRE_CODEC)
-                if frame is None:
-                    return
-                doc, _ = frame
-                if doc.get("op") != "poll":
-                    wire.write_op(
-                        wfile,
-                        {"ok": False, "error": "events channel only polls"},
-                        codec=WIRE_CODEC,
-                    )
-                    continue
-                timeout = min(5.0, max(0.0, float(doc.get("timeout", 0.25))))
-                events = self.outbox.drain(timeout)
-                wire.write_op(
-                    wfile, {"ok": True, "events": events}, codec=WIRE_CODEC
-                )
-        except (TransportError, OSError, ValueError):
-            # ValueError: _cleanup closed the file objects under us.
-            return
+            self._events.serve({"poll": self._op_poll})
+        except TransportError:
+            return  # the parent hung up, or _cleanup closed the link under us
 
-    def _push_decision(self, request_id: int):
-        def callback(decision) -> None:
-            with self._alock:
-                attempt = self._attempts.pop(request_id, -1)
-            self.outbox.push(
-                {
-                    "type": "decision",
-                    "request_id": request_id,
-                    "attempt": attempt,
-                    "decision": _decision_doc(decision),
-                }
-            )
-
-        return callback
+    def _push_decision(self, decision) -> None:
+        with self._alock:
+            attempt = self._attempts.pop(decision.request_id, -1)
+        self.outbox.push({"attempt": attempt, "decision": message_to_doc(decision)})
 
     # ----------------------------------------------------------------- ops
+    #
+    # One ``_op_<name>`` handler per op, returning the reply's payload
+    # fields; :data:`CMD_OPS` is the cmd channel's whole vocabulary.
 
-    def _op_init(self, doc: dict, blob: "bytes | None"):
+    def _handler(self, op: str):
+        handler = getattr(self, f"_op_{op}")
+        if op in ("ping", "init"):
+            return handler
+
+        def after_init(doc: dict):
+            if self.service is None:
+                raise ValidationError(f"op {op!r} before init")
+            return handler(doc)
+
+        return after_init
+
+    def _op_poll(self, doc: dict) -> dict:
+        timeout = min(5.0, max(0.0, float(doc.get("timeout", 0.25))))
+        return {"events": self.outbox.drain(timeout)}
+
+    def _op_ping(self, doc: dict) -> dict:
+        return {"pid": os.getpid()}
+
+    def _op_init(self, doc: dict) -> dict:
         if self.service is not None:
             raise ValidationError("worker already initialized")
-        if blob is None:
-            raise ValidationError("init requires a state checkpoint blob")
+        payload = doc.get("state")
+        if not isinstance(payload, bytes):
+            raise ValidationError("init requires the state checkpoint as bytes")
         policy_name = str(doc.get("policy", "heuristic"))
         factory = POLICY_REGISTRY.get(policy_name)
         if factory is None:
@@ -192,8 +167,8 @@ class WorkerProcess:
                 f"unknown policy {policy_name!r}; known: "
                 f"{sorted(POLICY_REGISTRY)}"
             )
-        state = state_from_checkpoint(json.loads(blob))
-        if checkpoint_bytes(state).encode("utf-8") != blob:
+        state = state_from_checkpoint(json.loads(payload))
+        if checkpoint_bytes(state).encode("utf-8") != payload:
             raise ValidationError(
                 "worker init state does not round-trip to the supplied payload"
             )
@@ -222,103 +197,67 @@ class WorkerProcess:
                 raise ValidationError(
                     f"initial checkpoint replication failed for {self.worker_id}"
                 )
-        return {
-            "ok": True,
-            "pid": os.getpid(),
-            "leases": self.service.state.num_leases,
-            "incarnation": self.worker.incarnation if self.worker else 0,
-        }, None
+        return {"pid": os.getpid()}
 
-    def _dispatch(self, doc: dict, blob: "bytes | None"):
-        op = doc.get("op")
-        if op == "ping":
-            return {"ok": True, "pid": os.getpid()}, None
-        if op == "init":
-            return self._op_init(doc, blob)
-        service = self.service
-        if service is None:
-            raise ValidationError(f"op {op!r} before init")
-        if op == "start":
-            service.start()
-            return {"ok": True}, None
-        if op == "stop":
-            service.stop()
-            return {"ok": True}, None
-        if op == "submit":
-            request = PlaceRequest(
-                demand=tuple(doc["demand"]),
-                request_id=int(doc["request_id"]),
-                priority=int(doc.get("priority", 0)),
-                tag=str(doc.get("tag", "")),
-                survivability=doc.get("survivability"),
-            )
-            attempt = int(doc["attempt"])
+    def _op_start(self, doc: dict) -> None:
+        self.service.start()
+
+    def _op_stop(self, doc: dict) -> None:
+        self.service.stop()
+
+    def _op_submit(self, doc: dict) -> dict:
+        request = message_from_doc(doc.get("request"), "place")
+        attempt = int(doc["attempt"])
+        with self._alock:
+            self._attempts[request.request_id] = attempt
+        ticket = self.service.submit(request)
+        if ticket.done:
             with self._alock:
-                self._attempts[request.request_id] = attempt
-            ticket = service.submit(request)
-            if ticket.done:
-                with self._alock:
-                    self._attempts.pop(request.request_id, None)
-                return {
-                    "ok": True,
-                    "admitted": False,
-                    "decision": _decision_doc(ticket.decision),
-                }, None
-            ticket.add_done_callback(self._push_decision(request.request_id))
-            return {"ok": True, "admitted": True}, None
-        if op == "release":
-            response = service.release(
-                ReleaseRequest(request_id=int(doc["request_id"]))
-            )
-            return {
-                "ok": True,
-                "status": response.status,
-                "freed_vms": response.freed_vms,
-            }, None
-        if op == "cancel":
-            return {
-                "ok": True,
-                "cancelled": service.cancel(int(doc["request_id"])),
-            }, None
-        if op == "step":
-            now = doc.get("now")
-            decisions = service.step(None if now is None else float(now))
-            return {
-                "ok": True,
-                "decided": [d.request_id for d in decisions],
-            }, None
-        if op == "drain":
-            decisions = service.drain(float(doc.get("timeout", 5.0)))
-            return {
-                "ok": True,
-                "decided": [d.request_id for d in decisions],
-            }, None
-        if op == "checkpoint":
-            with service._lock:
-                payload = checkpoint_bytes(service.state).encode("utf-8")
-                version = service.state.version
-            return {"ok": True, "version": version}, payload
-        if op == "stats":
-            return {"ok": True, "stats": service.stats.to_dict()}, None
-        if op == "metrics":
-            fmt = str(doc.get("format", "prometheus"))
-            return {"ok": True, "body": render(self.obs, fmt)}, None
-        if op == "sync":
-            # Force a replication + heartbeat/ledger sync right now — used
-            # by audits that must not wait for the next scheduler tick.
-            if self.worker is not None:
-                self.worker.sync(force=bool(doc.get("force", True)))
-            return {"ok": True, "coordinated": self.worker is not None}, None
-        if op == "shutdown":
-            if bool(doc.get("drain", True)):
-                service.drain(float(doc.get("timeout", 5.0)))
-            else:
-                service.stop()
-            self._running = False
-            # Whatever the drain resolved is handed back inline — the parent
-            # has already stopped polling the events channel by now.
-            return {"ok": True, "events": self.outbox.drain(0.0)}, None
-        raise ValidationError(f"unknown worker op {op!r}")
+                self._attempts.pop(request.request_id, None)
+            return {"admitted": False}
+        ticket.add_done_callback(self._push_decision)
+        return {"admitted": True}
+
+    def _op_release(self, doc: dict) -> dict:
+        response = self.service.release(
+            ReleaseRequest(request_id=int(doc["request_id"]))
+        )
+        return {"response": message_to_doc(response)}
+
+    def _op_cancel(self, doc: dict) -> dict:
+        return {"cancelled": self.service.cancel(int(doc["request_id"]))}
+
+    def _op_step(self, doc: dict) -> dict:
+        now = doc.get("now")
+        decisions = self.service.step(None if now is None else float(now))
+        return {"decided": [d.request_id for d in decisions]}
+
+    def _op_drain(self, doc: dict) -> dict:
+        decisions = self.service.drain(float(doc.get("timeout", 5.0)))
+        return {"decided": [d.request_id for d in decisions]}
+
+    def _op_checkpoint(self, doc: dict) -> dict:
+        with self.service._lock:
+            return {"payload": checkpoint_bytes(self.service.state).encode("utf-8")}
+
+    def _op_stats(self, doc: dict) -> dict:
+        return {"stats": self.service.stats.to_dict()}
+
+    def _op_sync(self, doc: dict) -> None:
+        # Force a replication + heartbeat/ledger sync right now — used by
+        # audits that must not wait for the next scheduler tick.
+        if self.worker is not None:
+            self.worker.sync(force=bool(doc.get("force", True)))
+
+    def _op_shutdown(self, doc: dict) -> dict:
+        if bool(doc.get("drain", True)):
+            self.service.drain(float(doc.get("timeout", 5.0)))
+        else:
+            self.service.stop()
+        self._cmd.stop()
+        # Whatever the drain resolved is handed back inline — the parent
+        # has already stopped polling the events channel by now.
+        return {"events": self.outbox.drain(0.0)}
 
     # ----------------------------------------------------------------- run
 
@@ -326,30 +265,13 @@ class WorkerProcess:
         signal.signal(signal.SIGTERM, _sigterm)
         self._cmd = self._dial("worker-cmd")
         self._events = self._dial("worker-events")
-        events_thread = threading.Thread(
+        threading.Thread(
             target=self._events_loop,
             name=f"worker-{self.shard_id}-events",
             daemon=True,
-        )
-        events_thread.start()
-        _, rfile, wfile = self._cmd
+        ).start()
         try:
-            while self._running:
-                frame = wire.read_op(rfile, codec=WIRE_CODEC)
-                if frame is None:
-                    break
-                doc, blob = frame
-                try:
-                    reply, reply_blob = self._dispatch(doc, blob)
-                except (ValidationError, TransportError) as exc:
-                    reply, reply_blob = {"ok": False, "error": str(exc)}, None
-                except Exception as exc:
-                    _log.exception("worker op %r failed", doc.get("op"))
-                    reply, reply_blob = {
-                        "ok": False,
-                        "error": f"internal error: {exc}",
-                    }, None
-                wire.write_op(wfile, reply, reply_blob, codec=WIRE_CODEC)
+            self._cmd.serve({op: self._handler(op) for op in CMD_OPS})
             return 0
         finally:
             self._cleanup()
@@ -368,14 +290,9 @@ class WorkerProcess:
             except Exception:
                 _log.warning("could not deregister %s", self.worker_id)
             backend.close()
-        for conn in (self._cmd, self._events):
-            if conn is None:
-                continue
-            for closable in (conn[1], conn[2], conn[0]):
-                try:
-                    closable.close()
-                except OSError:
-                    pass
+        for channel in (self._cmd, self._events):
+            if channel is not None:
+                channel.close()
 
 
 def _sigterm(signum, frame):  # pragma: no cover - signal path

@@ -27,9 +27,8 @@ serving surface, so every op is shard-transparent — behind the shared
 threaded substrate (:class:`~repro.service.transports.TcpServerHandle`);
 :class:`ServiceClient` is the matching blocking client. Both are deliberately
 minimal — the serving intelligence lives in the service, not the wire.
-Canonical construction is via the transport registry
-(``resolve_transport("thread").serve(...)/.connect(...)``); the direct
-constructors remain for compatibility and warn once per class.
+The transport registry hands back these same two classes
+(``resolve_transport("thread").serve(...)/.connect(...)``).
 
 Malformed input (truncated frames, oversized payloads, invalid UTF-8, unknown
 ops, envelopes of the wrong shape) always produces a typed
@@ -39,7 +38,6 @@ sends can take down the accept loop.
 
 from __future__ import annotations
 
-import json
 import logging
 import socket
 import socketserver
@@ -50,19 +48,20 @@ from repro.obs.export import render
 from repro.service.api import (
     PlaceRequest,
     ReleaseRequest,
-    encode_message,
-    decode_message,
+    message_from_doc,
+    message_to_doc,
 )
 from repro.service.codec import (
     JsonLineCodec,
     MAX_OP_BYTES,
     SUPPORTED_CODECS,
     choose_codec,
+    error_response,
     resolve_codec,
 )
 from repro.service.server import PlacementService
 from repro.service.transports import TcpServerHandle
-from repro.util.errors import ReproError, TransportError, TransportTimeout, ValidationError
+from repro.util.errors import TransportError, TransportTimeout, ValidationError
 from repro.util.retry import TRANSPORT_RETRY, RetryPolicy
 
 _log = logging.getLogger(__name__)
@@ -101,11 +100,16 @@ def hello_response(envelope: dict, supported) -> "tuple[dict, str]":
     return {"ok": True, "codec": chosen, "codecs": list(supported)}, chosen
 
 
+def _untagged(message) -> dict:
+    """A message's document without its ``kind``: the envelope's op names it."""
+    doc = message_to_doc(message)
+    del doc["kind"]
+    return doc
+
+
 def submit_place(service, envelope: dict):
     """Decode a ``place`` envelope and submit it; returns the ticket."""
-    message = decode_message(
-        json.dumps(envelope.get("message", {}) | {"kind": "place"})
-    )
+    message = message_from_doc(envelope.get("message", {}), "place")
     return message, service.submit(message)
 
 
@@ -121,7 +125,7 @@ def finish_place(service, message, ticket, decision) -> dict:
         decision = ticket.result(timeout=1.0)
     if decision is None:
         raise ValidationError("placement decision timed out")
-    return {"ok": True, "decision": json.loads(encode_message(decision))}
+    return {"ok": True, "decision": message_to_doc(decision)}
 
 
 def dispatch_sync(service, envelope: dict) -> dict:
@@ -139,11 +143,8 @@ def dispatch_sync(service, envelope: dict) -> dict:
         fmt = envelope.get("format", "prom")
         return {"ok": True, "format": fmt, "body": render(service.obs, fmt)}
     if op == "release":
-        message = decode_message(
-            json.dumps(envelope.get("message", {}) | {"kind": "release"})
-        )
-        response = service.release(message)
-        return {"ok": True, "release": json.loads(encode_message(response))}
+        message = message_from_doc(envelope.get("message", {}), "release")
+        return {"ok": True, "release": message_to_doc(service.release(message))}
     raise ValidationError(f"unknown op {op!r}")
 
 
@@ -175,10 +176,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 if codec.resync_on_error:
                     continue
                 return
-            except ReproError as exc:
-                response = {"ok": False, "error": str(exc)}
-            except Exception as exc:  # defensive: never kill the connection
-                response = {"ok": False, "error": f"internal error: {exc}"}
+            except Exception as exc:  # never kill the connection
+                response = error_response(exc)
             if not self._reply(codec, response):
                 return
             if switch_to is not None:
@@ -425,17 +424,14 @@ class ServiceClient:
 
     def place(self, request: PlaceRequest):
         """Submit a placement and block for its terminal decision."""
-        message = json.loads(encode_message(request))
-        message.pop("kind")
-        response = self._call({"op": "place", "message": message})
-        return decode_message(json.dumps(response["decision"]))
+        response = self._call({"op": "place", "message": _untagged(request)})
+        return message_from_doc(response["decision"], "decision")
 
     def release(self, request_id: int):
         """Release a lease by id."""
-        message = json.loads(encode_message(ReleaseRequest(request_id=request_id)))
-        message.pop("kind")
+        message = _untagged(ReleaseRequest(request_id=request_id))
         response = self._call({"op": "release", "message": message})
-        return decode_message(json.dumps(response["release"]))
+        return message_from_doc(response["release"], "release_response")
 
     def stats(self) -> dict:
         return self._call({"op": "stats"})["stats"]

@@ -1,74 +1,66 @@
-"""Versioned length-prefixed line-JSON framing for inter-process links.
+"""The one internal link: a version-checked hello, then binary envelopes.
 
-The TCP serving transport (:mod:`repro.service.transport`) speaks bare
-newline-delimited JSON because its payloads are small, text-only envelopes.
-The process fabric and the networked coordination backend need two things
-that format cannot give:
+The serving protocol (:mod:`repro.service.transport`) faces clients this
+package does not ship, so it opens in line JSON and negotiates. The links
+*behind* the fabric — parent ↔ shard worker (cmd and events channels) and
+anyone ↔ coordination server — have the same installed package on both
+ends, so they negotiate nothing. Every such link is a :class:`Channel`:
 
-* **length prefixes** — a checkpoint payload is replicated byte-for-byte;
-  embedding arbitrary bytes inside a JSON string would force an encoding
-  round trip, and the recovery invariant is *byte identity*. Every frame
-  here declares its JSON size up front, and may carry an opaque binary
-  *blob* after the JSON document whose length the document declares.
-* **versioning** — the two ends of the wire are different processes (and,
-  for the coordination server, potentially different hosts/releases). Every
-  connection opens with a ``hello`` frame carrying the protocol name and
-  version; a mismatch is a typed error before any operation flows.
+1. **hello** — each end sends one length-prefixed line-JSON frame naming
+   the protocol, its version and the sender's role (plus, for a spawned
+   worker, the spawn token). A wrong name, version, role or token closes
+   the connection with a typed error before any op flows; a peer of another
+   protocol version is refused here, never misread.
+2. **envelopes** — after the hellos both ends speak
+   :class:`~repro.service.codec.BinaryCodec` frames: ``{"op": ...}``
+   requests, ``{"ok": true, ...}`` / ``{"ok": false, "error": msg}``
+   replies. ``bytes`` values embed natively, so a checkpoint payload is an
+   ordinary value in the document and crosses the link byte for byte.
 
-Frame layout (all lengths are ASCII decimals)::
+Hello frame layout (lengths are ASCII decimals)::
 
-    <json-length>\\n<json-bytes>\\n[<blob-bytes>]
+    <json-length>\\n<json-bytes>\\n
 
-``json-bytes`` is a compact UTF-8 JSON object. When the frame carries a
-blob, the JSON object contains ``"_blob": <blob-length>`` and exactly that
-many raw bytes follow the newline. Malformed frames (oversized, truncated,
-non-numeric prefix, invalid JSON) raise :class:`~repro.util.errors.
-TransportError`; a clean EOF before any byte of a frame returns ``None``
-from :func:`read_frame` so connection shutdown is distinguishable from
+Malformed input (oversized, truncated, non-numeric prefix, invalid JSON, bad
+magic) raises :class:`~repro.util.errors.TransportError`; declared lengths
+are checked against the byte budgets before anything is allocated. A clean
+EOF between frames reads as ``None`` so shutdown is distinguishable from
 corruption.
-
-**Codec negotiation.** The hello handshake doubles as a capability
-exchange: a dialing peer lists the codecs it speaks via
-``send_hello(..., codecs=offer_codecs())``, and the answering peer picks
-one with :func:`negotiate_codec` and names it in its reply hello
-(``codec="binary"``). After the hellos — which are always legacy line-JSON
-frames, so any two releases can complete the handshake — both ends switch
-their op streams to the agreed codec via :func:`read_op`/:func:`write_op`.
-A peer that offers nothing, or an answer that names no codec, leaves the
-connection on the legacy framing unchanged.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import logging
+import socket
 
-from repro.service.codec import (
-    BinaryCodec,
-    SUPPORTED_CODECS,
-    choose_codec,
-)
-from repro.util.errors import TransportError
+from repro.service.codec import BinaryCodec, error_response, parse_json_envelope
+from repro.util.errors import RemoteOpError, ReproError, TransportError, ValidationError
 
-#: Protocol identity carried in every hello frame.
+_log = logging.getLogger(__name__)
+
+#: Protocol identity carried in every hello frame. Version 2: ops are always
+#: binary envelopes (version 1 negotiated a codec and framed blobs apart).
 PROTOCOL_NAME = "repro-wire"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
-#: Hard byte budget for one frame's JSON document.
+#: Hard byte budget for one hello frame's JSON document.
 MAX_JSON_BYTES = 1 << 20
-#: Hard byte budget for one frame's binary blob (checkpoints dominate).
-MAX_BLOB_BYTES = 64 << 20
+#: Hard byte budget for one op envelope: a 64 MiB checkpoint payload with
+#: a full-size document around it.
+MAX_ENVELOPE_BYTES = MAX_JSON_BYTES + (64 << 20)
 #: Longest accepted length-prefix line (decimal digits + newline).
 _MAX_PREFIX = 16
+#: How long either end waits for the other's hello.
+HELLO_TIMEOUT = 10.0
+
+#: The codec of every op envelope on every internal link.
+ENVELOPE_CODEC = BinaryCodec(max_bytes=MAX_ENVELOPE_BYTES)
 
 
-def write_frame(wfile, doc: dict, blob: "bytes | None" = None) -> None:
-    """Write one frame — *doc* as compact JSON, plus an optional blob."""
-    if blob is not None:
-        if len(blob) > MAX_BLOB_BYTES:
-            raise TransportError(
-                f"blob of {len(blob)} bytes exceeds {MAX_BLOB_BYTES}"
-            )
-        doc = {**doc, "_blob": len(blob)}
+def write_frame(wfile, doc: dict) -> None:
+    """Write one hello-style frame: *doc* as length-prefixed compact JSON."""
     payload = json.dumps(doc, separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_JSON_BYTES:
         raise TransportError(
@@ -77,8 +69,6 @@ def write_frame(wfile, doc: dict, blob: "bytes | None" = None) -> None:
     wfile.write(b"%d\n" % len(payload))
     wfile.write(payload)
     wfile.write(b"\n")
-    if blob is not None:
-        wfile.write(blob)
     wfile.flush()
 
 
@@ -91,8 +81,8 @@ def _read_exact(rfile, n: int) -> bytes:
     return data
 
 
-def read_frame(rfile) -> "tuple[dict, bytes | None] | None":
-    """Read one frame; returns ``(doc, blob)`` or ``None`` on clean EOF."""
+def read_frame(rfile) -> "dict | None":
+    """Read one hello-style frame; ``None`` on clean EOF."""
     prefix = rfile.readline(_MAX_PREFIX)
     if not prefix:
         return None
@@ -107,94 +97,7 @@ def read_frame(rfile) -> "tuple[dict, bytes | None] | None":
     payload = _read_exact(rfile, length)
     if _read_exact(rfile, 1) != b"\n":
         raise TransportError("frame payload not newline-terminated")
-    try:
-        doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TransportError(f"frame payload is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TransportError("frame payload must be a JSON object")
-    blob_len = doc.pop("_blob", None)
-    if blob_len is None:
-        return doc, None
-    if not isinstance(blob_len, int) or not 0 <= blob_len <= MAX_BLOB_BYTES:
-        raise TransportError(f"invalid blob length {blob_len!r}")
-    return doc, _read_exact(rfile, blob_len)
-
-
-# ------------------------------------------------------------------- codecs
-
-#: Budget for one binary op frame: the same JSON document budget as the
-#: legacy framing, plus room for an embedded checkpoint blob.
-_BINARY_OP_BYTES = MAX_JSON_BYTES + MAX_BLOB_BYTES + 64
-
-
-def offer_codecs() -> "list[str]":
-    """What a dialing peer should advertise in its hello (`codecs=`)."""
-    return list(SUPPORTED_CODECS)
-
-
-def negotiate_codec(hello: dict) -> str:
-    """Answering side: pick the codec for this connection from a peer hello.
-
-    Returns ``"json"`` for any peer that advertised nothing — exactly the
-    legacy behavior, so old workers and old fabrics interoperate with new
-    ones in either direction.
-    """
-    return choose_codec(hello.get("codecs"))
-
-
-def resolve_wire_codec(codec):
-    """Map a negotiated codec name to the object :func:`read_op` expects.
-
-    ``None``/``"json"`` mean the legacy line-JSON framing (returned as
-    ``None`` so callers can branch cheaply); ``"binary"`` returns a
-    :class:`~repro.service.codec.BinaryCodec` sized for checkpoint blobs.
-    """
-    if codec is None or codec == "json" or getattr(codec, "name", None) == "json":
-        return None
-    if isinstance(codec, BinaryCodec):
-        return codec
-    if codec == "binary":
-        return BinaryCodec(max_bytes=_BINARY_OP_BYTES)
-    raise TransportError(f"unknown wire codec {codec!r}")
-
-
-def write_op(wfile, doc: dict, blob: "bytes | None" = None, *, codec=None) -> None:
-    """Write one op frame in the connection's negotiated codec.
-
-    With no codec (or ``"json"``) this is exactly :func:`write_frame`. In
-    binary, the blob embeds natively as a ``bytes`` value — no separate
-    length prefix, no text round trip — under the same ``_blob`` key the
-    legacy framing reserves.
-    """
-    codec = resolve_wire_codec(codec)
-    if codec is None:
-        write_frame(wfile, doc, blob)
-        return
-    if blob is not None:
-        if len(blob) > MAX_BLOB_BYTES:
-            raise TransportError(
-                f"blob of {len(blob)} bytes exceeds {MAX_BLOB_BYTES}"
-            )
-        doc = {**doc, "_blob": bytes(blob)}
-    wfile.write(codec.encode_op(doc))
-    wfile.flush()
-
-
-def read_op(rfile, *, codec=None) -> "tuple[dict, bytes | None] | None":
-    """Read one op frame in the negotiated codec; ``None`` on clean EOF."""
-    codec = resolve_wire_codec(codec)
-    if codec is None:
-        return read_frame(rfile)
-    doc = codec.decode_op(rfile)
-    if doc is None:
-        return None
-    blob = doc.pop("_blob", None)
-    if blob is None:
-        return doc, None
-    if not isinstance(blob, bytes) or len(blob) > MAX_BLOB_BYTES:
-        raise TransportError("invalid embedded blob in binary frame")
-    return doc, blob
+    return parse_json_envelope(payload)
 
 
 # ---------------------------------------------------------------- handshake
@@ -213,10 +116,9 @@ def expect_hello(rfile, role: "str | None" = None) -> dict:
     Raises :class:`TransportError` on EOF, protocol-name mismatch, version
     mismatch, or (when *role* is given) an unexpected peer role.
     """
-    frame = read_frame(rfile)
-    if frame is None:
+    doc = read_frame(rfile)
+    if doc is None:
         raise TransportError("connection closed before hello")
-    doc, _ = frame
     if doc.get("proto") != PROTOCOL_NAME:
         raise TransportError(f"unexpected protocol {doc.get('proto')!r}")
     if doc.get("v") != PROTOCOL_VERSION:
@@ -231,28 +133,137 @@ def expect_hello(rfile, role: "str | None" = None) -> dict:
     return doc
 
 
-def rpc(
-    rfile,
-    wfile,
-    doc: dict,
-    blob: "bytes | None" = None,
-    *,
-    codec=None,
-) -> "tuple[dict, bytes | None]":
-    """One request/response exchange; raises on transport or server error.
+# ------------------------------------------------------------------ channel
 
-    The reply convention matches the serving transport: ``{"ok": true, ...}``
-    on success, ``{"ok": false, "error": msg}`` on a server-side failure
-    (surfaced as :class:`TransportError` so callers treat it uniformly).
-    *codec* is the connection's negotiated codec (``None`` = legacy JSON).
+class Channel:
+    """One established internal link — the only code that reads or writes one.
+
+    Build with :meth:`dial` or :meth:`adopt`; ``peer`` is the other end's
+    hello document. One side then drives :meth:`call`, the other answers
+    from :meth:`serve`. Every failure of the link itself — socket error,
+    timeout, EOF mid-exchange, a frame that does not parse — is a
+    :class:`TransportError`; a :class:`RemoteOpError` alone means the link
+    still works. Not thread-safe: callers serialize :meth:`call`.
     """
-    write_op(wfile, doc, blob, codec=codec)
-    frame = read_op(rfile, codec=codec)
-    if frame is None:
-        raise TransportError("peer closed the connection mid-exchange")
-    reply, reply_blob = frame
-    if not reply.get("ok"):
-        raise TransportError(
-            f"op {doc.get('op')!r} failed: {reply.get('error', 'unknown error')}"
-        )
-    return reply, reply_blob
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.peer: dict = {}
+        self._serving = False
+        if sock.family != socket.AF_UNIX:
+            # Tiny request/reply frames: Nagle + delayed ACK would add
+            # ~40 ms per round trip.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._rfile, self._wfile = sock.makefile("rb"), sock.makefile("wb")
+
+    @classmethod
+    def dial(
+        cls, addr, role: str, peer_role: str, timeout: float = HELLO_TIMEOUT, **extra
+    ) -> "Channel":
+        """Connect to *addr* as *role* (hello fields *extra*), expecting the
+        answering end to be *peer_role*; both bounded by *timeout*."""
+        try:
+            sock = socket.create_connection(addr, timeout=timeout)
+        except OSError as exc:
+            raise TransportError(f"cannot reach {addr[0]}:{addr[1]}: {exc}") from exc
+        channel = cls(sock)
+        with channel._hello():
+            send_hello(channel._wfile, role, **extra)
+            channel.peer = expect_hello(channel._rfile, peer_role)
+        return channel
+
+    @classmethod
+    def adopt(
+        cls,
+        sock: socket.socket,
+        role: str,
+        peer_roles,
+        token: "str | None" = None,
+    ) -> "Channel":
+        """Take over an accepted *sock*: the dialer must introduce itself as
+        one of *peer_roles* — holding *token*, when one is required — before
+        it is answered as *role*. Anyone else is hung up on."""
+        sock.settimeout(HELLO_TIMEOUT)
+        channel = cls(sock)
+        with channel._hello():
+            channel.peer = expect_hello(channel._rfile)
+            if channel.peer.get("role") not in peer_roles:
+                raise TransportError(
+                    f"unexpected peer role {channel.peer.get('role')!r}"
+                )
+            if token is not None and channel.peer.get("token") != token:
+                raise TransportError("peer does not hold the spawn token")
+            send_hello(channel._wfile, role)
+        return channel
+
+    @contextlib.contextmanager
+    def _hello(self):
+        """Fail closed: a hello that goes wrong closes the link, typed."""
+        try:
+            yield
+        except (OSError, TransportError) as exc:
+            self.close()
+            raise TransportError(f"hello failed: {exc}") from exc
+
+    def _io(self, action, *args):
+        """Run one socket action; whatever the link does wrong is typed."""
+        try:
+            return action(*args)
+        except (OSError, ValueError) as exc:  # ValueError: closed under us
+            raise TransportError(f"link lost: {exc}") from exc
+
+    def send(self, doc: dict) -> None:
+        """Write one envelope (the only writer on an internal link)."""
+        self._io(self._wfile.write, ENVELOPE_CODEC.encode_op(doc))
+        self._io(self._wfile.flush)
+
+    def recv(self) -> "dict | None":
+        """Read one envelope (the only reader); ``None`` on clean EOF."""
+        return self._io(ENVELOPE_CODEC.decode_op, self._rfile)
+
+    def call(self, doc: dict, timeout: "float | None" = None) -> dict:
+        """One request/reply exchange, each socket wait bounded by *timeout*."""
+        self._io(self.sock.settimeout, timeout)
+        self.send(doc)
+        reply = self.recv()
+        if reply is None:
+            raise TransportError("peer closed the connection mid-exchange")
+        if not reply.get("ok"):
+            raise RemoteOpError(
+                f"op {doc.get('op')!r} failed: {reply.get('error', 'unknown error')}"
+            )
+        return reply
+
+    def serve(self, ops: dict) -> None:
+        """Answer requests from the name → handler table *ops* until EOF or
+        :meth:`stop`. A handler takes the request document and returns the
+        reply's payload fields (or ``None``). An unknown op or whatever a
+        handler raises becomes an error reply (:func:`~repro.service.codec.
+        error_response`) and the loop goes on; a broken link raises
+        :class:`TransportError`."""
+        self._io(self.sock.settimeout, None)
+        self._serving = True
+        while self._serving:
+            doc = self.recv()
+            if doc is None:
+                return
+            op = doc.get("op")
+            handler = ops.get(op) if isinstance(op, str) else None
+            try:
+                if handler is None:
+                    raise ValidationError(f"unknown op {op!r}")
+                reply = {"ok": True, **(handler(doc) or {})}
+            except Exception as exc:
+                if not isinstance(exc, ReproError):
+                    _log.exception("op %r failed", op)
+                reply = error_response(exc)
+            self.send(reply)
+
+    def stop(self) -> None:
+        """Make :meth:`serve` return once the current reply is written."""
+        self._serving = False
+
+    def close(self) -> None:
+        for closable in (self._rfile, self._wfile, self.sock):
+            with contextlib.suppress(OSError):
+                closable.close()

@@ -11,7 +11,9 @@ subclasses keep failure modes distinguishable:
 * :class:`SolverError` — an exact solver backend failed or returned an
   unexpected status.
 * :class:`TransportError` / :class:`TransportTimeout` — a service transport
-  operation failed or exceeded its per-op socket timeout.
+  operation failed or exceeded its per-op socket timeout;
+  :class:`RemoteOpError` — the peer on an internal link rejected one op over
+  a link that still works.
 """
 
 from __future__ import annotations
@@ -48,6 +50,15 @@ class TransportTimeout(TransportError):
     Distinguishable from :class:`TransportError` so clients can treat a
     timeout as *unknown outcome* (the server may still have acted on the
     request) rather than a definite failure."""
+
+
+class RemoteOpError(TransportError):
+    """The peer on an internal link (:class:`repro.service.wire.Channel`)
+    answered one op with a typed error reply.
+
+    A :class:`TransportError` so callers that only care whether the call
+    worked keep one ``except`` clause; its own class because the link it
+    arrived on is healthy — nothing to redial, no worker to declare dead."""
 
 
 class JobFailedError(ReproError):

@@ -6,10 +6,11 @@ distorted by going through text.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.export import (
+    _unescape,
     flatten_sorted,
     parse_json_lines,
     parse_prometheus,
@@ -137,11 +138,32 @@ def registries(draw):
     return r
 
 
+def labelled(value: str) -> MetricsRegistry:
+    r = MetricsRegistry()
+    r.counter("c_x", labels=("lab",)).labels(lab=value).inc(1.0)
+    return r
+
+
+#: Backslash + "n" is what hypothesis found: written ``\\n``, it used to be
+#: read back as backslash + newline. Pinned with its neighbours.
+ESCAPE_TRAPS = ("\\n", "\\\\n", "\\\n", '\\"', "\\")
+
+
 class TestRoundTripProperty:
     @settings(max_examples=60, deadline=None)
     @given(registries())
+    @example(labelled(ESCAPE_TRAPS[0]))
+    @example(labelled("".join(ESCAPE_TRAPS)))
     def test_prometheus_round_trip(self, registry):
         assert parse_prometheus(to_prometheus(registry)) == flatten_sorted(registry)
+
+    @pytest.mark.parametrize("help_text", ESCAPE_TRAPS + ("two\nlines",))
+    def test_help_text_uses_the_label_escapes(self, help_text):
+        r = MetricsRegistry()
+        r.counter("c_x", help_text)
+        header = to_prometheus(r).split("\n")[0]
+        assert header.startswith("# HELP c_x ")
+        assert _unescape(header[len("# HELP c_x "):]) == help_text
 
     @settings(max_examples=60, deadline=None)
     @given(registries())

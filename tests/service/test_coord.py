@@ -214,7 +214,7 @@ class TestNetworkedBackend:
                 client.register_worker("shard-0", 0, now=1.0)
                 # Yank the client's socket out from under it; the next op
                 # must redial transparently and see the same backing state.
-                client._sock.shutdown(socket.SHUT_RDWR)
+                client._channel.sock.shutdown(socket.SHUT_RDWR)
                 assert client.last_beat("shard-0") == 1.0
             finally:
                 client.close()

@@ -25,7 +25,7 @@ from repro.service.shard import (
     ShardedPlacementFabric,
 )
 from repro.service.supervisor import FabricSupervisor
-from repro.service.transport import ServiceEndpoint
+from repro.service.transport import ServiceClient, ServiceEndpoint
 from repro.util.errors import ValidationError
 
 
@@ -42,7 +42,7 @@ class TestValidation:
         with pytest.raises(ValidationError, match="unknown workers kind"):
             build_fabric(make_pool(), workers="fiber")
 
-    @pytest.mark.parametrize("workers", ["thread", "aio"])
+    @pytest.mark.parametrize("workers", [k for k in WORKER_KINDS if k != "proc"])
     def test_coord_requires_proc_workers(self, workers):
         with pytest.raises(ValidationError, match="coord requires proc"):
             build_fabric(
@@ -71,7 +71,10 @@ class TestValidation:
             build_fabric(make_pool(), workers="proc", policy=OnlineHeuristic)
 
     def test_worker_kinds_registry(self):
-        assert WORKER_KINDS == ("thread", "aio", "proc")
+        # "aio" is a serving transport (``serve(transport=)``), not a kind.
+        assert WORKER_KINDS == ("thread", "proc")
+        with pytest.raises(ValidationError, match="unknown workers kind"):
+            build_fabric(make_pool(), 2, workers="aio")
 
 
 class TestAssembly:
@@ -79,7 +82,6 @@ class TestAssembly:
         built = build_fabric(make_pool())
         assert isinstance(built.service, PlacementService)
         assert built.workers == "thread"
-        assert built.transport == "thread"
         assert built.supervisor is None
         assert built.coord_server is None
 
@@ -112,35 +114,30 @@ class TestAssembly:
         built = build_fabric(make_pool(), 2, policy="heuristic")
         assert isinstance(built.service, ShardedPlacementFabric)
 
-    def test_aio_workers_default_to_the_aio_transport(self):
-        built = build_fabric(make_pool(), 2, workers="aio")
-        assert built.transport == "aio"
-        endpoint = built.serve()
-        assert isinstance(endpoint, AioServiceEndpoint)
-
     def test_serve_transport_override(self):
-        built = build_fabric(make_pool(), 2, workers="aio")
-        endpoint = built.serve(transport="thread")
-        assert isinstance(endpoint, ServiceEndpoint)
+        built = build_fabric(make_pool(), 2)
+        assert isinstance(built.serve(), ServiceEndpoint)
+        assert isinstance(built.serve(transport="aio"), AioServiceEndpoint)
 
 
 class TestLifecycle:
-    @pytest.mark.parametrize("workers", ["thread", "aio"])
-    def test_start_place_shutdown(self, workers):
+    @pytest.mark.parametrize("transport", ["thread", "aio"])
+    def test_start_place_shutdown(self, transport):
         built = build_fabric(
             make_pool(),
             RackGroupPlan(2),
-            workers=workers,
             config=ServiceConfig(batch_window=0.001),
         )
         built.start()
+        endpoint = built.serve(transport=transport).start()
         try:
-            ticket = built.service.submit(
-                PlaceRequest(demand=(1, 0, 0), request_id=77)
-            )
-            decision = ticket.result(timeout=10.0)
+            with ServiceClient(*endpoint.address) as client:
+                decision = client.place(
+                    PlaceRequest(demand=(1, 0, 0), request_id=77)
+                )
             assert decision.placed
         finally:
+            endpoint.stop()
             assert built.shutdown() == 0
         assert built.worker_exit_codes is None  # in-process: nothing to reap
 

@@ -237,9 +237,9 @@ class TestKillRestore:
 
                 # Byte-identical restore: the respawned child serves exactly
                 # the checkpointed state.
-                _, restored_bytes = fabric.handles[victim].call(
+                restored_bytes = fabric.handles[victim].call(
                     {"op": "checkpoint"}
-                )
+                )["payload"]
                 assert restored_bytes == payload_before
 
                 # Zero lost leases: every pre-kill owner survives the crash.
