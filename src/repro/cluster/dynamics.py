@@ -110,11 +110,6 @@ class DynamicResourcePool(ResourcePool):
         """The underlying physical distances, ignoring liveness."""
         return self._distance
 
-    def _topology_cache_valid(self) -> bool:
-        """The cached sorted orders describe static distances, which match
-        the effective matrix only while every node is live."""
-        return bool(self._active.all())
-
     def allocate(self, allocation: np.ndarray) -> None:
         """Reject any allocation touching a failed node, then delegate."""
         a = np.asarray(allocation)

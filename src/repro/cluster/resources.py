@@ -42,8 +42,8 @@ class ResourcePool:
     cache:
         Optional :class:`~repro.cluster.topocache.TopologyCache` to adopt.
         When it matches this topology and distance model, the pool reuses
-        its distance matrix (skipping the O(n²) rebuild) and its sorted
-        lookups; a mismatched cache is silently ignored. ``copy()`` passes
+        its distance matrix (skipping the O(n²) rebuild) and its tier
+        structure; a mismatched cache is silently ignored. ``copy()`` passes
         the cache along, so working copies share one set of structures.
     """
 
@@ -179,25 +179,16 @@ class ResourcePool:
         """``D`` — read-only n × n distance matrix."""
         return self._distance
 
-    def _topology_cache_valid(self) -> bool:
-        """Whether the effective distances equal the static topology's.
-
-        True for the base pool (its ``distance_matrix`` *is* the static
-        matrix); subclasses that mask or rewrite distances override this.
-        """
-        return True
-
     @property
-    def topology_cache(self) -> "TopologyCache | None":
-        """Sorted-distance lookups for the vectorized placement kernels.
+    def topology_cache(self) -> TopologyCache:
+        """The topology's tier structure (rack/cloud groupings and the three
+        tier distances) for the placement kernels and the shard router.
 
-        Built lazily on first access and shared by :meth:`copy`; ``None``
-        whenever the pool's effective distance matrix has diverged from the
-        static topology distances (see
-        :mod:`repro.cluster.topocache` for the invariants).
+        Built lazily on first access, O(n), and shared by :meth:`copy`. It
+        depends on the topology and the distance model only, so it stays
+        valid under allocation churn and under node failure alike (see
+        :mod:`repro.cluster.topocache` for the argument).
         """
-        if not self._topology_cache_valid():
-            return None
         if self._cache is None:
             self._cache = TopologyCache.build(
                 self._topology, self._model, distance=self._distance

@@ -1,33 +1,30 @@
-"""Per-topology derived structures for the vectorized placement kernels.
+"""Per-topology tier structure for the placement kernels and the router.
 
-A long-lived allocator knows one thing its per-request code never exploits:
-the physical topology — and therefore the distance matrix ``D`` — is
-immutable while allocations churn. Everything derivable from ``D`` alone can
-be computed once and shared by every working copy of the pool:
+A long-lived allocator knows one thing its per-request code can exploit: the
+physical topology is immutable while allocations churn, and the paper's
+distance matrix has only four values — ``0 < d1 < d2 < d3`` for same node /
+same rack / same cloud / elsewhere. For a fixed center the cluster distance
+therefore depends only on *how much of the demand each tier fills*, and a
+tier is a rack or a cloud, not a row of ``D``. Everything here is O(n):
 
-* ``center_orders[c]`` — the node visit order around center ``c`` sorted by
-  ``(D[i, c], i)``: the *stable per-center distance argsort*. Any
-  distance-ascending order yields the same aggregate fill lower bound, so
-  the sweep kernel prunes candidate centers without a single per-request
-  sort.
-* ``d_sorted[c]`` — ``D[:, c]`` in that order (nondecreasing), ready for
-  cumulative-sum fills and bound dot products.
-* ``tier_ranks[c, i]`` — the rank of ``D[i, c]`` among the distinct
-  distance values of column ``c`` (0 = the center itself, 1 = its rack, …).
-  A monotone integer transform of the distance column: sorting by
-  ``(tier_ranks[c], -providable, index)`` reproduces the reference fill
-  order ``(D[i, c], -providable, index)`` exactly, with cheap integer keys.
-* ``tier_starts[c]`` — boundaries of the distance tiers inside
-  ``center_orders[c]`` (``tier_starts[c][t]`` is the first position of tier
-  ``t``; the slice up to ``tier_starts[c][1]`` is the center, up to
-  ``tier_starts[c][2]`` its rack, and so on).
+* ``rack_ids`` / ``cloud_ids`` — node → rack / cloud, as the topology has
+  them (the fill order's tier key is two equality tests on these);
+* ``tier_distances`` — ``(d1, d2, d3)`` from the distance model;
+* the **rack grouping** — ``rack_order`` lists the nodes rack by rack,
+  ``rack_starts[r]`` is where dense rack ``r`` begins in it and
+  ``rack_index[i]`` is node ``i``'s dense rack, so per-rack free capacity is
+  one ``np.add.reduceat`` over ``remaining[rack_order]``
+  (:meth:`TopologyCache.per_rack`);
+* the **rack → cloud map** — the same triple one level up
+  (``cloud_order`` over dense racks, ``cloud_starts``, and ``cloud_index[i]``,
+  node ``i``'s dense cloud; :meth:`TopologyCache.per_cloud`).
 
-**Invariants.** A cache is valid for a pool exactly while the pool's
-*effective* distance matrix is the cached one (``pool.distance_matrix is
-cache.distance``). Allocation churn never invalidates it; anything that
-changes effective distances does — :class:`~repro.cluster.dynamics.DynamicResourcePool`
-returns a liveness-masked matrix, so such pools advertise no cache (the
-kernels then sort from the live matrix instead). ``copy()``/``snapshot()``
+**Invariants.** The structure is a function of the topology and the distance
+model only, so allocation churn never invalidates it — and neither does node
+failure: a failed node exposes zero remaining capacity (it adds nothing to
+any aggregate and takes nothing in any fill) and distances between live
+nodes never change, so :class:`~repro.cluster.dynamics.DynamicResourcePool`
+shares the same cache whatever its liveness mask. ``copy()``/``snapshot()``
 share the cache: it is read-only and keyed by object identity of the
 topology and equality of the distance model.
 """
@@ -40,8 +37,24 @@ from repro.cluster.distance import DistanceModel, build_distance_matrix
 from repro.cluster.topology import Topology
 
 
+def _grouping(ids: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(order, starts, index)`` grouping positions by equal *ids*.
+
+    ``index`` is the dense group of each position, ``order`` lists positions
+    group by group (ascending inside a group) and ``starts`` marks each
+    group's first slot in ``order`` — the ``np.add.reduceat`` offsets. All
+    three come back read-only.
+    """
+    _, index = np.unique(ids, return_inverse=True)
+    order = np.argsort(index, kind="stable")
+    starts = np.searchsorted(index[order], np.arange(index.max() + 1))
+    for arr in (order, starts, index):
+        arr.flags.writeable = False
+    return order, starts, index
+
+
 class TopologyCache:
-    """Immutable distance-derived lookups shared by all pools on a topology.
+    """Immutable tier structure shared by all pools on a topology.
 
     Build via :meth:`build`; all arrays are read-only. See the module
     docstring for the field semantics and validity invariants.
@@ -51,32 +64,37 @@ class TopologyCache:
         "topology",
         "model",
         "distance",
-        "center_orders",
-        "d_sorted",
-        "tier_ranks",
-        "tier_starts",
         "rack_ids",
+        "cloud_ids",
+        "tier_distances",
+        "rack_order",
+        "rack_starts",
+        "rack_index",
+        "cloud_order",
+        "cloud_starts",
+        "cloud_index",
     )
 
     def __init__(
-        self,
-        topology: Topology,
-        model: DistanceModel,
-        distance: np.ndarray,
-        center_orders: np.ndarray,
-        d_sorted: np.ndarray,
-        tier_ranks: np.ndarray,
-        tier_starts: tuple[np.ndarray, ...],
-        rack_ids: np.ndarray,
+        self, topology: Topology, model: DistanceModel, distance: np.ndarray
     ) -> None:
         self.topology = topology
         self.model = model
         self.distance = distance
-        self.center_orders = center_orders
-        self.d_sorted = d_sorted
-        self.tier_ranks = tier_ranks
-        self.tier_starts = tier_starts
-        self.rack_ids = rack_ids
+        self.rack_ids = np.asarray(topology.rack_ids, dtype=np.int64)
+        self.cloud_ids = np.asarray(topology.cloud_ids, dtype=np.int64)
+        self.tier_distances = tuple(
+            float(d) for d in (model.intra_rack, model.inter_rack, model.inter_cloud)
+        )
+        self.rack_order, self.rack_starts, self.rack_index = _grouping(
+            self.rack_ids
+        )
+        # A rack lies in one cloud (Topology enforces it), so any member
+        # names the rack's cloud.
+        rack_cloud = self.cloud_ids[self.rack_order[self.rack_starts]]
+        self.cloud_order, self.cloud_starts, cloud_of_rack = _grouping(rack_cloud)
+        self.cloud_index = cloud_of_rack[self.rack_index]
+        self.cloud_index.flags.writeable = False
 
     @classmethod
     def build(
@@ -91,46 +109,21 @@ class TopologyCache:
         if distance is None:
             distance = build_distance_matrix(topology, model)
             distance.flags.writeable = False
-        n = distance.shape[0]
-        # D is symmetric, but take explicit columns so the cache stays
-        # correct for any validated (symmetric) matrix a pool may carry.
-        cols = np.ascontiguousarray(distance.T)  # row c == D[:, c]
-        index_rows = np.broadcast_to(np.arange(n), (n, n))
-        center_orders = np.lexsort((index_rows, cols), axis=-1)
-        d_sorted = np.take_along_axis(cols, center_orders, axis=1)
-        if n > 1:
-            steps = (d_sorted[:, 1:] != d_sorted[:, :-1]).astype(np.int64)
-            rank_in_order = np.concatenate(
-                [np.zeros((n, 1), dtype=np.int64), np.cumsum(steps, axis=1)],
-                axis=1,
-            )
-        else:
-            rank_in_order = np.zeros((n, n), dtype=np.int64)
-        tier_ranks = np.empty((n, n), dtype=np.int64)
-        np.put_along_axis(tier_ranks, center_orders, rank_in_order, axis=1)
-        tier_starts = tuple(
-            np.concatenate(
-                [[0], np.flatnonzero(rank_in_order[c, 1:] != rank_in_order[c, :-1]) + 1]
-            )
-            for c in range(n)
-        )
-        for arr in (center_orders, d_sorted, tier_ranks):
-            arr.flags.writeable = False
-        rack_ids = np.asarray(topology.rack_ids, dtype=np.int64)
-        return cls(
-            topology=topology,
-            model=model,
-            distance=distance,
-            center_orders=center_orders,
-            d_sorted=d_sorted,
-            tier_ranks=tier_ranks,
-            tier_starts=tier_starts,
-            rack_ids=rack_ids,
-        )
+        return cls(topology, model, distance)
 
     def matches(self, topology: Topology, model: DistanceModel) -> bool:
         """Whether this cache was built for exactly this topology + model."""
         return self.topology is topology and self.model == model
+
+    def per_rack(self, values: np.ndarray) -> np.ndarray:
+        """Sum per-node rows of *values* ``(n, …)`` into dense racks ``(r, …)``."""
+        return np.add.reduceat(values[self.rack_order], self.rack_starts, axis=0)
+
+    def per_cloud(self, rack_values: np.ndarray) -> np.ndarray:
+        """Sum :meth:`per_rack` rows ``(r, …)`` into dense clouds ``(q, …)``."""
+        return np.add.reduceat(
+            rack_values[self.cloud_order], self.cloud_starts, axis=0
+        )
 
     @property
     def num_nodes(self) -> int:

@@ -183,9 +183,10 @@ class OnlineHeuristic(PlacementAlgorithm):
     use_kernels:
         Run the candidate-center sweep through the vectorized kernels
         (:mod:`repro.core.placement.kernels`), which are bit-identical to
-        the reference loop but prune and batch centers as tensor
-        operations. ``False`` forces the original per-center Python loop
-        (kept for property testing and ablation).
+        the reference loop but screen every center from the rack/cloud
+        free aggregates in one pass and exact-fill only the survivors.
+        ``False`` forces the original per-center Python loop (kept for
+        property testing and ablation).
     timer:
         Optional :class:`~repro.util.timing.PhaseTimer`; when enabled it
         receives the ``admission`` / ``center_sweep`` / ``fill`` phase
@@ -354,17 +355,16 @@ class OnlineHeuristic(PlacementAlgorithm):
         obs=None,
     ):
         """Vectorized candidate sweep (bit-identical to the reference)."""
-        cache = getattr(pool, "topology_cache", None)
         sweep = kernels.sweep_best if self.stop == "best" else kernels.sweep_first
         result = sweep(
             candidates,
             demand,
             remaining,
             dist,
-            cache=cache,
+            cache=pool.topology_cache,
             rack_ids=domain_ids,
             max_vms_per_rack=cap,
-            timer=self.timer if self.timer.enabled else None,
+            timer=self.timer,
             obs=obs,
         )
         if result is None:

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.cluster.resources import ResourcePool
 from repro.core.placement.base import (
@@ -80,6 +78,11 @@ def solve_sd_milp(
     :func:`repro.core.reliability.spread_feasible`); an infeasible program
     surfaces as :class:`~repro.util.errors.SolverError`.
     """
+    # scipy is imported where it is used: nothing on a serving path solves a
+    # MILP, and the import is ~half of ``import repro.service``.
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     demand = normalize_request(request, pool.num_types)
     if (domain_ids is None) != (domain_cap is None):
         raise SolverError("domain_ids and domain_cap must be given together")
@@ -188,6 +191,9 @@ def solve_gsd_milp(
     provisioning condition); returns ``None`` otherwise. Minimizes
     ``Σ_r DC(C^r)`` exactly.
     """
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     demands = [normalize_request(r, pool.num_types) for r in requests]
     if not demands:
         return []

@@ -6,30 +6,35 @@ produce **bit-identical** results (the property tests in
 ``tests/core/test_kernels.py`` enforce this against the retained
 ``_reference_*`` implementations):
 
+* **Tier closed form** — the paper's distance matrix has four values
+  (``0 < d1 < d2 < d3``: same node / rack / cloud / elsewhere), so for a
+  fixed center Algorithm 1's ``dc`` depends only on how much of the demand
+  each tier fills. :func:`tier_bound` evaluates that for *every* center in
+  one O(n·m) pass over the per-rack and per-cloud free aggregates of a
+  :class:`~repro.cluster.topocache.TopologyCache`. Within one tier the
+  total take per type is order-invariant
+  (``min(Σ min(Lᵢ, R), todo) = min(ΣLᵢ, todo)``), so the value equals the
+  reference ``dc`` up to floating-point summation order — and is a
+  mathematical lower bound for the rack-constrained fill. It is the only
+  screen: centers whose bound cannot beat the incumbent (with a safety
+  margin dwarfing float error) are pruned without ever being sorted or
+  filled; survivors get the exact fill and the byte-for-byte reference
+  distance expression ``float(counts.astype(np.float64) @ dist[:, c])``.
+
 * **Fill order** — the reference sorts nodes by
-  ``(D[i, c], -providable_i, i)``. :func:`fill_order` reproduces that with
-  one ``np.lexsort`` (stable, last key primary). When a
-  :class:`~repro.cluster.topocache.TopologyCache` is available, the float
-  distance key is swapped for the cached integer tier ranks — a monotone
-  transform of the distance column, so the permutation is identical.
+  ``(D[i, c], -providable_i, i)``. ``providable`` does not depend on the
+  center, so :class:`TierOrders` sorts by ``(-providable, index)`` once per
+  request and a center's order is itself, then its rack, its cloud and the
+  rest, each in that one order. :func:`fill_order` without a cache (an
+  arbitrary caller-supplied matrix) is one ``np.lexsort`` on the distance
+  column.
 
 * **Cumulative-sum fill** — the reference walks the order taking
   ``min(remaining[i], todo)`` per node. Per VM type the running ``todo``
   equals ``max(demand − Σ previous caps, 0)``, so the whole column of takes
   is one exclusive cumsum + clip (:func:`fill_counts`): exactly the
-  sequential result, no loop.
-
-* **Chunked center screening** — for ``stop="best"`` the sweep evaluates
-  candidate centers in blocks as (centers × nodes × types) tensors. The
-  screening value per center is the per-type cumulative fill along the
-  *pure-distance* order (cached argsort). Within one distance tier the total
-  take per type is order-invariant, so this value equals the reference
-  ``dc`` up to floating-point summation order — and is a mathematical lower
-  bound for the rack-constrained fill. Centers whose screening value cannot
-  beat the incumbent (with a safety margin dwarfing float error) are pruned
-  without ever being sorted or filled; survivors get the exact fill and the
-  byte-for-byte reference distance expression
-  ``float(counts.astype(np.float64) @ dist[:, c])``.
+  sequential result, no loop — and a result any completing prefix of the
+  order already determines, so the fill tries the rack-local prefix first.
 
 Tie-breaking is preserved end to end: candidates are processed in the given
 order, and the incumbent only changes on ``dc < best − 1e-12`` exactly as
@@ -43,10 +48,7 @@ import time
 import numpy as np
 
 from repro.util.errors import ValidationError
-
-#: Candidate centers screened per tensor block. Bounds peak memory at
-#: CHUNK × n × m int64 while keeping the per-block Python overhead amortized.
-CHUNK = 128
+from repro.util.timing import PhaseTimer
 
 #: Safety margin factor for pruning against the incumbent: the screening
 #: value differs from the exact ``dc`` only by float summation order, which
@@ -58,12 +60,10 @@ _SCREEN_RTOL = 1e-9
 def require_rack_ids(rack_ids, max_vms_per_rack) -> None:
     """The one rack-budget precondition, shared by every entry point.
 
-    Historically this was checked lazily inside
-    :func:`fill_one_rack_limited`, so sweep paths that never reached a fill
-    (e.g. an empty candidate list) silently returned ``None`` instead of
-    rejecting the inconsistent arguments. Every budgeted entry point —
-    ``greedy_fill``, :func:`fill_one_rack_limited`, :func:`sweep_best`,
-    :func:`sweep_first` — now calls this eagerly.
+    Every budgeted entry point — ``greedy_fill``,
+    :func:`fill_one_rack_limited`, :func:`sweep_best`, :func:`sweep_first` —
+    calls this eagerly, so a sweep that never reaches a fill (an empty
+    candidate list) still rejects the inconsistent arguments.
     """
     if max_vms_per_rack is not None and rack_ids is None:
         raise ValidationError("max_vms_per_rack requires rack_ids")
@@ -86,6 +86,71 @@ def clip_to_budget(take: np.ndarray, budget: int) -> np.ndarray:
     return take
 
 
+def tier_bound(cache, free: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """Closed-form Algorithm-1 ``dc`` with every node as center, per column.
+
+    *free* is ``(n, X)`` and *need* ``(X,)``; columns are independent (VM
+    types for the sweep, whole requests for the router) and the result is
+    ``(n, X)`` float64. A nearest-first fill around center ``c`` takes
+    ``a0 = min(L[c], R)`` on the center, ``a1 = min(rack − L[c], R − a0)``
+    from its rack peers, ``a2 = min(cloud − rack, R − a0 − a1)`` from the
+    rest of its cloud and ``a3`` likewise from other clouds. Because
+    ``L[c] ≤ rack ≤ cloud ≤ total`` those are differences of the running
+    ``min(·, R)``, which is what is computed — per rack and per cloud, then
+    gathered per node.
+    """
+    d1, d2, d3 = cache.tier_distances
+    rack_free = cache.per_rack(free)
+    cloud_free = cache.per_cloud(rack_free)
+    own = np.minimum(free, need)
+    rack = np.minimum(rack_free, need)[cache.rack_index]
+    cloud = np.minimum(cloud_free, need)[cache.cloud_index]
+    total = np.minimum(cloud_free.sum(axis=0), need)
+    return d1 * (rack - own) + d2 * (cloud - rack) + d3 * (total - cloud)
+
+
+class TierOrders:
+    """One request's fill orders on a tiered topology.
+
+    Sorts nodes by ``(-providable, index)`` once; :meth:`full` then
+    reproduces the reference order ``(D[i, c], -providable, i)`` for any
+    center from two equality tests on ``rack_ids``/``cloud_ids``. A failed
+    node sits in its static tier rather than last, which no fill can see:
+    it offers nothing, so it takes nothing wherever it is visited.
+    """
+
+    __slots__ = ("cache", "base", "rack", "cloud", "rack_covers")
+
+    def __init__(self, cache, demand: np.ndarray, remaining: np.ndarray) -> None:
+        prov = np.minimum(remaining, demand[None, :]).sum(axis=1)
+        self.cache = cache
+        self.base = np.argsort(-prov, kind="stable")
+        self.rack = cache.rack_ids[self.base]
+        self.cloud = cache.cloud_ids[self.base]
+        #: per node: can its rack alone finish the demand?
+        covers = np.all(cache.per_rack(remaining) >= demand, axis=1)
+        self.rack_covers = covers[cache.rack_index]
+
+    def full(self, center: int) -> np.ndarray:
+        """All nodes: *center*, its rack, its cloud, then everything else."""
+        tier = (self.rack != self.cache.rack_ids[center]).astype(np.int8)
+        tier += self.cloud != self.cache.cloud_ids[center]
+        tier[self.base == center] = -1
+        return self.base[np.argsort(tier, kind="stable")]  # int8: radix, O(n)
+
+    def covering(self, center: int) -> np.ndarray:
+        """The prefix of :meth:`full` an unbudgeted fill can stop within.
+
+        :func:`fill_counts` is prefix-deterministic — takes along a prefix
+        do not depend on what follows — so when the center's rack covers
+        the demand the other n − rack nodes need not be ordered at all.
+        """
+        if not self.rack_covers[center]:
+            return self.full(center)
+        peers = self.base[self.rack == self.cache.rack_ids[center]]
+        return peers[np.argsort(peers != center, kind="stable")]  # center first
+
+
 def fill_order(
     center: int,
     demand: np.ndarray,
@@ -94,17 +159,19 @@ def fill_order(
     *,
     cache=None,
 ) -> np.ndarray:
-    """Node visit order for one candidate center (lexsort formulation).
+    """Node visit order for one candidate center.
 
     Sorts by ``(distance to center, -providable, index)`` — identical to the
-    reference ``sorted`` call. ``np.lexsort`` treats its *last* key as
-    primary and is stable, so the explicit index key makes the determinism
-    unconditional.
+    reference ``sorted`` call. With a *cache* the distance key is the
+    center's tier structure (:class:`TierOrders`); without one it is the
+    distance column itself, for any matrix: ``np.lexsort`` treats its *last*
+    key as primary and is stable, so the explicit index key makes the
+    determinism unconditional.
     """
-    n = remaining.shape[0]
+    if cache is not None:
+        return TierOrders(cache, demand, remaining).full(center)
     prov = np.minimum(remaining, demand[None, :]).sum(axis=1)
-    key = cache.tier_ranks[center] if cache is not None else dist[:, center]
-    return np.lexsort((np.arange(n), -prov, key))
+    return np.lexsort((np.arange(prov.size), -prov, dist[:, center]))
 
 
 def fill_counts(
@@ -128,14 +195,17 @@ def fill_one(
     remaining: np.ndarray,
     dist: np.ndarray,
     *,
-    cache=None,
+    orders: "TierOrders | None" = None,
 ) -> "np.ndarray | None":
     """Unconstrained Algorithm-1 fill around *center* (vectorized).
 
     Returns the allocation matrix or ``None`` when availability runs out —
     bit-identical to the reference ``greedy_fill`` without rack limits.
     """
-    order = fill_order(center, demand, remaining, dist, cache=cache)
+    if orders is None:
+        order = fill_order(center, demand, remaining, dist)
+    else:
+        order = orders.covering(center)
     takes = fill_counts(order, demand, remaining)
     if np.any(takes.sum(axis=0) != demand):
         return None
@@ -152,14 +222,15 @@ def fill_one_rack_limited(
     rack_ids: np.ndarray,
     max_vms_per_rack: int,
     *,
-    cache=None,
+    orders: "TierOrders | None" = None,
 ) -> "np.ndarray | None":
     """Rack-budgeted Algorithm-1 fill around *center*.
 
     The per-rack budget couples VM types through :func:`clip_to_budget`
     (later types shed first), so the take sequence is inherently
     order-dependent; only the node ordering is vectorized, the walk itself
-    mirrors the reference loop exactly.
+    mirrors the reference loop exactly — over the full order, because a
+    budget can push the fill out of a rack that could otherwise finish it.
 
     ``rack_ids`` may be any node → failure-domain map (rack ids, node ids,
     power domains…) — nothing here assumes rack granularity, which is how
@@ -171,7 +242,11 @@ def fill_one_rack_limited(
     alloc = np.zeros((n, m), dtype=np.int64)
     todo = demand.astype(np.int64).copy()
     rack_budget: dict[int, int] = {}
-    for i in fill_order(center, demand, remaining, dist, cache=cache):
+    if orders is None:
+        order = fill_order(center, demand, remaining, dist)
+    else:
+        order = orders.full(center)
+    for i in order:
         if not todo.any():
             break
         take = np.minimum(remaining[i], todo)
@@ -188,55 +263,6 @@ def fill_one_rack_limited(
     if todo.any():
         return None
     return alloc
-
-
-def _screen_distances(
-    block: np.ndarray,
-    demand: np.ndarray,
-    remaining: np.ndarray,
-    dist: np.ndarray,
-    cache,
-) -> np.ndarray:
-    """Approximate ``dc`` per candidate center in *block* (vectorized).
-
-    Runs the per-type cumulative fill for every center in the block along
-    its pure-distance node order — a (centers × nodes × types) tensor pass.
-    Equal-distance tiers contribute the same total take regardless of
-    intra-tier order, so the value matches the exact fill's ``dc`` up to
-    float summation order (and lower-bounds the rack-constrained fill).
-    """
-    if cache is not None:
-        orders = cache.center_orders[block]
-        d_sorted = cache.d_sorted[block]
-    else:
-        k = block.shape[0]
-        n = dist.shape[0]
-        cols = dist[:, block].T
-        orders = np.lexsort(
-            (np.broadcast_to(np.arange(n), (k, n)), cols), axis=-1
-        )
-        d_sorted = np.take_along_axis(cols, orders, axis=-1)
-    caps = np.minimum(remaining[orders], demand[None, None, :])
-    prev = np.cumsum(caps, axis=1) - caps
-    takes = np.minimum(caps, np.maximum(demand[None, None, :] - prev, 0))
-    counts = takes.sum(axis=2, dtype=np.float64)
-    return np.einsum("kn,kn->k", counts, d_sorted)
-
-
-def _exact_fill(
-    timer, center, demand, remaining, dist, cache, rack_ids, max_vms_per_rack
-):
-    if timer is not None:
-        with timer.phase("fill"):
-            return _exact_fill(
-                None, center, demand, remaining, dist, cache, rack_ids,
-                max_vms_per_rack,
-            )
-    if max_vms_per_rack is None:
-        return fill_one(center, demand, remaining, dist, cache=cache)
-    return fill_one_rack_limited(
-        center, demand, remaining, dist, rack_ids, max_vms_per_rack, cache=cache
-    )
 
 
 def _exact_distance(matrix: np.ndarray, dist: np.ndarray, center: int) -> float:
@@ -280,21 +306,41 @@ def _sweep_instruments(obs) -> "_SweepInstruments | None":
     return _SweepInstruments(obs)
 
 
-def _timed_fill(
-    ins, timer, center, demand, remaining, dist, cache, rack_ids, max_vms_per_rack
-):
-    if ins is None:
-        return _exact_fill(
-            timer, center, demand, remaining, dist, cache, rack_ids,
-            max_vms_per_rack,
+def _filler(demand, remaining, dist, cache, rack_ids, max_vms_per_rack, timer, obs):
+    """One sweep's exact fill, ``center → (matrix, center, dc) | None``,
+    with the fill orders and meters its candidates share."""
+    if cache is None:
+        raise ValidationError(
+            "the center sweep needs the pool's TopologyCache (pool.topology_cache)"
         )
-    started = time.perf_counter()
-    matrix = _exact_fill(
-        timer, center, demand, remaining, dist, cache, rack_ids, max_vms_per_rack
-    )
-    ins.fill_seconds.observe(time.perf_counter() - started)
-    ins.filled.inc()
-    return matrix
+    orders = TierOrders(cache, demand, remaining)
+    timer = timer if timer is not None else PhaseTimer()
+    ins = _sweep_instruments(obs)
+
+    def fill(center: int):
+        started = time.perf_counter()
+        with timer.phase("fill"):
+            if max_vms_per_rack is None:
+                matrix = fill_one(center, demand, remaining, dist, orders=orders)
+            else:
+                matrix = fill_one_rack_limited(
+                    center, demand, remaining, dist, rack_ids, max_vms_per_rack,
+                    orders=orders,
+                )
+        if ins is not None:
+            ins.fill_seconds.observe(time.perf_counter() - started)
+            ins.filled.inc()
+        if matrix is None:
+            return None
+        return matrix, center, _exact_distance(matrix, dist, center)
+
+    return fill, ins
+
+
+def _cannot_complete(demand, remaining, max_vms_per_rack) -> bool:
+    # Without rack budgets completion is center-independent: every fill
+    # reaches every node, so either all candidates complete or none does.
+    return max_vms_per_rack is None and bool(np.any(remaining.sum(axis=0) < demand))
 
 
 def sweep_best(
@@ -313,41 +359,34 @@ def sweep_best(
 
     Returns ``(matrix, center, dc)`` for the center the reference
     ``stop="best"`` loop would select (same incumbent-update rule, same tie
-    handling), or ``None`` when no candidate completes. ``obs`` (a metrics
-    registry) receives screened/pruned/filled counts and fill timings;
-    it never affects the result.
+    handling), or ``None`` when no candidate completes. *cache* is the
+    pool's :class:`~repro.cluster.topocache.TopologyCache`, required as soon
+    as there is anything to sweep. ``obs`` (a metrics registry) receives
+    screened/pruned/filled counts and fill timings; it never affects the
+    result.
     """
     require_rack_ids(rack_ids, max_vms_per_rack)
-    if max_vms_per_rack is None and np.any(remaining.sum(axis=0) < demand):
-        return None  # completion is center-independent without rack budgets
-    ins = _sweep_instruments(obs)
+    if _cannot_complete(demand, remaining, max_vms_per_rack):
+        return None
+    fill, ins = _filler(
+        demand, remaining, dist, cache, rack_ids, max_vms_per_rack, timer, obs
+    )
     candidates = np.asarray(candidates, dtype=np.int64)
+    screen = tier_bound(cache, remaining, demand).sum(axis=1)[candidates]
     best: "tuple[np.ndarray, int, float] | None" = None
     threshold = np.inf
-    for start in range(0, candidates.shape[0], CHUNK):
-        block = candidates[start : start + CHUNK]
-        screen = _screen_distances(block, demand, remaining, dist, cache)
-        if ins is not None:
-            ins.screened.inc(block.shape[0])
-        if best is not None and np.all(screen >= threshold):
-            if ins is not None:
-                ins.pruned.inc(block.shape[0])
+    pruned = 0
+    for center, bound in zip(candidates.tolist(), screen.tolist()):
+        if bound >= threshold:
+            pruned += 1
             continue
-        for pos, center in enumerate(block):
-            if best is not None and screen[pos] >= threshold:
-                if ins is not None:
-                    ins.pruned.inc()
-                continue
-            matrix = _timed_fill(
-                ins, timer, int(center), demand, remaining, dist, cache,
-                rack_ids, max_vms_per_rack,
-            )
-            if matrix is None:
-                continue
-            dc = _exact_distance(matrix, dist, int(center))
-            if best is None or dc < best[2] - 1e-12:
-                best = (matrix, int(center), dc)
-                threshold = dc - 1e-12 + _SCREEN_RTOL * (1.0 + abs(dc))
+        filled = fill(center)
+        if filled is not None and (best is None or filled[2] < best[2] - 1e-12):
+            best = filled
+            threshold = best[2] - 1e-12 + _SCREEN_RTOL * (1.0 + abs(best[2]))
+    if ins is not None:
+        ins.screened.inc(candidates.shape[0])
+        ins.pruned.inc(pruned)
     return best
 
 
@@ -365,15 +404,13 @@ def sweep_first(
 ) -> "tuple[np.ndarray, int, float] | None":
     """First candidate whose fill completes (the reference ``stop="first"``)."""
     require_rack_ids(rack_ids, max_vms_per_rack)
-    ins = _sweep_instruments(obs)
+    if _cannot_complete(demand, remaining, max_vms_per_rack):
+        return None
+    fill, _ = _filler(
+        demand, remaining, dist, cache, rack_ids, max_vms_per_rack, timer, obs
+    )
     for center in candidates:
-        matrix = _timed_fill(
-            ins, timer, int(center), demand, remaining, dist, cache,
-            rack_ids, max_vms_per_rack,
-        )
-        if matrix is None:
-            if max_vms_per_rack is None:
-                return None  # completion is center-independent: all fail
-            continue
-        return (matrix, int(center), _exact_distance(matrix, dist, int(center)))
+        filled = fill(int(center))
+        if filled is not None:
+            return filled
     return None

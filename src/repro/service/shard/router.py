@@ -5,14 +5,13 @@ request first, and who is next if it declines?* Scoring combines the two
 signals a rack-aligned partition makes cheap to read:
 
 * **estimated DC** — a lower bound on the cluster distance the shard could
-  achieve for the demand, computed from the shard's
-  :class:`~repro.cluster.topocache.TopologyCache` (per-center distance
-  argsorts) and its live free-capacity matrix: for every candidate center,
-  fill the demand greedily along the center's distance-sorted node order
-  using type-aggregated free capacity, and take the best center. This is
-  exactly the aggregate fill bound the placement kernels prune with, so a
-  shard's estimate is never above what Algorithm 1 will actually achieve
-  there.
+  achieve for the demand: the placement kernels' tier closed form
+  (:func:`repro.core.placement.kernels.tier_bound`) on the shard's
+  :class:`~repro.cluster.topocache.TopologyCache` and its live
+  free-capacity matrix aggregated over the requested types, minimized over
+  centers. This is the bound Algorithm 1 prunes with, only on coarser
+  supply, so a shard's estimate is never above what Algorithm 1 will
+  actually achieve there.
 * **free capacity** — how much headroom the shard has for the requested
   types; fuller shards are penalized so load spreads before queues build.
 
@@ -34,13 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import reliability
+from repro.core.placement.kernels import tier_bound
 from repro.service.state import ClusterState
 from repro.util.errors import ValidationError
 from repro.util.validation import as_int_matrix, as_int_vector
-
-#: Rows per vectorized fill-bound evaluation — bounds the (chunk, C, N)
-#: intermediate to a few MB regardless of how large a batch the fabric drains.
-_BATCH_CHUNK = 32
 
 
 def estimate_dc(state: ClusterState, demand: np.ndarray) -> float:
@@ -49,56 +45,39 @@ def estimate_dc(state: ClusterState, demand: np.ndarray) -> float:
     Supply is aggregated over the requested types (a node offering any mix
     of them counts fully), which can only over-promise — so the returned
     value never exceeds the distance of a real placement. ``inf`` when the
-    aggregated free capacity cannot cover the request at all.
+    aggregated free capacity cannot cover the request at all. The one-row
+    case of :func:`estimate_dc_batch`, so the two agree by construction.
     """
     demand = as_int_vector(demand, name="demand", length=state.num_types)
-    k = int(demand.sum())
-    if k == 0:
-        return 0.0
-    cache = state.topology_cache
-    if cache is None:
-        raise ValidationError("estimate_dc requires a pool with a topology cache")
-    supply = state.remaining[:, demand > 0].sum(axis=1)
-    if int(supply.sum()) < k:
-        return float("inf")
-    # Greedy fill along every center's distance-sorted order at once:
-    # take[c, p] is how many VMs center c draws from the p-th nearest node.
-    sup_ord = supply[cache.center_orders]
-    prev = np.cumsum(sup_ord, axis=1) - sup_ord
-    take = np.clip(k - prev, 0, sup_ord)
-    return float((cache.d_sorted * take).sum(axis=1).min())
+    return float(estimate_dc_batch(state, demand[None, :])[0])
 
 
 def _fill_bounds(
     state: ClusterState, demands: np.ndarray, ks: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Vectorized :func:`estimate_dc` over the rows of *demands*.
+    """Aggregated free capacity and fill bound for every row of *demands*.
 
-    Returns ``(free, est)`` — per-row aggregated free capacity (int64) and
-    the per-row fill-bound estimate (float64, ``inf`` where infeasible).
-    Every row is **bit-identical** to the scalar path: supply aggregation is
-    pure int64 arithmetic (order-independent), and the float reduction runs
-    along the same contiguous last axis with the same length, so numpy's
-    pairwise summation applies the identical blocking per row.
+    Returns ``(free, est)`` — per-row free capacity over the demanded types
+    (int64) and the per-row fill-bound estimate (float64, ``inf`` where
+    infeasible). One integer pass: a request is a column of the ``(n, B)``
+    supply matrix, the closed form treats columns independently and
+    element-wise, so a row's value does not depend on its batch.
     """
-    cache = state.topology_cache
-    if cache is None:
-        raise ValidationError("estimate_dc requires a pool with a topology cache")
-    num = demands.shape[0]
-    # supply[b, n] = free capacity of node n over request b's demanded types.
-    mask = (demands > 0).astype(np.int64)
-    supply = mask @ np.asarray(state.remaining).T  # (B, N) int64, exact
-    free = supply.sum(axis=1)
-    est = np.zeros(num, dtype=np.float64)
+    # supply[n, b] = free capacity of node n over request b's demanded types.
+    supply = np.asarray(state.remaining) @ (demands > 0).astype(np.int64).T
+    free = supply.sum(axis=0)
+    est = tier_bound(state.topology_cache, supply, ks).min(axis=0)
     est[free < ks] = np.inf
-    live = np.flatnonzero((ks > 0) & (free >= ks))
-    for start in range(0, live.size, _BATCH_CHUNK):
-        rows = live[start : start + _BATCH_CHUNK]
-        sup_ord = np.ascontiguousarray(supply[rows][:, cache.center_orders])
-        prev = np.cumsum(sup_ord, axis=2) - sup_ord
-        take = np.clip(ks[rows, None, None] - prev, 0, sup_ord)
-        est[rows] = (cache.d_sorted[None, :, :] * take).sum(axis=2).min(axis=1)
     return free, est
+
+
+def _as_demands(demands, num_types: int) -> np.ndarray:
+    demands = as_int_matrix(demands, name="demands")
+    if demands.shape[1] != num_types:
+        raise ValidationError(
+            f"demands must have {num_types} columns, got {demands.shape[1]}"
+        )
+    return demands
 
 
 def estimate_dc_batch(state: ClusterState, demands: np.ndarray) -> np.ndarray:
@@ -108,11 +87,7 @@ def estimate_dc_batch(state: ClusterState, demands: np.ndarray) -> np.ndarray:
     merely close) for every row — the fabric's batched admission relies on
     this to keep batched routing decision-identical to sequential routing.
     """
-    demands = as_int_matrix(demands, name="demands")
-    if demands.shape[1] != state.num_types:
-        raise ValidationError(
-            f"demands must have {state.num_types} columns, got {demands.shape[1]}"
-        )
+    demands = _as_demands(demands, state.num_types)
     _, est = _fill_bounds(state, demands, demands.sum(axis=1))
     return est
 
@@ -130,6 +105,38 @@ class RouteResult:
     ranked: tuple[int, ...]
     refused: tuple[int, ...]
     scores: dict[int, float]
+
+
+class _Ranking:
+    """One request's per-shard verdicts on their way to a :class:`RouteResult`
+    — the one place a score is computed, for :meth:`ShardRouter.route` and
+    :meth:`ShardRouter.route_batch` alike."""
+
+    __slots__ = ("k", "satisfiable", "waitable", "refused", "scores")
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.satisfiable: list[tuple[float, int]] = []
+        self.waitable: list[tuple[float, int]] = []
+        self.refused: list[int] = []
+        self.scores: dict[int, float] = {}
+
+    def add(self, shard_id: int, free: float, est: float) -> None:
+        """Rank a shard by score if it can place now (finite *est*), else
+        after those, by headroom."""
+        if np.isfinite(est):
+            score = (est + 1.0) * (1.0 + self.k / (free + 1.0))
+            self.satisfiable.append((score, shard_id))
+            self.scores[shard_id] = score
+        else:
+            self.waitable.append((-free, shard_id))
+            self.scores[shard_id] = float("inf")
+
+    def result(self) -> RouteResult:
+        ranked = sorted(self.satisfiable) + sorted(self.waitable)
+        return RouteResult(
+            tuple(s for _, s in ranked), tuple(self.refused), self.scores
+        )
 
 
 class ShardRouter:
@@ -176,39 +183,24 @@ class ShardRouter:
         demand = as_int_vector(
             demand, name="demand", length=self._states[0].num_types
         )
-        k = int(demand.sum())
-        satisfiable: list[tuple[float, int]] = []
-        waitable: list[tuple[float, int]] = []
-        refused: list[int] = []
-        scores: dict[int, float] = {}
+        ranking = _Ranking(int(demand.sum()))
+        ks = np.array([ranking.k], dtype=np.int64)
         for shard_id, state in enumerate(self._states):
             if shard_id in exclude:
                 continue
-            if state.exceeds_max_capacity(demand):
-                refused.append(shard_id)
+            if state.exceeds_max_capacity(demand) or (
+                target is not None
+                and reliability.refusal_reason(demand, state, target) is not None
+            ):
+                ranking.refused.append(shard_id)
                 continue
-            if target is not None:
-                if reliability.refusal_reason(demand, state, target) is not None:
-                    refused.append(shard_id)
-                    continue
-                if not reliability.can_satisfy_target(demand, state, target):
-                    free = float(state.remaining[:, demand > 0].sum())
-                    waitable.append((-free, shard_id))
-                    scores[shard_id] = float("inf")
-                    continue
-            free = float(state.remaining[:, demand > 0].sum())
-            est = estimate_dc(state, demand)
-            if np.isfinite(est):
-                score = (est + 1.0) * (1.0 + k / (free + 1.0))
-                satisfiable.append((score, shard_id))
-                scores[shard_id] = score
-            else:
-                waitable.append((-free, shard_id))
-                scores[shard_id] = float("inf")
-        satisfiable.sort()
-        waitable.sort()
-        ranked = tuple(s for _, s in satisfiable) + tuple(s for _, s in waitable)
-        return RouteResult(ranked=ranked, refused=tuple(refused), scores=scores)
+            free, est = _fill_bounds(state, demand[None, :], ks)
+            # Only the *current* free capacity blocks the spread: waitable.
+            blocked = target is not None and not reliability.can_satisfy_target(
+                demand, state, target
+            )
+            ranking.add(shard_id, float(free[0]), np.inf if blocked else float(est[0]))
+        return ranking.result()
 
     def route_batch(
         self, demands: np.ndarray, *, exclude=frozenset()
@@ -220,16 +212,10 @@ class ShardRouter:
         :func:`estimate_dc_batch` (bit-identical per row), the scores are
         assembled with the same float expressions, and ties break on the
         same ``(score, shard_id)`` sort keys. The win is constant-factor:
-        one supply matmul and one ``(chunk, C, N)`` fill kernel per shard
-        instead of ``B`` python round trips through the scorer.
+        one supply matmul and one closed-form pass per shard instead of
+        ``B`` python round trips through the scorer.
         """
-        demands = as_int_matrix(demands, name="demands")
-        num_types = self._states[0].num_types
-        if demands.shape[1] != num_types:
-            raise ValidationError(
-                f"demands must have {num_types} columns, got {demands.shape[1]}"
-            )
-        num = demands.shape[0]
+        demands = _as_demands(demands, self._states[0].num_types)
         ks = demands.sum(axis=1)
         screened: "list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]" = []
         for shard_id, state in enumerate(self._states):
@@ -240,29 +226,12 @@ class ShardRouter:
             free, est = _fill_bounds(state, demands, ks)
             screened.append((shard_id, over, free, est))
         results: "list[RouteResult]" = []
-        for row in range(num):
-            k = int(ks[row])
-            satisfiable: "list[tuple[float, int]]" = []
-            waitable: "list[tuple[float, int]]" = []
-            refused: "list[int]" = []
-            scores: "dict[int, float]" = {}
-            for shard_id, over, free_v, est_v in screened:
+        for row in range(demands.shape[0]):
+            ranking = _Ranking(int(ks[row]))
+            for shard_id, over, free, est in screened:
                 if over[row]:
-                    refused.append(shard_id)
-                    continue
-                free = float(free_v[row])
-                est = float(est_v[row])
-                if np.isfinite(est):
-                    score = (est + 1.0) * (1.0 + k / (free + 1.0))
-                    satisfiable.append((score, shard_id))
-                    scores[shard_id] = score
+                    ranking.refused.append(shard_id)
                 else:
-                    waitable.append((-free, shard_id))
-                    scores[shard_id] = float("inf")
-            satisfiable.sort()
-            waitable.sort()
-            ranked = tuple(s for _, s in satisfiable) + tuple(s for _, s in waitable)
-            results.append(
-                RouteResult(ranked=ranked, refused=tuple(refused), scores=scores)
-            )
+                    ranking.add(shard_id, float(free[row]), float(est[row]))
+            results.append(ranking.result())
         return results

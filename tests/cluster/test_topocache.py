@@ -1,4 +1,4 @@
-"""Tests for the topology-derived sorted-order cache (TopologyCache)."""
+"""Tests for the topology-derived tier structure (TopologyCache)."""
 
 import numpy as np
 import pytest
@@ -28,31 +28,59 @@ def pool():
 
 
 class TestBuild:
-    def test_center_orders_sorted_by_distance_then_index(self, pool):
+    def test_groupings_partition_nodes_by_rack_and_cloud(self, pool):
         cache = pool.topology_cache
-        dist = pool.distance_matrix
+        topo = pool.topology
         n = pool.num_nodes
-        for c in range(n):
-            order = cache.center_orders[c]
-            assert sorted(order.tolist()) == list(range(n))
-            keys = [(dist[i, c], i) for i in order]
-            assert keys == sorted(keys)
-
-    def test_d_sorted_matches_orders(self, pool):
-        cache = pool.topology_cache
-        dist = pool.distance_matrix
-        for c in range(pool.num_nodes):
+        assert sorted(cache.rack_order.tolist()) == list(range(n))
+        bounds = cache.rack_starts.tolist() + [n]
+        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            members = cache.rack_order[lo:hi]
+            assert np.all(cache.rack_index[members] == r)
+            assert len(set(topo.rack_ids[members])) == 1
+            assert members.tolist() == sorted(members.tolist())
+        assert cache.rack_starts.size == topo.num_racks
+        # one level up: dense racks grouped by cloud
+        racks = cache.cloud_order
+        assert sorted(racks.tolist()) == list(range(topo.num_racks))
+        assert cache.cloud_starts.size == topo.num_clouds
+        for i in range(n):
+            same_cloud = cache.cloud_index == cache.cloud_index[i]
             np.testing.assert_array_equal(
-                cache.d_sorted[c], dist[cache.center_orders[c], c]
+                same_cloud, topo.cloud_ids == topo.cloud_ids[i]
             )
-            assert np.all(np.diff(cache.d_sorted[c]) >= 0)
+
+    def test_per_rack_and_per_cloud_sums_match_masks(self, pool):
+        cache = pool.topology_cache
+        free = pool.remaining
+        rack_free = cache.per_rack(free)
+        cloud_free = cache.per_cloud(rack_free)
+        for i in range(pool.num_nodes):
+            in_rack = cache.rack_ids == cache.rack_ids[i]
+            in_cloud = cache.cloud_ids == cache.cloud_ids[i]
+            np.testing.assert_array_equal(
+                rack_free[cache.rack_index[i]], free[in_rack].sum(axis=0)
+            )
+            np.testing.assert_array_equal(
+                cloud_free[cache.cloud_index[i]], free[in_cloud].sum(axis=0)
+            )
 
     def test_tier_ranks_are_monotone_transform_of_distance(self, pool):
+        """The tier key the fill order sorts by — two equality tests on
+        ``rack_ids``/``cloud_ids``, the center first — orders nodes exactly
+        as the distance column does, and names its tier distance."""
         cache = pool.topology_cache
         dist = pool.distance_matrix
+        by_tier = np.array((0.0,) + cache.tier_distances)
         for c in range(pool.num_nodes):
             d = dist[:, c]
-            r = cache.tier_ranks[c]
+            r = (
+                1
+                + (cache.rack_ids != cache.rack_ids[c])
+                + (cache.cloud_ids != cache.cloud_ids[c])
+            )
+            r[c] = 0
+            np.testing.assert_array_equal(by_tier[r], d)
             # equal distances share a rank; larger distance → larger rank
             for i in range(pool.num_nodes):
                 for j in range(pool.num_nodes):
@@ -61,24 +89,31 @@ class TestBuild:
                     elif d[i] == d[j]:
                         assert r[i] == r[j]
 
-    def test_tier_starts_bound_tiers(self, pool):
-        cache = pool.topology_cache
-        for c in range(pool.num_nodes):
-            starts = cache.tier_starts[c]
-            assert starts[0] == 0
-            ds = cache.d_sorted[c]
-            boundaries = [0] + [
-                k for k in range(1, len(ds)) if ds[k] != ds[k - 1]
-            ]
-            assert starts.tolist() == boundaries
-            # first tier is the center itself at distance zero
-            assert cache.center_orders[c][0] == c
-            assert ds[0] == 0.0
-
     def test_arrays_read_only(self, pool):
         cache = pool.topology_cache
-        for arr in (cache.center_orders, cache.d_sorted, cache.tier_ranks):
+        for arr in (
+            cache.distance, cache.rack_ids, cache.cloud_ids,
+            cache.rack_order, cache.rack_starts, cache.rack_index,
+            cache.cloud_order, cache.cloud_starts, cache.cloud_index,
+        ):
             assert not arr.flags.writeable
+
+    def test_interleaved_racks_and_sparse_ids(self):
+        """Nodes of one rack need not be contiguous, nor ids dense."""
+        from repro.cluster import PhysicalNode, Topology
+
+        layout = [(7, 1), (3, 0), (7, 1), (9, 1), (3, 0), (9, 1), (3, 0)]
+        topo = Topology(
+            [
+                PhysicalNode(node_id=i, rack_id=r, cloud_id=c, capacity=[i + 1, 1, 0])
+                for i, (r, c) in enumerate(layout)
+            ]
+        )
+        cache = TopologyCache.build(topo)
+        assert cache.rack_order.tolist() == [1, 4, 6, 0, 2, 3, 5]
+        assert cache.rack_starts.tolist() == [0, 3, 5]
+        assert cache.rack_index.tolist() == [1, 0, 1, 2, 0, 2, 0]
+        assert cache.cloud_index.tolist() == [1, 0, 1, 1, 0, 1, 0]
 
     def test_matches(self, pool):
         cache = pool.topology_cache
@@ -126,19 +161,28 @@ class TestSharing:
 
 
 class TestDynamicInvalidation:
-    def test_failed_node_invalidates(self):
+    """Nothing a dynamic pool does invalidates the tier structure: a failed
+    node offers nothing and live–live distances never change."""
+
+    def test_failed_node_keeps_cache(self):
         topo = random_topology(SPEC, CATALOG, seed=11)
         pool = DynamicResourcePool(topo, CATALOG)
-        assert pool.topology_cache is not None
+        cache = pool.topology_cache
         pool.fail_node(3)
-        assert pool.topology_cache is None
+        pool.reconfigure_node(4, [0, 1, 2])
+        assert pool.topology_cache is cache
+        live = pool.active_nodes
+        np.testing.assert_array_equal(
+            pool.distance_matrix[np.ix_(live, live)],
+            cache.distance[np.ix_(live, live)],
+        )
+        assert not pool.remaining[~live].any()
 
     def test_recovery_restores_cache(self):
         topo = random_topology(SPEC, CATALOG, seed=12)
         pool = DynamicResourcePool(topo, CATALOG)
         cache = pool.topology_cache
         pool.fail_node(0)
-        assert pool.topology_cache is None
         pool.recover_node(0)
         assert pool.topology_cache is cache
 

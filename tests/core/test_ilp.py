@@ -1,5 +1,10 @@
 """Tests for the SD / GSD MILP encodings."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,29 @@ from repro.core.placement.ilp import (
 from repro.util.errors import InfeasibleRequestError
 
 from tests.conftest import make_pool
+
+
+def test_scipy_is_imported_only_by_a_milp_solve():
+    """``import repro.service`` (every run, proc worker spawn and failover
+    respawn pays it) must not pull scipy in; the first MILP solve does."""
+    code = (
+        "import sys\n"
+        "import repro.service\n"
+        "assert 'scipy' not in sys.modules, 'import repro.service pulled scipy'\n"
+        "from repro.cluster import ResourcePool, Topology, VMTypeCatalog\n"
+        "from repro.core.placement.ilp import solve_sd_milp\n"
+        "pool = ResourcePool(Topology.build(2, 2, capacity=[2, 2, 1]),\n"
+        "                    VMTypeCatalog.ec2_default())\n"
+        "assert solve_sd_milp([1, 1, 1], pool).distance == 0.0\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestSDMilp:

@@ -9,14 +9,30 @@ the matrix, the same center, the same IEEE-754 distance. Likewise
 vs the full O(k²) re-sweep. Over 200 seeded random cases are checked per
 configuration, including partially drained pools, the ``max_vms_per_rack``
 spread constraint, and ``stop="first"``.
+
+The tier closed form (``kernels.tier_bound``) has two oracles of its own:
+the (centers × nodes × types) tensor screen it replaced, kept here as
+``tensor_screen``, and the exact fill — plus ``solve_sd_exact``, the
+per-center transportation solver, for the sweep's winner.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import PoolSpec, VMTypeCatalog, random_pool
+from repro.cluster import (
+    DistanceModel,
+    DynamicResourcePool,
+    PoolSpec,
+    VMTypeCatalog,
+    random_pool,
+    random_topology,
+)
 from repro.cluster.generators import RequestSpec, random_request
+from repro.core import reliability
 from repro.core.placement import kernels
+from repro.core.placement.exact import solve_sd_exact
 from repro.core.placement.global_opt import GlobalSubOptimizer
 from repro.core.placement.greedy import (
     OnlineHeuristic,
@@ -30,6 +46,7 @@ from repro.core.placement.transfer import (
     best_exchange,
     transfer_pair,
 )
+from repro.core.problem import VirtualClusterRequest
 from repro.util.errors import ValidationError
 from repro.util.rng import ensure_rng
 
@@ -56,6 +73,47 @@ def make_case(seed: int, *, drain: bool = True):
         seed=rng,
     )
     return pool, request
+
+
+def make_dynamic_case(seed: int) -> DynamicResourcePool:
+    """A two-cloud pool of small racks with failed, reconfigured and drained
+    nodes — small enough that mid-sized requests spill past the center's
+    rack and past its cloud."""
+    rng = ensure_rng(seed)
+    spec = PoolSpec(
+        clouds=2,
+        racks=int(rng.integers(1, 4)),
+        nodes_per_rack=int(rng.integers(1, 5)),
+        capacity_high=int(rng.integers(1, 4)),
+    )
+    pool = DynamicResourcePool(
+        random_topology(spec, CATALOG, seed=seed),
+        CATALOG,
+        distance_model=DistanceModel(0.3, 0.7, 1.9) if seed % 2 else None,
+    )
+    n = pool.num_nodes
+    if rng.random() < 0.6:
+        pool.allocate(rng.integers(0, pool.remaining + 1).astype(np.int64))
+    for node in rng.choice(n, size=int(rng.integers(0, n // 3 + 1)), replace=False):
+        pool.fail_node(int(node))
+    for node in rng.integers(0, n, size=2):
+        if pool.is_active(int(node)):
+            pool.reconfigure_node(int(node), rng.integers(0, 5, size=pool.num_types))
+    return pool
+
+
+def tensor_screen(block, demand, remaining, dist) -> np.ndarray:
+    """The screen ``tier_bound`` replaced, kept as its oracle: the per-type
+    cumulative fill for every center in *block* along its pure-distance
+    node order — a (centers × nodes × types) tensor pass."""
+    k, n = block.shape[0], dist.shape[0]
+    cols = dist[:, block].T
+    orders = np.lexsort((np.broadcast_to(np.arange(n), (k, n)), cols), axis=-1)
+    d_sorted = np.take_along_axis(cols, orders, axis=-1)
+    caps = np.minimum(remaining[orders], demand[None, None, :])
+    prev = np.cumsum(caps, axis=1) - caps
+    takes = np.minimum(caps, np.maximum(demand[None, None, :] - prev, 0))
+    return np.einsum("kn,kn->k", takes.sum(axis=2, dtype=np.float64), d_sorted)
 
 
 def assert_same_allocation(a, b, context: str) -> None:
@@ -124,6 +182,144 @@ def test_place_bit_identical_on_drained_pool_sequences():
                 pool_slow.allocate(b.matrix)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"stop": "best"},
+        {"stop": "first", "center_order": "random", "seed": 5},
+        {"stop": "best", "max_vms_per_rack": 3},
+        {"stop": "first", "max_vms_per_rack": 2},
+    ],
+    ids=["best", "first-random", "best-rack3", "first-rack2"],
+)
+def test_place_bit_identical_on_dynamic_pools(config):
+    """Failed and reconfigured nodes, two clouds, requests that spill past
+    the rack and past the cloud: the tier structure is the static one, the
+    reference loop runs on the liveness-masked matrix, the bytes agree."""
+    placed = past_rack = past_cloud = 0
+    for seed in range(60):
+        pool = make_dynamic_case(seed)
+        assert pool.topology_cache is not None
+        racks, clouds = pool.topology.rack_ids, pool.topology.cloud_ids
+        rng = ensure_rng(70_000 + seed)
+        for _ in range(3):
+            request = random_request(
+                RequestSpec(low=0, high=6, min_total=2), pool.num_types, seed=rng
+            )
+            if pool.exceeds_max_capacity(request):
+                continue
+            a = OnlineHeuristic(use_kernels=True, **config).place(pool, request)
+            b = OnlineHeuristic(use_kernels=False, **config).place(pool, request)
+            a, b = a.allocation, b.allocation
+            assert_same_allocation(a, b, f"seed={seed} request={request}")
+            if a is not None:
+                used = np.flatnonzero(a.matrix.sum(axis=1))
+                assert pool.active_nodes[used].all()
+                placed += 1
+                past_rack += len(set(racks[used])) > 1
+                past_cloud += len(set(clouds[used])) > 1
+    assert placed >= 40 and past_rack >= 15 and past_cloud >= 3
+
+
+@pytest.mark.parametrize("scope", ["rack", "node"])
+def test_survivability_caps_walk_the_full_order(scope):
+    """A per-domain cap can push a fill out of a rack that could finish it,
+    so the budgeted walk must not stop at the rack-local prefix: capped
+    placements agree with the reference where the cap really binds, and
+    rack-scope ones leave a rack that had room for the whole request."""
+    target = reliability.SurvivabilityTarget(kind=scope, k=1)
+    binding = left_rack = 0
+    for seed in range(40):
+        pool, _ = make_case(seed)
+        racks = pool.topology.rack_ids
+        rng = ensure_rng(80_000 + seed)
+        for _ in range(3):
+            demand = random_request(
+                RequestSpec(low=0, high=3, min_total=2), pool.num_types, seed=rng
+            )
+            request = VirtualClusterRequest(demand=demand, survivability=target)
+            if reliability.refusal_reason(demand, pool, target) is not None:
+                continue
+            a = OnlineHeuristic(use_kernels=True).place(pool, request).allocation
+            b = OnlineHeuristic(use_kernels=False).place(pool, request).allocation
+            assert_same_allocation(a, b, f"seed={seed} demand={demand}")
+            plain = OnlineHeuristic().place(pool, demand).allocation
+            if a is None or plain is None:
+                continue
+            binding += not np.array_equal(a.matrix, plain.matrix)
+            used = np.flatnonzero(a.matrix.sum(axis=1))
+            rack_free = pool.remaining[racks == racks[a.center]].sum(axis=0)
+            left_rack += bool(np.all(rack_free >= demand) and len(set(racks[used])) > 1)
+    assert binding >= 20
+    assert left_rack >= 10 or scope == "node"
+
+
+# ------------------------------------------------------------ tier closed form
+
+
+@st.composite
+def tiered_cases(draw):
+    """Drained pools over 1–2 clouds, racks down to a single node, dyadic
+    and non-dyadic distance models."""
+    seed = draw(st.integers(0, 10_000))
+    spec = PoolSpec(
+        clouds=draw(st.integers(1, 2)),
+        racks=draw(st.integers(1, 4)),
+        nodes_per_rack=draw(st.integers(1, 5)),
+        capacity_high=draw(st.integers(1, 4)),
+    )
+    model = draw(st.sampled_from([DistanceModel(), DistanceModel(0.3, 0.7, 1.9)]))
+    pool = random_pool(spec, CATALOG, seed=seed, distance_model=model)
+    rng = ensure_rng(seed)
+    if draw(st.booleans()):
+        pool.allocate(rng.integers(0, pool.remaining + 1).astype(np.int64))
+    demand = np.asarray(
+        draw(st.lists(st.integers(0, 7), min_size=3, max_size=3)), dtype=np.int64
+    )
+    return pool, demand
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tiered_cases())
+def test_tier_bound_matches_tensor_screen_and_bounds_the_fill(case):
+    pool, demand = case
+    remaining, dist = pool.remaining, pool.distance_matrix
+    centers = np.arange(pool.num_nodes)
+    bound = kernels.tier_bound(pool.topology_cache, remaining, demand).sum(axis=1)
+    oracle = tensor_screen(centers, demand, remaining, dist)
+    # Same per-tier totals, another summation order: float64 over < 100 terms.
+    np.testing.assert_allclose(bound, oracle, rtol=1e-9, atol=1e-12)
+    for center in centers:
+        matrix = _reference_greedy_fill(int(center), demand, remaining, dist)
+        if matrix is None:
+            continue
+        dc = float(matrix.sum(axis=1).astype(np.float64) @ dist[:, center])
+        assert bound[center] <= dc + 1e-12 * (1.0 + dc)
+        capped = _reference_greedy_fill(
+            int(center), demand, remaining, dist,
+            rack_ids=pool.topology.rack_ids, max_vms_per_rack=2,
+        )
+        if capped is not None:
+            capped_dc = float(capped.sum(axis=1).astype(np.float64) @ dist[:, center])
+            assert bound[center] <= capped_dc + 1e-12 * (1.0 + capped_dc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tiered_cases())
+def test_best_sweep_attains_the_exact_optimum(case):
+    """``stop="best"`` equals the per-center transportation solver."""
+    pool, demand = case
+    if demand.sum() == 0 or pool.exceeds_max_capacity(demand):
+        return
+    got = OnlineHeuristic().place(pool, demand).allocation
+    exact = solve_sd_exact(demand, pool)
+    if exact is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got.distance == pytest.approx(exact.distance, rel=1e-12, abs=1e-12)
+
+
 # ------------------------------------------------------------ fill primitives
 
 
@@ -179,7 +375,8 @@ def test_greedy_fill_matches_reference(max_vms_per_rack):
 
 
 def test_sweep_cached_equals_uncached():
-    """The TopologyCache is a pure accelerator: same winner with or without."""
+    """The screen is a pure accelerator: the sweep on the TopologyCache picks
+    the winner of filling *every* candidate from the bare distance matrix."""
     for seed in range(30):
         pool, request = make_case(seed)
         remaining = pool.remaining
@@ -188,9 +385,14 @@ def test_sweep_cached_equals_uncached():
         with_cache = kernels.sweep_best(
             candidates, request, remaining, dist, cache=pool.topology_cache
         )
-        without = kernels.sweep_best(
-            candidates, request, remaining, dist, cache=None
-        )
+        without = None
+        for center in candidates:
+            matrix = greedy_fill(int(center), request, remaining, dist)
+            if matrix is None:
+                continue
+            dc = float(matrix.sum(axis=1).astype(np.float64) @ dist[:, center])
+            if without is None or dc < without[2] - 1e-12:
+                without = (matrix, int(center), dc)
         if with_cache is None:
             assert without is None
             continue
@@ -198,6 +400,14 @@ def test_sweep_cached_equals_uncached():
         assert with_cache[0].tobytes() == without[0].tobytes()
         assert with_cache[1] == without[1]
         assert with_cache[2] == without[2]
+
+
+def test_sweep_without_cache_is_rejected():
+    pool, request = make_case(4, drain=False)
+    candidates = np.arange(pool.num_nodes)
+    for sweep in (kernels.sweep_best, kernels.sweep_first):
+        with pytest.raises(ValidationError, match="TopologyCache"):
+            sweep(candidates, request, pool.remaining, pool.distance_matrix)
 
 
 def test_sweep_infeasible_returns_none():

@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import PoolSpec, VMTypeCatalog, random_pool
@@ -249,6 +249,8 @@ class TestHeuristicSpread:
         seed=st.integers(0, 10_000),
         demand=st.lists(st.integers(0, 3), min_size=3, max_size=3),
     )
+    # make_pool(285) has maximum capacity [7, 2, 14]: both paths must refuse.
+    @example(seed=285, demand=[0, 3, 0])
     def test_k0_bit_identical_to_unconstrained(self, seed, demand):
         demand = np.asarray(demand, dtype=np.int64)
         if demand.sum() == 0:
@@ -258,12 +260,20 @@ class TestHeuristicSpread:
             kind="rack", k=0, mtbf=900.0, mttr=100.0
         )
         heuristic = OnlineHeuristic()
-        plain = heuristic.place(
-            pool, VirtualClusterRequest(demand=demand)
-        ).allocation
-        targeted = heuristic.place(
-            pool, VirtualClusterRequest(demand=demand, survivability=target)
-        ).allocation
+
+        def outcome(request):
+            try:
+                return heuristic.place(pool, request).allocation
+            except InfeasibleRequestError as refusal:
+                return type(refusal)
+
+        plain = outcome(VirtualClusterRequest(demand=demand))
+        targeted = outcome(
+            VirtualClusterRequest(demand=demand, survivability=target)
+        )
+        if isinstance(plain, type) or isinstance(targeted, type):
+            assert plain is targeted  # both refuse, with the same error type
+            return
         if plain is None:
             assert targeted is None
             return

@@ -83,6 +83,50 @@ class TestRouter:
             if result.allocation is not None:
                 assert est <= result.allocation.distance + 1e-9
 
+    def test_estimate_dc_equals_the_per_center_order_estimate(self):
+        """The estimate the closed form replaced, kept as its oracle: fill
+        the type-aggregated supply along every center's distance-sorted node
+        order and take the best center. Under the default model every term
+        is a small integer, so the two agree exactly; the batch rows are the
+        scalar calls bit for bit under any model."""
+        from repro.cluster import DistanceModel, PoolSpec, random_pool
+        from repro.service.shard.router import estimate_dc_batch
+
+        def oracle(state, demand):
+            k = int(demand.sum())
+            supply = state.remaining[:, demand > 0].sum(axis=1)
+            if k == 0:
+                return 0.0
+            if int(supply.sum()) < k:
+                return float("inf")
+            dist = state.distance_matrix
+            n = dist.shape[0]
+            orders = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), dist.T))
+            d_sorted = np.take_along_axis(dist.T, orders, axis=1)
+            sup_ord = supply[orders]
+            prev = np.cumsum(sup_ord, axis=1) - sup_ord
+            take = np.clip(k - prev, 0, sup_ord)
+            return float((d_sorted * take).sum(axis=1).min())
+
+        rng = np.random.default_rng(4)
+        for seed in range(12):
+            spec = PoolSpec(racks=2 + seed % 3, nodes_per_rack=1 + seed % 4, clouds=1 + seed % 2)
+            for model in (None, DistanceModel(0.3, 0.7, 1.9)):
+                pool = random_pool(spec, CATALOG, seed=seed, distance_model=model)
+                pool.allocate(rng.integers(0, pool.remaining + 1))
+                state = ClusterState.from_pool(pool)
+                demands = rng.integers(0, 6, size=(16, pool.num_types))
+                demands[0] = 0
+                demands[1] = pool.remaining.sum(axis=0) + 1
+                batch = estimate_dc_batch(state, demands)
+                for row, demand in enumerate(demands):
+                    scalar = estimate_dc(state, demand)
+                    assert scalar == batch[row]
+                    if model is None:
+                        assert scalar == oracle(state, demand)
+                    else:
+                        assert scalar == pytest.approx(oracle(state, demand), rel=1e-12)
+
     def test_route_refuses_oversized_and_ranks_rest(self):
         pool = make_pool()
         fabric = make_fabric(pool)
