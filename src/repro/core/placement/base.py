@@ -16,12 +16,10 @@ Batch (GSD) algorithms conform to the analogous
 ``place_batch(pool, requests, *, rng=None, obs=None)``.
 
 Algorithms implement the ``_place`` / ``_place_batch`` hooks; the public
-methods live on the base classes and handle result wrapping, per-call
-metrics, and **deprecation shims**: the pre-protocol argument order
-(``place(request, pool)``, ``place_batch(requests, pool)``) still works —
-detected by which positional argument is the :class:`ResourcePool` — but
-warns once per class and returns the legacy raw ``Allocation | None`` (or
-list thereof) so existing callers keep their semantics while they migrate.
+methods live on the base classes and handle result wrapping and per-call
+metrics. A first argument that is not a :class:`ResourcePool` — the
+pre-protocol ``place(request, pool)`` order included — is a
+:class:`~repro.util.errors.ValidationError`.
 
 Outcomes follow the paper's admission semantics:
 
@@ -34,7 +32,6 @@ from __future__ import annotations
 
 import abc
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,24 +41,6 @@ from repro.core.problem import Allocation, VirtualClusterRequest
 from repro.obs.registry import DISTANCE_BUCKETS, ensure_registry
 from repro.util.errors import InfeasibleRequestError, ValidationError
 from repro.util.validation import as_int_vector
-
-#: Classes that have already emitted the legacy-argument-order warning.
-_legacy_warned: set[type] = set()
-
-
-def _warn_legacy(cls: type, method: str) -> None:
-    if cls in _legacy_warned:
-        return
-    _legacy_warned.add(cls)
-    legacy = "requests, pool" if method == "place_batch" else "request, pool"
-    warnings.warn(
-        f"{cls.__name__}.{method}({legacy}) argument order is deprecated; "
-        f"pass the pool first ({method}(pool, ...)) — see docs/API.md for "
-        "the migration guide and deprecation timeline",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 def normalize_request(
     request: "VirtualClusterRequest | np.ndarray | list[int]", num_types: int
@@ -141,23 +120,15 @@ def _call_metrics(algorithm: str, allocation: "Allocation | None") -> dict:
     }
 
 
-def _split_single(method: str, cls: type, pool, request):
-    """Resolve the (pool, request) pair for either argument order.
-
-    Returns ``(pool, request, legacy)``; warns once per class on the
-    deprecated ``(request, pool)`` order.
-    """
-    if isinstance(pool, ResourcePool):
-        if request is None:
-            raise ValidationError(f"{method}(pool, request): request is required")
-        return pool, request, False
-    if isinstance(request, ResourcePool):
-        _warn_legacy(cls, method)
-        return request, pool, True
-    raise ValidationError(
-        f"{method} expects a ResourcePool as the first argument "
-        f"(got {type(pool).__name__}, {type(request).__name__})"
-    )
+def _require_pool(method: str, pool, what) -> None:
+    """The protocol's one shape check: *pool* first, then *what* to place."""
+    if not isinstance(pool, ResourcePool):
+        raise ValidationError(
+            f"{method} expects a ResourcePool as the first argument "
+            f"(got {type(pool).__name__}, {type(what).__name__})"
+        )
+    if what is None:
+        raise ValidationError(f"{method}(pool, ...): nothing to place was given")
 
 
 class PlacementAlgorithm(abc.ABC):
@@ -187,21 +158,14 @@ class PlacementAlgorithm(abc.ABC):
 
     def place(
         self,
-        pool: "ResourcePool | VirtualClusterRequest | np.ndarray",
-        request: "VirtualClusterRequest | np.ndarray | ResourcePool | None" = None,
+        pool: ResourcePool,
+        request: "VirtualClusterRequest | np.ndarray | None" = None,
         *,
         rng=None,
         obs=None,
-    ) -> "PlacementResult | Allocation | None":
-        """Place *request* into *pool*; returns a :class:`PlacementResult`.
-
-        The deprecated ``place(request, pool)`` order is still accepted
-        (warns once per class) and returns the legacy raw
-        ``Allocation | None``.
-        """
-        pool, request, legacy = _split_single("place", type(self), pool, request)
-        if legacy:
-            return self._place(pool, request, rng=rng, obs=obs)
+    ) -> PlacementResult:
+        """Place *request* into *pool*; returns a :class:`PlacementResult`."""
+        _require_pool("place", pool, request)
         registry = ensure_registry(obs)
         requests_total = registry.counter(
             "repro_placement_requests_total",
@@ -238,27 +202,16 @@ class PlacementAlgorithm(abc.ABC):
 
     def place_and_commit(
         self,
-        pool: "ResourcePool | VirtualClusterRequest | np.ndarray",
-        request: "VirtualClusterRequest | np.ndarray | ResourcePool | None" = None,
+        pool: ResourcePool,
+        request: "VirtualClusterRequest | np.ndarray | None" = None,
         *,
         rng=None,
         obs=None,
-    ) -> "PlacementResult | Allocation | None":
-        """:meth:`place`, then commit the allocation to the pool if placed.
-
-        Follows the same dual argument-order rules as :meth:`place`.
-        """
-        pool_, request_, legacy = _split_single(
-            "place_and_commit", type(self), pool, request
-        )
-        if legacy:
-            alloc = self._place(pool_, request_, rng=rng, obs=obs)
-            if alloc is not None:
-                pool_.allocate(alloc.matrix)
-            return alloc
-        result = self.place(pool_, request_, rng=rng, obs=obs)
+    ) -> PlacementResult:
+        """:meth:`place`, then commit the allocation to the pool if placed."""
+        result = self.place(pool, request, rng=rng, obs=obs)
         if result.placed:
-            pool_.allocate(result.allocation.matrix)
+            pool.allocate(result.allocation.matrix)
         return result
 
     def __repr__(self) -> str:
@@ -287,29 +240,13 @@ class BatchPlacementAlgorithm(abc.ABC):
 
     def place_batch(
         self,
-        pool: "ResourcePool | list",
-        requests: "list | ResourcePool | None" = None,
+        pool: ResourcePool,
+        requests: "list | None" = None,
         *,
         rng=None,
         obs=None,
     ) -> list["Allocation | None"]:
-        """Place every request in the batch against *pool*.
-
-        The deprecated ``place_batch(requests, pool)`` order is accepted
-        with a once-per-class warning. Both orders return the legacy
-        ``list[Allocation | None]`` (per-entry results; batch callers
-        aggregate their own metrics via ``obs``).
-        """
-        if isinstance(pool, ResourcePool):
-            if requests is None:
-                raise ValidationError(
-                    "place_batch(pool, requests): requests is required"
-                )
-            return self._place_batch(pool, requests, rng=rng, obs=obs)
-        if isinstance(requests, ResourcePool):
-            _warn_legacy(type(self), "place_batch")
-            return self._place_batch(requests, pool, rng=rng, obs=obs)
-        raise ValidationError(
-            "place_batch expects a ResourcePool as the first argument "
-            f"(got {type(pool).__name__}, {type(requests).__name__})"
-        )
+        """Place every request in the batch against *pool*; per-entry
+        allocations (batch callers aggregate their own metrics via ``obs``)."""
+        _require_pool("place_batch", pool, requests)
+        return self._place_batch(pool, requests, rng=rng, obs=obs)

@@ -25,18 +25,20 @@ Modules
 ``checkpoint``
     JSON snapshot/restore of the full allocator state.
 ``transports``
-    The pluggable :class:`Transport`/:class:`Codec` protocol pair and the
-    transport registry (``resolve_transport``).
+    The transport registry (:class:`Transport`, ``resolve_transport``) and
+    the threaded-listener substrate every blocking TCP server shares.
 ``transport``
-    The thread-per-connection transport: TCP endpoint and blocking client
-    (stdlib only), codec-negotiating.
+    The serving protocol, once: :class:`ServingSession` answers every
+    envelope (hello and codec switch, the op table, resync-or-drop after a
+    bad frame) for whichever endpoint drives it. Also the thread-per-
+    connection endpoint and the blocking client (stdlib only).
 ``aio``
-    The asyncio transport: one event loop multiplexing every connection,
-    bounded per-connection write buffers, cross-connection admission
-    batching.
+    The asyncio endpoint: one event loop driving a session per connection,
+    bounded per-connection buffers, cross-connection admission batching.
 ``codec``
     Envelope codecs: line JSON and the compact binary framing, negotiated
-    per connection on the serving protocol's hello exchange.
+    per connection on the hello exchange; one sans-IO decoder per codec is
+    the only frame parser, pumped by ``read_op`` wherever reads block.
 ``factory``
     :func:`build_fabric` — the one construction path for every serving
     topology (thread/proc workers, optional supervision/coordination);
@@ -105,15 +107,8 @@ from repro.service.checkpoint import (
     save_checkpoint,
     state_from_checkpoint,
 )
-from repro.service.transport import ServiceClient, ServiceEndpoint
-from repro.service.transports import (
-    TRANSPORTS,
-    Codec,
-    Connection,
-    ServerHandle,
-    Transport,
-    resolve_transport,
-)
+from repro.service.transport import ServiceClient, ServiceEndpoint, ServingSession
+from repro.service.transports import TRANSPORTS, Transport, resolve_transport
 from repro.service.codec import (
     CODECS,
     SUPPORTED_CODECS,
@@ -193,11 +188,9 @@ __all__ = [
     "state_from_checkpoint",
     "ServiceClient",
     "ServiceEndpoint",
+    "ServingSession",
     "AioServiceEndpoint",
     "Transport",
-    "Codec",
-    "Connection",
-    "ServerHandle",
     "TRANSPORTS",
     "resolve_transport",
     "CODECS",

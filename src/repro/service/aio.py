@@ -13,13 +13,14 @@ one dedicated thread:
   exactly the thread endpoint's semantics, while a pipelining client gets
   replies in submission order.
 * **bounded buffers and backpressure** — each connection caps decoded ops
-  awaiting responses (``max_pending_ops``); past the cap the reader simply
-  stops reading, letting TCP flow control push back on the client. Writes
-  go through ``drain()`` against bounded transport write buffers
-  (``write_buffer_bytes``), so one slow consumer cannot balloon memory.
-* **codec negotiation** — the same ``hello`` exchange as the threaded
-  endpoint (see :mod:`repro.service.codec`); the reader switches its sans-IO
-  decoder immediately, the writer after flushing the hello reply.
+  awaiting responses (:data:`MAX_PENDING_OPS`); past the cap the reader
+  simply stops reading, letting TCP flow control push back on the client.
+  Writes go through ``drain()`` against bounded transport write buffers
+  (:data:`WRITE_BUFFER_BYTES`), so one slow consumer cannot balloon memory.
+* **one protocol** — every envelope is answered by the connection's
+  :class:`~repro.service.transport.ServingSession`, the same object the
+  threaded endpoint drives; this module only moves bytes into its decoder
+  and ``(codec, reply)`` items out through the FIFO.
 * **cross-connection admission batching** — placements arriving on *any*
   connection within one loop tick are submitted together through the
   service's ``submit_batch`` (when it has one: the sharded fabric routes
@@ -35,22 +36,13 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import operator
 import threading
 
-from repro.service.api import message_from_doc, message_to_doc
-from repro.service.codec import (
-    JsonLineCodec,
-    SUPPORTED_CODECS,
-    error_response,
-    resolve_codec,
-)
-from repro.service.transport import (
-    DECISION_TIMEOUT,
-    dispatch_sync,
-    hello_response,
-    submit_place,
-)
-from repro.util.errors import TransportError, ValidationError
+from repro.service.api import PlaceRequest
+from repro.service.codec import SUPPORTED_CODECS, error_response
+from repro.service.transport import DECISION_TIMEOUT, ServingSession, decision_reply
+from repro.util.errors import TransportError
 
 _log = logging.getLogger(__name__)
 
@@ -58,37 +50,39 @@ __all__ = ["AioServiceEndpoint"]
 
 #: Per-connection cap on decoded-but-unanswered ops; past it the reader
 #: stops consuming bytes and TCP backpressure reaches the client.
-DEFAULT_MAX_PENDING_OPS = 256
+MAX_PENDING_OPS = 256
 
 #: High-water mark for each connection's kernel-side write buffer.
-DEFAULT_WRITE_BUFFER_BYTES = 256 * 1024
+WRITE_BUFFER_BYTES = 256 * 1024
 
 _CLOSE = object()
 
+#: What a session pulls envelopes with: whatever is already buffered while
+#: the stream is open, the decoder's end-of-stream rule once it has ended.
+_DECODED = operator.methodcaller("next_op")
+_ENDED = operator.methodcaller("end")
+
 
 class _Connection:
-    """Per-connection state: decoder, response FIFO, backpressure gate."""
+    """Per-connection state: session, response FIFO, backpressure gate."""
 
-    def __init__(self, endpoint: "AioServiceEndpoint", reader, writer) -> None:
-        self.endpoint = endpoint
+    def __init__(self, session: ServingSession, reader, writer) -> None:
+        self.session = session
         self.reader = reader
         self.writer = writer
-        self.codec = JsonLineCodec()
-        self.decoder = self.codec.decoder()
         self.responses: "asyncio.Queue" = asyncio.Queue()
         self.pending = 0
         self.room = asyncio.Event()
         self.room.set()
-        self.closing = False
 
     def track(self) -> None:
         self.pending += 1
-        if self.pending >= self.endpoint.max_pending_ops:
+        if self.pending >= MAX_PENDING_OPS:
             self.room.clear()
 
     def untrack(self) -> None:
         self.pending -= 1
-        if self.pending < self.endpoint.max_pending_ops:
+        if self.pending < MAX_PENDING_OPS:
             self.room.set()
 
 
@@ -109,15 +103,9 @@ class AioServiceEndpoint:
         host: str = "127.0.0.1",
         port: int = 0,
         codecs: "tuple[str, ...]" = SUPPORTED_CODECS,
-        max_pending_ops: int = DEFAULT_MAX_PENDING_OPS,
-        write_buffer_bytes: int = DEFAULT_WRITE_BUFFER_BYTES,
     ) -> None:
-        if max_pending_ops < 1:
-            raise ValidationError("max_pending_ops must be >= 1")
         self.service = service
         self.codecs = tuple(codecs)
-        self.max_pending_ops = max_pending_ops
-        self.write_buffer_bytes = write_buffer_bytes
         self._host = host
         self._port = port
         self._loop: "asyncio.AbstractEventLoop | None" = None
@@ -210,10 +198,10 @@ class AioServiceEndpoint:
 
     async def _handle_connection(self, reader, writer) -> None:
         try:
-            writer.transport.set_write_buffer_limits(high=self.write_buffer_bytes)
+            writer.transport.set_write_buffer_limits(high=WRITE_BUFFER_BYTES)
         except (AttributeError, RuntimeError):  # pragma: no cover - exotic transports
             pass
-        conn = _Connection(self, reader, writer)
+        conn = _Connection(ServingSession(self.service, self.codecs), reader, writer)
         handler_task = asyncio.current_task()
         writer_task = asyncio.create_task(self._write_responses(conn))
         for task in (handler_task, writer_task):
@@ -234,112 +222,64 @@ class AioServiceEndpoint:
             writer.close()
 
     async def _read_loop(self, conn: _Connection) -> None:
-        while True:
+        session = conn.session
+        pull = _DECODED
+        while session.open:
             await conn.room.wait()
             data = await conn.reader.read(1 << 16)
-            if not data:
-                return  # EOF; bytes stuck mid-frame are owed no reply
-            conn.decoder.feed(data)
-            while True:
-                try:
-                    envelope = conn.decoder.next_op()
-                except TransportError as exc:
-                    conn.track()
-                    await conn.responses.put({"ok": False, "error": str(exc)})
-                    if conn.codec.resync_on_error:
-                        continue  # line decoder re-synced at the newline
-                    conn.closing = True
-                    return
-                if envelope is None:
+            if data:
+                session.decoder.feed(data)
+            else:
+                pull = _ENDED  # answer what is stuck mid-frame, then go
+            while session.open:
+                answer = session.next(pull)
+                if answer is None:
                     break
-                self._handle_envelope(conn, envelope)
-                if conn.closing:
-                    return
-
-    def _handle_envelope(self, conn: _Connection, envelope: dict) -> None:
-        conn.track()
-        try:
-            if "op" not in envelope:
-                raise ValidationError("envelope must be an object with an 'op'")
-            op = envelope["op"]
-            if op == "hello":
-                response, chosen = hello_response(envelope, self.codecs)
-                if chosen != conn.codec.name:
-                    # Reader switches now (subsequent bytes arrive in the new
-                    # codec); the writer switches after flushing this reply.
-                    residual = conn.decoder.take_buffered()
-                    conn.codec = resolve_codec(chosen)
-                    conn.decoder = conn.codec.decoder()
-                    conn.decoder.feed(residual)
-                    conn.responses.put_nowait(("switch", response, chosen))
-                else:
-                    conn.responses.put_nowait(response)
+                codec, reply = answer
+                if isinstance(reply, PlaceRequest):
+                    reply = self._enqueue_place(reply)
+                conn.track()
+                conn.responses.put_nowait((codec, reply))
+            if not data:
                 return
-            if op == "place":
-                self._enqueue_place(conn, envelope)
-                return
-            conn.responses.put_nowait(dispatch_sync(self.service, envelope))
-        except Exception as exc:  # never kill the connection
-            conn.responses.put_nowait(error_response(exc))
 
     # -------------------------------------------------------------- placing
 
-    def _enqueue_place(self, conn: _Connection, envelope: dict) -> None:
+    def _enqueue_place(self, message: PlaceRequest) -> "asyncio.Future":
         """Queue a placement into this loop tick's cross-connection batch.
 
-        The response slot (an asyncio future) enters the connection's FIFO
-        immediately, preserving reply order; the submission itself is
-        deferred to :meth:`_flush_batch` so every placement that arrived in
-        the same tick — across all connections — goes through one
-        ``submit_batch`` routing pass.
+        The returned response slot (an asyncio future) enters the
+        connection's FIFO immediately, preserving reply order; the
+        submission itself is deferred to :meth:`_flush_batch` so every
+        placement that arrived in the same tick — across all connections —
+        goes through one ``submit_batch`` routing pass.
         """
         slot = self._loop.create_future()
-        conn.responses.put_nowait(("place", slot))
         if not self._batch:
             self._loop.call_soon(self._flush_batch)
-        self._batch.append((conn, envelope, slot))
+        self._batch.append((message, slot))
+        return slot
 
     def _flush_batch(self) -> None:
         batch, self._batch = self._batch, []
-        if not batch:
-            return
-        submit_batch = getattr(self.service, "submit_batch", None)
-        if submit_batch is not None and len(batch) > 1:
-            self._submit_many(batch, submit_batch)
-        else:
-            for conn, envelope, slot in batch:
-                self._submit_one(conn, envelope, slot)
-
-    def _submit_many(self, batch, submit_batch) -> None:
-        # Every slot is resolved whatever is raised: this runs as a loop
-        # callback for a batch shared across connections, so an escaping
-        # exception would leave every client in the tick without a reply.
-        decoded = []
-        for conn, envelope, slot in batch:
+        submit = getattr(self.service, "submit_batch", None)
+        groups = [batch]
+        if submit is None or len(batch) == 1:
+            groups = [[entry] for entry in batch]
+            submit = lambda messages: [self.service.submit(messages[0])]  # noqa: E731
+        for group in groups:
+            # Every slot is resolved whatever is raised: this runs as a loop
+            # callback for a batch shared across connections, so an escaping
+            # exception would leave every client in the tick without a reply.
             try:
-                message = message_from_doc(envelope.get("message", {}), "place")
+                tickets = submit([message for message, _ in group])
             except Exception as exc:
-                self._resolve_slot(slot, error_response(exc))
+                for _, slot in group:
+                    if not slot.done():
+                        slot.set_result(error_response(exc))
                 continue
-            decoded.append((message, slot))
-        if not decoded:
-            return
-        try:
-            tickets = submit_batch([message for message, _ in decoded])
-        except Exception as exc:
-            for _, slot in decoded:
-                self._resolve_slot(slot, error_response(exc))
-            return
-        for (message, slot), ticket in zip(decoded, tickets):
-            self._bridge_ticket(message, ticket, slot)
-
-    def _submit_one(self, conn: _Connection, envelope: dict, slot) -> None:
-        try:
-            message, ticket = submit_place(self.service, envelope)
-        except Exception as exc:
-            self._resolve_slot(slot, error_response(exc))
-            return
-        self._bridge_ticket(message, ticket, slot)
+            for (message, slot), ticket in zip(group, tickets):
+                self._bridge_ticket(message, ticket, slot)
 
     def _bridge_ticket(self, message, ticket, slot) -> None:
         """Resolve *slot* with the ticket's decision, from any thread."""
@@ -351,7 +291,7 @@ class AioServiceEndpoint:
                 return
             if timeout_handle is not None:
                 timeout_handle.cancel()
-            slot.set_result({"ok": True, "decision": message_to_doc(decision)})
+            slot.set_result(decision_reply(decision))
 
         def on_decision(decision) -> None:
             try:
@@ -370,40 +310,26 @@ class AioServiceEndpoint:
 
         def give_up() -> None:
             if not slot.done():
-                slot.set_result(
-                    {"ok": False, "error": "placement decision timed out"}
-                )
+                slot.set_result(decision_reply(None))
 
         timeout_handle = loop.call_later(DECISION_TIMEOUT, on_timeout)
         ticket.add_done_callback(on_decision)
 
-    def _resolve_slot(self, slot, doc: dict) -> None:
-        if not slot.done():
-            slot.set_result(doc)
-
     # -------------------------------------------------------------- writing
 
     async def _write_responses(self, conn: _Connection) -> None:
-        codec = conn.codec
         while True:
             item = await conn.responses.get()
             if item is _CLOSE:
                 return
-            switch_to = None
-            if isinstance(item, tuple):
-                if item[0] == "switch":
-                    _, doc, switch_to = item
-                else:  # ("place", future)
-                    doc = await item[1]
-            else:
-                doc = item
+            codec, reply = item
+            if not isinstance(reply, dict):
+                reply = await reply  # a placement's slot
             try:
-                conn.writer.write(codec.encode_op(doc))
+                conn.writer.write(codec.encode_op(reply))
                 await conn.writer.drain()
             except (ConnectionError, OSError, TransportError):
-                conn.closing = True
+                conn.session.open = False
                 return
             finally:
                 conn.untrack()
-            if switch_to is not None:
-                codec = resolve_codec(switch_to)

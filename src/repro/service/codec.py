@@ -2,7 +2,7 @@
 
 Every link in the package exchanges *envelopes* — small JSON-shaped
 dicts (``{"op": ..., "message": {...}}`` requests, ``{"ok": true, ...}``
-replies). A :class:`Codec` owns the byte representation of one envelope:
+replies). A codec owns the byte representation of one envelope:
 
 * :class:`JsonLineCodec` — one compact UTF-8 JSON document per ``\\n``
   terminated line. This is the historical serving format; every peer
@@ -22,12 +22,13 @@ client — simply stays on line JSON; nothing about the legacy exchange
 changed. The internal links (:mod:`repro.service.wire`) negotiate nothing:
 past their own hello they always speak :class:`BinaryCodec`.
 
-Each codec exposes the blocking file-object surface the threaded
-transports use (``encode_op``/``decode_op``) *and* a sans-IO incremental
-:meth:`Codec.decoder` (``feed`` bytes, iterate decoded envelopes) that the
-asyncio transport drives from its protocol callbacks. Both surfaces share
-one parser, so fault behavior (oversize frames, truncation, garbage) is
-identical on every transport.
+Each codec encodes with ``encode_op`` and decodes through one sans-IO
+incremental ``decoder()`` (``feed`` bytes, ``next_op`` envelopes, ``end`` at
+EOF), the only frame parser per codec: the asyncio endpoint drives it from
+its reader task, and every blocking reader — the thread endpoint,
+``ServiceClient``, ``wire.Channel`` — pumps it with :func:`read_op`. A frame
+``encode_op`` refuses is a frame the decoder refuses, and fault behavior
+(oversize frames, truncation, garbage) is identical on every transport.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ MAX_OP_BYTES = 1 << 20
 #: switched to binary fails fast with a typed error, not a JSON parse of
 #: garbage.
 BINARY_MAGIC = 0xB1
+
+#: How much :func:`read_op` asks its stream for at a time.
+_READ_CHUNK = 1 << 16
 
 # ----------------------------------------------------------- binary packing
 #
@@ -203,47 +207,19 @@ def _unpack_from(data: bytes, offset: int):
 
 
 # ----------------------------------------------------------------- decoders
+#
+# The only code that parses a frame (see the module docstring).
 
 
-class _LineDecoder:
-    """Sans-IO incremental decoder for :class:`JsonLineCodec`.
-
-    An overlong line is discarded in bounded memory (never buffered whole):
-    the decoder drops bytes until the terminating newline, then raises the
-    oversize error exactly once — leaving the stream re-synced at the next
-    frame, matching the blocking :meth:`JsonLineCodec.decode_op`.
-    """
+class _Decoder:
+    """What the two framings share: the buffer and the end-of-stream rule."""
 
     def __init__(self, max_bytes: int) -> None:
         self._buf = bytearray()
         self._max = max_bytes
-        self._discarding = False
 
     def feed(self, data: bytes) -> None:
         self._buf += data
-
-    def next_op(self) -> "dict | None":
-        """One decoded envelope, or ``None`` until more bytes arrive."""
-        idx = self._buf.find(b"\n")
-        if self._discarding:
-            if idx < 0:
-                self._buf.clear()
-                return None
-            del self._buf[: idx + 1]
-            self._discarding = False
-            raise TransportError(f"frame exceeds {self._max} bytes")
-        if idx < 0:
-            if len(self._buf) > self._max:
-                self._buf.clear()
-                self._discarding = True
-            return None
-        raw = bytes(self._buf[:idx])
-        del self._buf[: idx + 1]
-        if len(raw) > self._max:
-            raise TransportError(f"frame exceeds {self._max} bytes")
-        if not raw.strip():
-            return self.next_op()
-        return parse_json_envelope(raw)
 
     @property
     def buffered(self) -> int:
@@ -255,16 +231,55 @@ class _LineDecoder:
         self._buf.clear()
         return raw
 
+    def end(self) -> None:
+        """The stream ended: bytes stuck mid-frame are a typed truncation
+        (raised once — they are dropped), a frame boundary is a clean EOF."""
+        stuck = len(self._buf)
+        self._buf.clear()
+        if stuck:
+            raise TransportError(
+                f"truncated frame: stream ended {stuck} byte(s) into one"
+            )
 
-class _FrameDecoder:
+
+class _LineDecoder(_Decoder):
+    """Sans-IO incremental decoder for :class:`JsonLineCodec`.
+
+    A line counts against the budget with its terminator, exactly as
+    :meth:`JsonLineCodec.encode_op` counts it. An overlong line is discarded
+    in bounded memory (never buffered whole): the decoder drops bytes until
+    the terminating newline, then raises the oversize error exactly once —
+    leaving the stream re-synced at the next frame.
+    """
+
+    _discarding = False
+
+    def next_op(self) -> "dict | None":
+        """One decoded envelope, or ``None`` until more bytes arrive."""
+        while True:
+            idx = self._buf.find(b"\n")
+            if idx < 0:
+                if self._discarding or len(self._buf) >= self._max:
+                    self._buf.clear()
+                    self._discarding = True
+                return None
+            raw = bytes(self._buf[:idx])
+            del self._buf[: idx + 1]
+            if self._discarding or idx >= self._max:
+                self._discarding = False
+                raise TransportError(f"frame exceeds {self._max} bytes")
+            if raw.strip():
+                return parse_json_envelope(raw)
+
+    def end(self) -> None:
+        if self._discarding:  # the overlong line never ended
+            self._discarding = False
+            raise TransportError(f"frame exceeds {self._max} bytes")
+        super().end()
+
+
+class _FrameDecoder(_Decoder):
     """Sans-IO incremental decoder for :class:`BinaryCodec`."""
-
-    def __init__(self, max_bytes: int) -> None:
-        self._buf = bytearray()
-        self._max = max_bytes
-
-    def feed(self, data: bytes) -> None:
-        self._buf += data
 
     def next_op(self) -> "dict | None":
         if len(self._buf) < 5:
@@ -279,22 +294,31 @@ class _FrameDecoder:
             raise TransportError(f"frame of {length} bytes exceeds {self._max}")
         if len(self._buf) < 5 + length:
             return None
-        payload = bytes(self._buf[5 : 5 + length])
+        with memoryview(self._buf) as view:  # one copy, not slice-then-bytes
+            payload = bytes(view[5 : 5 + length])
         del self._buf[: 5 + length]
         doc = unpack(payload)
         if not isinstance(doc, dict):
             raise TransportError("binary envelope must decode to an object")
         return doc
 
-    @property
-    def buffered(self) -> int:
-        return len(self._buf)
 
-    def take_buffered(self) -> bytes:
-        """Drain and return undecoded bytes (used across a codec switch)."""
-        raw = bytes(self._buf)
-        self._buf.clear()
-        return raw
+def read_op(stream, decoder) -> "dict | None":
+    """Blocking read of one envelope: pump *stream* into *decoder*.
+
+    *stream* is any buffered binary reader (``read1``); *decoder* persists
+    across calls, so bytes read past one frame are the start of the next.
+    ``None`` on a clean EOF; an EOF mid-frame is the decoder's truncation
+    :class:`TransportError`.
+    """
+    while True:
+        doc = decoder.next_op()
+        if doc is not None:
+            return doc
+        data = stream.read1(_READ_CHUNK)
+        if not data:
+            return decoder.end()
+        decoder.feed(data)
 
 
 def parse_json_envelope(raw: bytes) -> dict:
@@ -342,26 +366,6 @@ class JsonLineCodec:
             )
         return raw
 
-    def decode_op(self, rfile) -> "dict | None":
-        """Blocking read of one envelope; ``None`` on clean EOF."""
-        while True:
-            raw = rfile.readline(self.max_bytes + 1)
-            if not raw:
-                return None
-            if len(raw) > self.max_bytes:
-                if not raw.endswith(b"\n"):
-                    # Discard the oversized line's tail in bounded chunks so
-                    # the stream is re-synced at the next frame boundary —
-                    # the overlong frame is rejected without buffering it.
-                    while True:
-                        chunk = rfile.readline(1 << 16)
-                        if not chunk or chunk.endswith(b"\n"):
-                            break
-                raise TransportError(f"frame exceeds {self.max_bytes} bytes")
-            if not raw.strip():
-                continue
-            return parse_json_envelope(raw.rstrip(b"\n"))
-
     def decoder(self) -> _LineDecoder:
         return _LineDecoder(self.max_bytes)
 
@@ -385,31 +389,6 @@ class BinaryCodec:
             )
         return struct.pack(">BI", BINARY_MAGIC, len(payload)) + payload
 
-    def decode_op(self, rfile) -> "dict | None":
-        header = rfile.read(5)
-        if not header:
-            return None
-        if len(header) != 5:
-            raise TransportError("truncated binary frame header")
-        magic, length = struct.unpack(">BI", header)
-        if magic != BINARY_MAGIC:
-            raise TransportError(
-                f"expected binary frame magic 0x{BINARY_MAGIC:02X}, "
-                f"got 0x{magic:02X}"
-            )
-        if length > self.max_bytes:
-            raise TransportError(f"frame of {length} bytes exceeds {self.max_bytes}")
-        payload = rfile.read(length)
-        if payload is None or len(payload) != length:
-            raise TransportError(
-                f"truncated binary frame: wanted {length} bytes, got "
-                f"{0 if not payload else len(payload)}"
-            )
-        doc = unpack(payload)
-        if not isinstance(doc, dict):
-            raise TransportError("binary envelope must decode to an object")
-        return doc
-
     def decoder(self) -> _FrameDecoder:
         return _FrameDecoder(self.max_bytes)
 
@@ -422,7 +401,7 @@ CODECS: dict[str, type] = {"binary": BinaryCodec, "json": JsonLineCodec}
 SUPPORTED_CODECS: tuple[str, ...] = tuple(CODECS)
 
 
-def resolve_codec(codec, max_bytes: int = MAX_OP_BYTES):
+def resolve_codec(codec):
     """Map a codec name (or pass through an instance) to a codec object."""
     if isinstance(codec, (JsonLineCodec, BinaryCodec)):
         return codec
@@ -431,7 +410,7 @@ def resolve_codec(codec, max_bytes: int = MAX_OP_BYTES):
         raise ValidationError(
             f"unknown codec {codec!r}; expected one of {sorted(CODECS)}"
         )
-    return factory(max_bytes=max_bytes)
+    return factory()
 
 
 def choose_codec(offered, supported: tuple[str, ...] = SUPPORTED_CODECS) -> str:

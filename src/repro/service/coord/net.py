@@ -106,16 +106,30 @@ _OPS = {
 }
 
 
+def _argument(op: str, doc: dict, name: str, coerce):
+    """One coerced argument of *op*; a missing or wrong-typed one is the
+    caller's mistake, answered typed with the op and argument named."""
+    try:
+        return coerce(doc[name])
+    except KeyError:
+        raise ValidationError(f"op {op!r} is missing argument {name!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"op {op!r}: bad argument {name!r}: {exc}") from exc
+
+
 def _coord_ops(backend) -> dict:
     """:data:`_OPS` bound to *backend*: the table ``Channel.serve`` answers
     from. Records go out as their dataclass fields, under ``"result"``."""
 
-    def bind(method: str, coercions: dict):
+    def bind(op: str, method: str, coercions: dict):
         call = getattr(backend, method)
 
         def handler(doc: dict) -> dict:
             result = call(
-                **{name: coerce(doc[name]) for name, coerce in coercions.items()}
+                **{
+                    name: _argument(op, doc, name, coerce)
+                    for name, coerce in coercions.items()
+                }
             )
             if isinstance(result, dict):
                 result = list(result.values())
@@ -125,7 +139,7 @@ def _coord_ops(backend) -> dict:
 
         return handler
 
-    return {"ping": lambda doc: None} | {op: bind(*spec) for op, spec in _OPS.items()}
+    return {"ping": lambda doc: None} | {op: bind(op, *spec) for op, spec in _OPS.items()}
 
 
 class _CoordHandler(socketserver.BaseRequestHandler):

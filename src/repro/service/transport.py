@@ -1,4 +1,4 @@
-"""Blocking TCP transport for the placement service (stdlib only).
+"""The serving protocol, its thread-per-connection endpoint and the client.
 
 One request envelope per frame, one response per frame. Every exchange is::
 
@@ -11,37 +11,36 @@ One request envelope per frame, one response per frame. Every exchange is::
     {"op": "ping"}
 
 Responses are ``{"ok": true, ...payload...}`` or ``{"ok": false, "error": msg}``.
-Placement responses embed the terminal decision; the handler thread blocks on
-the service ticket while the scheduler loop works, so clients see exactly one
-synchronous round trip per request.
-
 Connections open in line JSON. A client that wants the binary codec sends
-``{"op": "hello", "codecs": [...]}`` as its first envelope; the server
-answers ``{"ok": true, "codec": <pick>}`` and both ends switch — see
+``{"op": "hello", "codecs": [...]}``; the server answers
+``{"ok": true, "codec": <pick>}`` and both ends switch — see
 :mod:`repro.service.codec`. Peers that never send a hello (every pre-codec
 client) stay on line JSON with byte-identical behavior.
 
-:class:`ServiceEndpoint` wraps a :class:`~repro.service.server.PlacementService`
-— or a :class:`~repro.service.shard.ShardedPlacementFabric`; the two share the
-serving surface, so every op is shard-transparent — behind the shared
-threaded substrate (:class:`~repro.service.transports.TcpServerHandle`);
-:class:`ServiceClient` is the matching blocking client. Both are deliberately
-minimal — the serving intelligence lives in the service, not the wire.
-The transport registry hands back these same two classes
-(``resolve_transport("thread").serve(...)/.connect(...)``).
+All of that is :class:`ServingSession`, sans IO and written once; an endpoint
+only moves bytes in and replies out and decides how to wait for a placement.
+:class:`ServiceEndpoint` is the threaded one — a handler thread per
+connection blocks on the service ticket, so clients see exactly one
+synchronous round trip per request — around a
+:class:`~repro.service.server.PlacementService` or a
+:class:`~repro.service.shard.ShardedPlacementFabric` (the two share the
+serving surface, so every op is shard-transparent); :mod:`repro.service.aio`
+is the other. :class:`ServiceClient` is the blocking client for both.
 
 Malformed input (truncated frames, oversized payloads, invalid UTF-8, unknown
 ops, envelopes of the wrong shape) always produces a typed
-``{"ok": false, "error": ...}`` reply on that connection; nothing a client
-sends can take down the accept loop.
+``{"ok": false, "error": ...}`` reply on that connection — best effort when
+the peer has already half-closed mid-frame; nothing a client sends can take
+down the accept loop.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
 import socket
 import socketserver
-import threading
 import time
 
 from repro.obs.export import render
@@ -52,11 +51,10 @@ from repro.service.api import (
     message_to_doc,
 )
 from repro.service.codec import (
-    JsonLineCodec,
-    MAX_OP_BYTES,
     SUPPORTED_CODECS,
     choose_codec,
     error_response,
+    read_op,
     resolve_codec,
 )
 from repro.service.server import PlacementService
@@ -75,9 +73,6 @@ DECISION_TIMEOUT = 30.0
 #: only a truly unresponsive server (dead worker, partition) trips this.
 DEFAULT_OP_TIMEOUT = 35.0
 
-#: Hard per-frame byte budget; longer frames are rejected, not parsed.
-MAX_LINE_BYTES = MAX_OP_BYTES
-
 #: Ops that are safe to retry on a fresh connection: they carry no
 #: state-changing payload, so replaying one can never double-place or
 #: double-release.
@@ -87,19 +82,6 @@ _READ_ONLY_OPS = frozenset({"ping", "stats", "checkpoint", "shards", "metrics", 
 _CLIENT_CODECS = ("json", "binary", "auto")
 
 
-# ------------------------------------------------------- envelope dispatch
-#
-# Shared by the threaded handler here and the asyncio handler in
-# :mod:`repro.service.aio`: everything except the *blocking* half of
-# ``place`` is transport-independent.
-
-
-def hello_response(envelope: dict, supported) -> "tuple[dict, str]":
-    """Answer a codec-negotiation hello; returns ``(response, chosen)``."""
-    chosen = choose_codec(envelope.get("codecs"), supported=tuple(supported))
-    return {"ok": True, "codec": chosen, "codecs": list(supported)}, chosen
-
-
 def _untagged(message) -> dict:
     """A message's document without its ``kind``: the envelope's op names it."""
     doc = message_to_doc(message)
@@ -107,96 +89,152 @@ def _untagged(message) -> dict:
     return doc
 
 
-def submit_place(service, envelope: dict):
-    """Decode a ``place`` envelope and submit it; returns the ticket."""
-    message = message_from_doc(envelope.get("message", {}), "place")
-    return message, service.submit(message)
+# ------------------------------------------------------ the serving protocol
 
 
-def finish_place(service, message, ticket, decision) -> dict:
-    """Turn a ticket outcome into the response envelope (or withdraw)."""
+def _speaking(codec: str, decoder=None) -> tuple:
+    """``(codec, decoder)`` for a stream that speaks *codec* from here on.
+    What the old *decoder* had read past its last frame is already in the
+    new codec, so the new decoder starts with it."""
+    codec = resolve_codec(codec)
+    fresh = codec.decoder()
+    if decoder is not None:
+        fresh.feed(decoder.take_buffered())
+    return codec, fresh
+
+
+def _hello(session, envelope: dict) -> dict:
+    """Codec negotiation: answer with the pick and read in it from here on."""
+    chosen = choose_codec(envelope.get("codecs"), supported=session.codecs)
+    if chosen != session.codec.name:
+        session.codec, session.decoder = _speaking(chosen, session.decoder)
+    return {"ok": True, "codec": chosen, "codecs": list(session.codecs)}
+
+
+def _metrics(session, envelope: dict) -> dict:
+    fmt = envelope.get("format", "prom")
+    return {"ok": True, "format": fmt, "body": render(session.service.obs, fmt)}
+
+
+def _release(session, envelope: dict) -> dict:
+    message = message_from_doc(envelope.get("message", {}), "release")
+    return {"ok": True, "release": message_to_doc(session.service.release(message))}
+
+
+#: The serving vocabulary: op → ``handler(session, envelope)``. A handler
+#: returns the reply envelope — or, for ``place`` alone, the decoded
+#: :class:`PlaceRequest`, which only the driver knows how to wait on.
+SERVING_OPS = {
+    "hello": _hello,
+    "ping": lambda session, envelope: {"ok": True, "pong": True},
+    "stats": lambda session, envelope: {
+        "ok": True, "stats": session.service.stats.to_dict()
+    },
+    "checkpoint": lambda session, envelope: {
+        "ok": True, "checkpoint": session.service.checkpoint_doc()
+    },
+    "shards": lambda session, envelope: {
+        "ok": True, "shards": session.service.describe_shards()
+    },
+    "metrics": _metrics,
+    "release": _release,
+    "place": lambda session, envelope: message_from_doc(
+        envelope.get("message", {}), "place"
+    ),
+}
+
+
+def decision_reply(decision) -> dict:
+    """The reply to a ``place``: its terminal decision (``None``: there was
+    none in time, and the request has been withdrawn)."""
     if decision is None:
-        # Withdraw the queued request before giving up — otherwise a
-        # later release could place it into a lease no client knows
-        # about, consuming capacity forever. If cancellation races
-        # with a concurrent placement the ticket is already resolved
-        # and the real (placed) decision goes back to the client.
-        service.cancel(message.request_id)
-        decision = ticket.result(timeout=1.0)
-    if decision is None:
-        raise ValidationError("placement decision timed out")
+        return {"ok": False, "error": "placement decision timed out"}
     return {"ok": True, "decision": message_to_doc(decision)}
 
 
-def dispatch_sync(service, envelope: dict) -> dict:
-    """Handle every op except ``place``/``hello`` (those need the transport)."""
-    op = envelope.get("op")
-    if op == "ping":
-        return {"ok": True, "pong": True}
-    if op == "stats":
-        return {"ok": True, "stats": service.stats.to_dict()}
-    if op == "checkpoint":
-        return {"ok": True, "checkpoint": service.checkpoint_doc()}
-    if op == "shards":
-        return {"ok": True, "shards": service.describe_shards()}
-    if op == "metrics":
-        fmt = envelope.get("format", "prom")
-        return {"ok": True, "format": fmt, "body": render(service.obs, fmt)}
-    if op == "release":
-        message = message_from_doc(envelope.get("message", {}), "release")
-        return {"ok": True, "release": message_to_doc(service.release(message))}
-    raise ValidationError(f"unknown op {op!r}")
+class ServingSession:
+    """One client connection's side of the serving protocol, sans IO.
+
+    Both endpoints drive one of these per connection and know nothing else
+    about the protocol: bytes go into :attr:`decoder`, and each
+    :meth:`next` answers one envelope as ``(codec, reply)`` — *reply*
+    encoded with the codec its request arrived in, so a ``hello`` is
+    answered in the old codec while the session already reads the new one.
+    """
+
+    def __init__(self, service, codecs: "tuple[str, ...]" = SUPPORTED_CODECS) -> None:
+        self.service = service
+        self.codecs = tuple(codecs)
+        self.codec, self.decoder = _speaking("json")
+        #: Cleared when the stream cannot go on: a frame error under a
+        #: framing that cannot re-sync (or the driver's writer failing).
+        self.open = True
+
+    def next(self, pull):
+        """Answer the next envelope ``pull(decoder)`` yields.
+
+        Returns ``None`` when *pull* has none (it returns ``None``), else
+        ``(codec, reply)``; *reply* is a :class:`PlaceRequest` when the
+        driver must submit it and answer with :func:`decision_reply`. A
+        :class:`TransportError` out of *pull* is answered typed; line
+        framing re-syncs at the next newline and goes on, binary framing
+        cannot, so the session closes behind that reply.
+        """
+        codec = self.codec
+        try:
+            envelope = pull(self.decoder)
+        except TransportError as exc:
+            self.open = codec.resync_on_error
+            return codec, {"ok": False, "error": str(exc)}
+        if envelope is None:
+            return None
+        try:
+            if "op" not in envelope:
+                raise ValidationError("envelope must be an object with an 'op'")
+            op = envelope["op"]
+            handler = SERVING_OPS.get(op) if isinstance(op, str) else None
+            if handler is None:
+                raise ValidationError(f"unknown op {op!r}")
+            return codec, handler(self, envelope)
+        except Exception as exc:  # never kill the connection
+            return codec, error_response(exc)
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    """Thread-per-connection driver: read, answer, write, one op at a time."""
+
     def handle(self) -> None:
-        service: PlacementService = self.server.service  # type: ignore[attr-defined]
-        supported = getattr(self.server, "codecs", SUPPORTED_CODECS)
-        codec = JsonLineCodec()
-        while True:
-            switch_to = None
-            try:
-                envelope = codec.decode_op(self.rfile)
-                if envelope is None:
-                    return
-                if "op" not in envelope:
-                    raise ValidationError("envelope must be an object with an 'op'")
-                if envelope["op"] == "hello":
-                    response, switch_to = hello_response(envelope, supported)
-                else:
-                    response = self._dispatch(service, envelope)
-            except OSError:
-                return
-            except TransportError as exc:
-                # Codec-level failure. Line framing re-syncs at the next
-                # newline, so reply and keep going; binary framing cannot,
-                # so reply (best effort) and drop the connection.
-                if not self._reply(codec, {"ok": False, "error": str(exc)}):
-                    return
-                if codec.resync_on_error:
-                    continue
-                return
-            except Exception as exc:  # never kill the connection
-                response = error_response(exc)
-            if not self._reply(codec, response):
-                return
-            if switch_to is not None:
-                codec = resolve_codec(switch_to)
-
-    def _reply(self, codec, response: dict) -> bool:
+        server = self.server
+        session = ServingSession(server.service, server.codecs)  # type: ignore[attr-defined]
+        pull = functools.partial(read_op, self.rfile)
         try:
-            self.wfile.write(codec.encode_op(response))
-            self.wfile.flush()
-            return True
+            while session.open:
+                answer = session.next(pull)
+                if answer is None:
+                    return
+                codec, reply = answer
+                if isinstance(reply, PlaceRequest):
+                    reply = self._place(session.service, reply)
+                self.wfile.write(codec.encode_op(reply))
+                self.wfile.flush()
         except (TransportError, OSError):
-            return False  # client went away mid-reply; connection is done
+            return  # the client went away, or a reply outgrew the frame budget
 
-    def _dispatch(self, service: PlacementService, envelope: dict) -> dict:
-        if envelope["op"] == "place":
-            message, ticket = submit_place(service, envelope)
+    def _place(self, service, message: PlaceRequest) -> dict:
+        try:
+            ticket = service.submit(message)
             decision = ticket.result(timeout=DECISION_TIMEOUT)
-            return finish_place(service, message, ticket, decision)
-        return dispatch_sync(service, envelope)
+            if decision is None:
+                # Withdraw the queued request before giving up — otherwise a
+                # later release could place it into a lease no client knows
+                # about, consuming capacity forever. If cancellation races
+                # with a concurrent placement the ticket is already resolved
+                # and the real (placed) decision goes back to the client.
+                service.cancel(message.request_id)
+                decision = ticket.result(timeout=1.0)
+            return decision_reply(decision)
+        except Exception as exc:
+            return error_response(exc)
 
 
 class ServiceEndpoint:
@@ -295,7 +333,6 @@ class ServiceClient:
         self._retries = retries
         self._retry_policy = retry_policy
         self._codec_pref = codec
-        self._codec = JsonLineCodec()
         self._sock: "socket.socket | None" = None
         self._file = None
         self._connect()
@@ -319,7 +356,7 @@ class ServiceClient:
             raise TransportError(f"cannot connect to {self._address}: {exc}") from exc
         self._sock.settimeout(self._op_timeout)
         self._file = self._sock.makefile("rwb")
-        self._codec = JsonLineCodec()
+        self._codec, self._decoder = _speaking("json")
         if self._codec_pref != "json":
             self._negotiate()
 
@@ -344,66 +381,43 @@ class ServiceClient:
                 f"server at {self._address} negotiated {chosen!r}, "
                 "binary required"
             )
-        self._codec = resolve_codec(chosen)
+        self._codec, self._decoder = _speaking(chosen, self._decoder)
 
     def _teardown(self) -> None:
         # After a timeout or connection error the stream is desynchronized
         # (a late reply would answer the wrong call); drop the connection.
-        try:
-            if self._file is not None:
-                self._file.close()
-        except OSError:
-            pass
-        try:
-            if self._sock is not None:
-                self._sock.close()
-        except OSError:
-            pass
-        self._file = None
-        self._sock = None
+        for closable in (self._file, self._sock):
+            if closable is not None:
+                with contextlib.suppress(OSError):
+                    closable.close()
+        self._file = self._sock = None
 
     def request(self, envelope: dict) -> dict:
-        """One envelope round trip — the :class:`Connection` protocol surface.
-
-        Applies the same retry discipline as the typed helpers: read-only
-        ops may retry on a fresh (re-negotiated) connection, mutations never.
-        """
-        return self._call(envelope)
-
-    def _call(self, envelope: dict) -> dict:
+        """One envelope round trip, under the retry discipline every typed
+        helper below goes through: read-only ops may retry on a fresh
+        (re-negotiated) connection, mutations never."""
         retryable = envelope.get("op") in _READ_ONLY_OPS
         attempts = 1 + (self._retries if retryable else 0)
-        last_exc: "Exception | None" = None
         for attempt in range(1, attempts + 1):
-            if self._file is None:
-                try:
-                    self._connect()
-                except TransportError as exc:
-                    last_exc = exc
-                    if attempt < attempts:
-                        time.sleep(self._retry_policy.delay(attempt))
-                        continue
-                    raise
             try:
+                if self._file is None:
+                    self._connect()
                 return self._call_once(envelope)
-            except (TransportTimeout, TransportError) as exc:
-                last_exc = exc
+            except TransportError as exc:
                 self._teardown()
-                if attempt < attempts:
-                    _log.warning(
-                        "retrying %s after transport failure (%s), attempt "
-                        "%d/%d", envelope.get("op"), exc, attempt, attempts,
-                    )
-                    time.sleep(self._retry_policy.delay(attempt))
-                    continue
-                raise
-        raise last_exc  # unreachable; keeps the control flow obvious
+                if attempt == attempts:
+                    raise
+                _log.warning(
+                    "retrying %s after transport failure (%s), attempt "
+                    "%d/%d", envelope.get("op"), exc, attempt, attempts,
+                )
+                time.sleep(self._retry_policy.delay(attempt))
 
     def _call_once(self, envelope: dict) -> dict:
         try:
             self._file.write(self._codec.encode_op(envelope))
             self._file.flush()
-            response = self._codec.decode_op(self._file)
+            response = read_op(self._file, self._decoder)
         except socket.timeout as exc:
             raise TransportTimeout(
                 f"op {envelope.get('op')!r} timed out after "
@@ -420,29 +434,29 @@ class ServiceClient:
         return response
 
     def ping(self) -> bool:
-        return bool(self._call({"op": "ping"}).get("pong"))
+        return bool(self.request({"op": "ping"}).get("pong"))
 
     def place(self, request: PlaceRequest):
         """Submit a placement and block for its terminal decision."""
-        response = self._call({"op": "place", "message": _untagged(request)})
+        response = self.request({"op": "place", "message": _untagged(request)})
         return message_from_doc(response["decision"], "decision")
 
     def release(self, request_id: int):
         """Release a lease by id."""
         message = _untagged(ReleaseRequest(request_id=request_id))
-        response = self._call({"op": "release", "message": message})
+        response = self.request({"op": "release", "message": message})
         return message_from_doc(response["release"], "release_response")
 
     def stats(self) -> dict:
-        return self._call({"op": "stats"})["stats"]
+        return self.request({"op": "stats"})["stats"]
 
     def checkpoint(self) -> dict:
         """Fetch the server's live checkpoint document."""
-        return self._call({"op": "checkpoint"})["checkpoint"]
+        return self.request({"op": "checkpoint"})["checkpoint"]
 
     def shards(self) -> list:
         """Per-shard summaries (a one-entry list for an unsharded service)."""
-        return self._call({"op": "shards"})["shards"]
+        return self.request({"op": "shards"})["shards"]
 
     def metrics(self, format: str = "prom") -> str:
         """Scrape the server's metrics registry.
@@ -450,7 +464,7 @@ class ServiceClient:
         ``format`` is ``"prom"`` (Prometheus exposition text) or ``"json"``
         (one JSON document per metric family, newline-delimited).
         """
-        return self._call({"op": "metrics", "format": format})["body"]
+        return self.request({"op": "metrics", "format": format})["body"]
 
     def close(self) -> None:
         self._teardown()

@@ -1,28 +1,15 @@
-"""The pluggable transport/codec API for the serving surface.
+"""Transport registry and the shared threaded-listener substrate.
 
-Serving used to be one hardwired stack: ``ServiceEndpoint`` (a
-``ThreadingTCPServer`` speaking line JSON) and ``ServiceClient`` (a blocking
-socket speaking the same). This module splits that stack along its two real
-seams so each half can vary independently:
-
-* a :class:`Codec` owns *how one envelope becomes bytes* — line JSON or the
-  binary framing from :mod:`repro.service.codec` — and is negotiated per
-  connection at the hello exchange, so mixed fleets interoperate;
-* a :class:`Transport` owns *how bytes move and who runs the handlers* —
-  ``serve()`` binds a listener around a service, ``connect()`` dials one
-  and returns a :class:`Connection` whose ``request()`` performs one
-  envelope round trip.
-
-Two transports ship: ``"thread"`` (the hardened thread-per-connection
-stack, now codec-aware) and ``"aio"`` (:mod:`repro.service.aio` — one
-asyncio loop multiplexing every connection, bounded write buffers,
-cross-connection admission batching). They serve the same envelope
-protocol, so any client speaks to either; pick with
+Serving varies along two seams. A *codec* (:mod:`repro.service.codec`) owns
+how one envelope becomes bytes and is negotiated per connection at the hello
+exchange, so mixed fleets interoperate. A :class:`Transport` owns how bytes
+move and who runs the handlers: ``serve()`` binds an endpoint around a
+service, ``connect()`` dials one. Two are registered: ``"thread"`` (one
+handler thread per connection, :mod:`repro.service.transport`) and ``"aio"``
+(one asyncio loop multiplexing every connection, :mod:`repro.service.aio`).
+Both endpoints drive the same :class:`~repro.service.transport.
+ServingSession`, so any client speaks to either; pick with
 :func:`resolve_transport` or the CLI's ``--transport`` flag.
-
-``ServiceEndpoint(service)`` and ``ServiceClient(host, port)`` *are* the
-objects the thread transport hands back; constructing one directly is the
-same thing as asking the registry for it.
 
 :class:`TcpServerHandle` is the shared threaded-serving substrate: every
 blocking TCP listener in the package (placement endpoint, coordination
@@ -32,75 +19,13 @@ shutdown join — to one implementation instead of three copies.
 
 from __future__ import annotations
 
+import importlib
 import socketserver
 import threading
-from typing import Protocol, runtime_checkable
 
 from repro.util.errors import ValidationError
 
-__all__ = [
-    "Codec",
-    "Connection",
-    "ServerHandle",
-    "TcpServerHandle",
-    "Transport",
-    "TRANSPORTS",
-    "resolve_transport",
-]
-
-
-# ------------------------------------------------------------ protocol pair
-
-
-@runtime_checkable
-class Codec(Protocol):
-    """How one envelope becomes bytes (and back). See :mod:`repro.service.codec`."""
-
-    name: str
-
-    def encode_op(self, doc: dict) -> bytes:
-        """Serialize one envelope to its on-wire frame."""
-
-    def decode_op(self, rfile) -> "dict | None":
-        """Blocking read of one envelope from a file object; ``None`` at EOF."""
-
-    def decoder(self):
-        """A sans-IO incremental decoder (``feed(bytes)`` / ``next_op()``)."""
-
-
-@runtime_checkable
-class Connection(Protocol):
-    """One dialed connection to a serving endpoint."""
-
-    def request(self, envelope: dict) -> dict:
-        """One envelope round trip; raises typed transport errors."""
-
-    def close(self) -> None: ...
-
-
-@runtime_checkable
-class ServerHandle(Protocol):
-    """A bound, startable serving endpoint."""
-
-    @property
-    def address(self) -> "tuple[str, int]": ...
-
-    def start(self): ...
-
-    def stop(self, *, drain: bool = True) -> None: ...
-
-
-@runtime_checkable
-class Transport(Protocol):
-    """A way to move envelopes: binds servers, dials connections."""
-
-    name: str
-
-    def serve(self, service, *, host: str = "127.0.0.1", port: int = 0, **options) -> ServerHandle:
-        """Bind a serving endpoint around *service* (not yet started)."""
-
-    def connect(self, host: str, port: int, **options) -> Connection:
-        """Dial a serving endpoint; negotiates the codec per *options*."""
+__all__ = ["TcpServerHandle", "Transport", "TRANSPORTS", "resolve_transport"]
 
 
 # ------------------------------------------------- shared threaded substrate
@@ -163,57 +88,45 @@ class TcpServerHandle:
             self._thread = None
 
 
-# ----------------------------------------------------- concrete transports
+# --------------------------------------------------------------- transports
 
 
-class ThreadTransport:
-    """Thread-per-connection serving — the hardened original stack."""
+class Transport:
+    """A named way to serve envelopes: *endpoint* (``"module:class"``,
+    imported on first use) binds servers; every transport dials with the
+    same blocking client, because the envelope protocol is one."""
 
-    name = "thread"
+    def __init__(self, name: str, endpoint: str) -> None:
+        self.name = name
+        self._endpoint = endpoint
 
     def serve(self, service, *, host: str = "127.0.0.1", port: int = 0, **options):
-        from repro.service.transport import ServiceEndpoint
-
-        return ServiceEndpoint(service, host=host, port=port, **options)
+        """Bind a serving endpoint around *service* (not yet started)."""
+        module, _, cls = self._endpoint.partition(":")
+        endpoint = getattr(importlib.import_module(module), cls)
+        return endpoint(service, host=host, port=port, **options)
 
     def connect(self, host: str, port: int, **options):
+        """Dial a serving endpoint; negotiates the codec per *options*."""
         from repro.service.transport import ServiceClient
 
         return ServiceClient(host, port, **options)
 
 
-class AioTransport:
-    """Single-threaded asyncio serving — one loop multiplexes every client.
-
-    Clients are transport-agnostic (the envelope protocol is identical), so
-    ``connect()`` returns the same blocking client the thread transport
-    uses; only ``serve()`` differs.
-    """
-
-    name = "aio"
-
-    def serve(self, service, *, host: str = "127.0.0.1", port: int = 0, **options):
-        from repro.service.aio import AioServiceEndpoint
-
-        return AioServiceEndpoint(service, host=host, port=port, **options)
-
-    connect = ThreadTransport.connect
-
-
 #: Transport registry keyed by CLI-facing name.
-TRANSPORTS: dict[str, type] = {
-    "thread": ThreadTransport,
-    "aio": AioTransport,
+TRANSPORTS: "dict[str, Transport]" = {
+    "thread": Transport("thread", "repro.service.transport:ServiceEndpoint"),
+    "aio": Transport("aio", "repro.service.aio:AioServiceEndpoint"),
 }
 
 
 def resolve_transport(transport) -> Transport:
     """Map a transport name (or pass through an instance) to a transport."""
-    if isinstance(transport, (ThreadTransport, AioTransport)):
+    if isinstance(transport, Transport):
         return transport
-    factory = TRANSPORTS.get(str(transport))
-    if factory is None:
+    found = TRANSPORTS.get(str(transport))
+    if found is None:
         raise ValidationError(
             f"unknown transport {transport!r}; expected one of {sorted(TRANSPORTS)}"
         )
-    return factory()
+    return found

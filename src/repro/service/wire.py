@@ -35,7 +35,12 @@ import json
 import logging
 import socket
 
-from repro.service.codec import BinaryCodec, error_response, parse_json_envelope
+from repro.service.codec import (
+    BinaryCodec,
+    error_response,
+    parse_json_envelope,
+    read_op,
+)
 from repro.util.errors import RemoteOpError, ReproError, TransportError, ValidationError
 
 _log = logging.getLogger(__name__)
@@ -155,6 +160,7 @@ class Channel:
             # ~40 ms per round trip.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile, self._wfile = sock.makefile("rb"), sock.makefile("wb")
+        self._decoder = ENVELOPE_CODEC.decoder()
 
     @classmethod
     def dial(
@@ -219,7 +225,7 @@ class Channel:
 
     def recv(self) -> "dict | None":
         """Read one envelope (the only reader); ``None`` on clean EOF."""
-        return self._io(ENVELOPE_CODEC.decode_op, self._rfile)
+        return self._io(read_op, self._rfile, self._decoder)
 
     def call(self, doc: dict, timeout: "float | None" = None) -> dict:
         """One request/reply exchange, each socket wait bounded by *timeout*."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud.events import EventQueue
+from repro.util.events import EventQueue
 from repro.cloud.lease import Lease
 from repro.cloud.request import TimedRequest
 from repro.core.problem import Allocation, VirtualClusterRequest

@@ -92,7 +92,7 @@ class TestPlacementRoutesAroundFailures:
     def test_heuristic_avoids_failed_nodes(self, pool):
         pool.fail_node(0)
         pool.fail_node(1)
-        alloc = OnlineHeuristic().place([4, 2, 1], pool)
+        alloc = OnlineHeuristic().place(pool, [4, 2, 1]).allocation
         assert alloc is not None
         assert alloc.matrix[0].sum() == 0
         assert alloc.matrix[1].sum() == 0

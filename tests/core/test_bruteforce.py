@@ -73,6 +73,6 @@ class TestSolveBruteforce:
 
     def test_adapter(self):
         pool = make_pool(2, 2)
-        alloc = BruteForcePlacement(limit=100_000).place([2, 1, 0], pool)
+        alloc = BruteForcePlacement(limit=100_000).place(pool, [2, 1, 0]).allocation
         assert alloc is not None
         assert alloc.demand.tolist() == [2, 1, 0]

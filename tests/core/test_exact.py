@@ -102,6 +102,6 @@ class TestSolveSDExact:
 
     def test_adapter_class(self):
         pool = make_pool(2, 3)
-        a = ExactPlacement().place([1, 1, 0], pool)
+        a = ExactPlacement().place(pool, [1, 1, 0]).allocation
         b = solve_sd_exact([1, 1, 0], pool)
         assert a.distance == b.distance

@@ -48,29 +48,29 @@ class TestPlaceBatch:
     def test_never_worse_than_online(self, pool, batch):
         opt = GlobalSubOptimizer()
         online = opt.place_online(batch, pool)
-        optimized = opt.place_batch(batch, pool)
+        optimized = opt.place_batch(pool, batch)
         assert total_distance(optimized) <= total_distance(online) + 1e-9
 
     def test_demands_preserved(self, pool, batch):
-        allocs = GlobalSubOptimizer().place_batch(batch, pool)
+        allocs = GlobalSubOptimizer().place_batch(pool, batch)
         for req, alloc in zip(batch, allocs):
             assert np.array_equal(alloc.demand, req)
 
     def test_joint_feasibility_preserved(self, pool, batch):
-        allocs = GlobalSubOptimizer().place_batch(batch, pool)
+        allocs = GlobalSubOptimizer().place_batch(pool, batch)
         combined = sum(a.matrix for a in allocs)
         assert np.all(combined <= pool.remaining)
 
     def test_stats_populated(self, pool, batch):
         opt = GlobalSubOptimizer()
-        opt.place_batch(batch, pool)
+        opt.place_batch(pool, batch)
         stats = opt.last_stats
         assert stats.initial_total_distance >= stats.final_total_distance
         assert stats.rounds >= 1
 
     def test_single_round_mode(self, pool, batch):
         opt = GlobalSubOptimizer(max_rounds=1)
-        allocs = opt.place_batch(batch, pool)
+        allocs = opt.place_batch(pool, batch)
         assert opt.last_stats.rounds == 1
         assert all(a is not None for a in allocs)
 
@@ -80,13 +80,13 @@ class TestPlaceBatch:
 
     def test_paper_transfer_mode(self, pool, batch):
         opt = GlobalSubOptimizer(use_paper_transfer=True)
-        allocs = opt.place_batch(batch, pool)
+        allocs = opt.place_batch(pool, batch)
         online = opt.place_online(batch, pool)
         assert total_distance(allocs) <= total_distance(online) + 1e-9
 
     def test_empty_batch(self, pool):
         opt = GlobalSubOptimizer()
-        assert opt.place_batch([], pool) == []
+        assert opt.place_batch(pool, []) == []
         assert opt.last_stats.initial_total_distance == 0.0
 
     def test_same_center_pairs_skipped(self):
@@ -95,7 +95,7 @@ class TestPlaceBatch:
         pool = make_pool(2, 2, capacity=(4, 0, 0))
         batch = [np.array([2, 0, 0]), np.array([2, 0, 0])]
         opt = GlobalSubOptimizer()
-        allocs = opt.place_batch(batch, pool)
+        allocs = opt.place_batch(pool, batch)
         assert all(a.distance == 0.0 for a in allocs)
         assert opt.last_stats.exchanges == 0
 
@@ -108,7 +108,7 @@ class TestPlaceBatch:
         batch = [np.array([3, 0, 0]), np.array([3, 0, 0])]
         opt = GlobalSubOptimizer()
         online = opt.place_online(batch, pool)
-        optimized = opt.place_batch(batch, pool)
+        optimized = opt.place_batch(pool, batch)
         assert total_distance(optimized) <= total_distance(online)
 
 

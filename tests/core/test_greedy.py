@@ -55,23 +55,23 @@ class TestOnlineHeuristic:
 
     def test_single_node_shortcut(self):
         pool = make_pool(2, 3, capacity=(3, 3, 2))
-        alloc = OnlineHeuristic().place([2, 2, 1], pool)
+        alloc = OnlineHeuristic().place(pool, [2, 2, 1]).allocation
         assert alloc.distance == 0.0
         assert alloc.num_nodes_used == 1
 
     def test_infeasible_raises(self):
         pool = make_pool(1, 2, capacity=(1, 1, 1))
         with pytest.raises(InfeasibleRequestError):
-            OnlineHeuristic().place([3, 0, 0], pool)
+            OnlineHeuristic().place(pool, [3, 0, 0])
 
     def test_wait_returns_none(self):
         pool = make_pool(1, 2, capacity=(1, 0, 0))
         pool.allocate(np.array([[1, 0, 0], [1, 0, 0]]))
-        assert OnlineHeuristic().place([1, 0, 0], pool) is None
+        assert OnlineHeuristic().place(pool, [1, 0, 0]).allocation is None
 
     def test_demand_exactly_met(self):
         pool = make_pool(3, 4, capacity=(1, 1, 1))
-        alloc = OnlineHeuristic().place([4, 3, 2], pool)
+        alloc = OnlineHeuristic().place(pool, [4, 3, 2]).allocation
         assert alloc.demand.tolist() == [4, 3, 2]
         assert np.all(alloc.matrix <= pool.remaining)
 
@@ -80,7 +80,7 @@ class TestOnlineHeuristic:
         per center, so the best-center sweep attains the SD optimum."""
         pool = make_pool(3, 4, capacity=(2, 1, 1))
         for demand in ([4, 3, 2], [8, 0, 0], [1, 4, 4], [10, 4, 1]):
-            heur = OnlineHeuristic(stop="best").place(demand, pool)
+            heur = OnlineHeuristic(stop="best").place(pool, demand).allocation
             exact = solve_sd_exact(demand, pool)
             assert heur.distance == pytest.approx(exact.distance), demand
 
@@ -88,42 +88,46 @@ class TestOnlineHeuristic:
         pool = make_pool(3, 4, capacity=(2, 1, 1))
         demand = [8, 2, 1]
         first = OnlineHeuristic(stop="first", center_order="random", seed=3).place(
-            demand, pool
-        )
-        best = OnlineHeuristic(stop="best").place(demand, pool)
+            pool, demand
+        ).allocation
+        best = OnlineHeuristic(stop="best").place(pool, demand).allocation
         assert first.demand.tolist() == list(demand)
         assert first.distance >= best.distance
 
     def test_random_order_deterministic_given_seed(self):
         pool = make_pool(3, 4, capacity=(2, 1, 1))
         demand = [8, 2, 1]
-        a = OnlineHeuristic(stop="first", center_order="random", seed=11).place(demand, pool)
-        b = OnlineHeuristic(stop="first", center_order="random", seed=11).place(demand, pool)
+        a = OnlineHeuristic(stop="first", center_order="random", seed=11).place(
+            pool, demand
+        ).allocation
+        b = OnlineHeuristic(stop="first", center_order="random", seed=11).place(
+            pool, demand
+        ).allocation
         assert a.distance == b.distance
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_place_and_commit(self):
         pool = make_pool(2, 3)
-        alloc = OnlineHeuristic().place_and_commit([2, 1, 1], pool)
+        alloc = OnlineHeuristic().place_and_commit(pool, [2, 1, 1]).allocation
         assert np.array_equal(pool.allocated, alloc.matrix)
 
     def test_does_not_mutate_pool(self):
         pool = make_pool(2, 3)
-        OnlineHeuristic().place([2, 1, 1], pool)
+        OnlineHeuristic().place(pool, [2, 1, 1])
         assert pool.allocated.sum() == 0
 
     def test_skips_empty_nodes_as_centers(self):
         """A depleted node never hosts VMs; the heuristic still succeeds."""
         pool = make_pool(2, 2, capacity=(2, 0, 0))
         pool.allocate(np.array([[2, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]))
-        alloc = OnlineHeuristic().place([3, 0, 0], pool)
+        alloc = OnlineHeuristic().place(pool, [3, 0, 0]).allocation
         assert alloc is not None
         assert alloc.matrix[0].sum() == 0
 
     def test_complexity_shortcut_single_node_first_match(self):
         """The paper returns the FIRST node that fits everything."""
         pool = make_pool(2, 3, capacity=(3, 3, 2))
-        alloc = OnlineHeuristic().place([1, 0, 0], pool)
+        alloc = OnlineHeuristic().place(pool, [1, 0, 0]).allocation
         assert alloc.used_nodes.tolist() == [0]
 
 
@@ -144,7 +148,7 @@ class TestRackSpreadConstraint:
 
     def test_cap_respected(self):
         pool = make_pool(4, 2, capacity=(0, 2, 0))
-        alloc = OnlineHeuristic(max_vms_per_rack=2).place([0, 8, 0], pool)
+        alloc = OnlineHeuristic(max_vms_per_rack=2).place(pool, [0, 8, 0]).allocation
         assert alloc is not None
         loads = self._rack_loads(alloc, pool)
         assert all(load <= 2 for load in loads.values())
@@ -152,37 +156,37 @@ class TestRackSpreadConstraint:
 
     def test_unconstrained_packs_tighter(self):
         pool = make_pool(4, 2, capacity=(0, 2, 0))
-        packed = OnlineHeuristic().place([0, 8, 0], pool)
-        spread = OnlineHeuristic(max_vms_per_rack=2).place([0, 8, 0], pool)
+        packed = OnlineHeuristic().place(pool, [0, 8, 0]).allocation
+        spread = OnlineHeuristic(max_vms_per_rack=2).place(pool, [0, 8, 0]).allocation
         assert packed.distance <= spread.distance
         assert max(self._rack_loads(packed, pool).values()) > 2
 
     def test_cap_overrides_single_node_shortcut(self):
         pool = make_pool(2, 2, capacity=(8, 0, 0))
-        alloc = OnlineHeuristic(max_vms_per_rack=2).place([4, 0, 0], pool)
+        alloc = OnlineHeuristic(max_vms_per_rack=2).place(pool, [4, 0, 0]).allocation
         assert alloc is not None
         assert max(self._rack_loads(alloc, pool).values()) <= 2
 
     def test_shortcut_still_used_when_cap_allows(self):
         pool = make_pool(2, 2, capacity=(8, 0, 0))
-        alloc = OnlineHeuristic(max_vms_per_rack=4).place([4, 0, 0], pool)
+        alloc = OnlineHeuristic(max_vms_per_rack=4).place(pool, [4, 0, 0]).allocation
         assert alloc.distance == 0.0
         assert alloc.num_nodes_used == 1
 
     def test_infeasible_cap_returns_none(self):
         # 8 VMs over 2 racks with a 2-per-rack cap cannot fit.
         pool = make_pool(2, 2, capacity=(0, 4, 0))
-        assert OnlineHeuristic(max_vms_per_rack=2).place([0, 8, 0], pool) is None
+        assert OnlineHeuristic(max_vms_per_rack=2).place(pool, [0, 8, 0]).allocation is None
 
     def test_cap_clip_is_typewise_deterministic(self):
         pool = make_pool(2, 2, capacity=(2, 2, 1))
-        a = OnlineHeuristic(max_vms_per_rack=3).place([2, 2, 1], pool)
-        b = OnlineHeuristic(max_vms_per_rack=3).place([2, 2, 1], pool)
+        a = OnlineHeuristic(max_vms_per_rack=3).place(pool, [2, 2, 1]).allocation
+        b = OnlineHeuristic(max_vms_per_rack=3).place(pool, [2, 2, 1]).allocation
         assert np.array_equal(a.matrix, b.matrix)
         assert max(self._rack_loads(a, pool).values()) <= 3
 
     def test_unconstrained_default_unchanged(self):
         pool = make_pool(3, 4, capacity=(2, 1, 1))
-        a = OnlineHeuristic().place([6, 2, 1], pool)
-        b = OnlineHeuristic(max_vms_per_rack=None).place([6, 2, 1], pool)
+        a = OnlineHeuristic().place(pool, [6, 2, 1]).allocation
+        b = OnlineHeuristic(max_vms_per_rack=None).place(pool, [6, 2, 1]).allocation
         assert np.array_equal(a.matrix, b.matrix)

@@ -88,7 +88,7 @@ class TestSDMilp:
     def test_adapter_and_options(self):
         pool = make_pool(2, 2)
         placer = MilpPlacement(MilpOptions(time_limit=10.0))
-        alloc = placer.place([1, 1, 0], pool)
+        alloc = placer.place(pool, [1, 1, 0]).allocation
         assert alloc is not None
 
 

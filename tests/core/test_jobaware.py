@@ -105,32 +105,32 @@ class TestPredictRuntime:
 class TestJobAwarePlacement:
     def test_sort_gets_compact(self, pool):
         ja = JobAwarePlacement(sort())
-        alloc = ja.place(DEMAND, pool)
+        alloc = ja.place(pool, DEMAND).allocation
         exact = solve_sd_exact(DEMAND, pool)
         assert alloc.distance == exact.distance
 
     def test_grep_gets_spread(self, pool):
         ja = JobAwarePlacement(grep())
-        alloc = ja.place(DEMAND, pool)
+        alloc = ja.place(pool, DEMAND).allocation
         exact = solve_sd_exact(DEMAND, pool)
         assert alloc.distance > exact.distance  # deliberately non-compact
 
     def test_predictions_recorded(self, pool):
         ja = JobAwarePlacement(sort())
-        ja.place(DEMAND, pool)
+        ja.place(pool, DEMAND)
         assert set(ja.last_predictions) == {"compact", "spread"}
 
     def test_demand_always_met(self, pool):
         for job in (sort(), grep(), wordcount()):
-            alloc = JobAwarePlacement(job).place(DEMAND, pool)
+            alloc = JobAwarePlacement(job).place(pool, DEMAND).allocation
             assert np.array_equal(alloc.demand, DEMAND)
 
     def test_infeasible_raises(self):
         tiny = make_pool(1, 1, capacity=(1, 1, 1))
         with pytest.raises(InfeasibleRequestError):
-            JobAwarePlacement(sort()).place(np.array([5, 0, 0]), tiny)
+            JobAwarePlacement(sort()).place(tiny, np.array([5, 0, 0]))
 
     def test_pool_not_mutated(self, pool):
         before = pool.allocated
-        JobAwarePlacement(sort()).place(DEMAND, pool)
+        JobAwarePlacement(sort()).place(pool, DEMAND)
         assert np.array_equal(pool.allocated, before)

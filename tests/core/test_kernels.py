@@ -150,8 +150,8 @@ def test_place_bit_identical_over_seeded_cases(config):
             )
             fast = OnlineHeuristic(use_kernels=True, **config)
             slow = OnlineHeuristic(use_kernels=False, **config)
-            a = fast.place(request, pool)
-            b = slow.place(request, pool)
+            a = fast.place(pool, request).allocation
+            b = slow.place(pool, request).allocation
             assert_same_allocation(a, b, f"seed={seed} request={request}")
             if a is not None:
                 placed += 1
@@ -174,8 +174,8 @@ def test_place_bit_identical_on_drained_pool_sequences():
                 pool_fast.num_types,
                 seed=rng,
             )
-            a = fast.place(request, pool_fast)
-            b = slow.place(request, pool_slow)
+            a = fast.place(pool_fast, request).allocation
+            b = slow.place(pool_slow, request).allocation
             assert_same_allocation(a, b, f"seed={seed} step={step}")
             if a is not None:
                 pool_fast.allocate(a.matrix)
@@ -475,7 +475,7 @@ def _random_pair(seed: int):
         request = random_request(
             RequestSpec(low=0, high=4, min_total=3), pool.num_types, seed=rng
         )
-        alloc = heuristic.place(request, pool)
+        alloc = heuristic.place(pool, request).allocation
         if alloc is None:
             continue
         pool.allocate(alloc.matrix)
@@ -562,8 +562,8 @@ def test_optimize_transfers_worklist_equivalence(use_paper_transfer):
         slow = GlobalSubOptimizer(
             worklist=False, use_paper_transfer=use_paper_transfer
         )
-        got = fast.place_batch(requests, pool.copy())
-        ref = slow.place_batch(requests, pool.copy())
+        got = fast.place_batch(pool.copy(), requests)
+        ref = slow.place_batch(pool.copy(), requests)
         assert len(got) == len(ref)
         for i, (a, b) in enumerate(zip(got, ref)):
             assert_same_allocation(a, b, f"seed={seed} alloc={i}")

@@ -89,7 +89,7 @@ class TestMigrationCost:
 
 class TestPlanRepair:
     def test_repairs_full_demand(self, pool):
-        alloc = OnlineHeuristic().place([4, 3, 1], pool)
+        alloc = OnlineHeuristic().place(pool, [4, 3, 1]).allocation
         pool.allocate(alloc.matrix)
         victim = int(alloc.used_nodes[0])
         pool.fail_node(victim)
@@ -99,7 +99,7 @@ class TestPlanRepair:
         assert plan.after.matrix[victim].sum() == 0
 
     def test_survivors_stay_put(self, pool):
-        alloc = OnlineHeuristic().place([4, 3, 1], pool)
+        alloc = OnlineHeuristic().place(pool, [4, 3, 1]).allocation
         pool.allocate(alloc.matrix)
         victim = int(alloc.used_nodes[0])
         survivors = [int(i) for i in alloc.used_nodes if i != victim]
@@ -109,7 +109,7 @@ class TestPlanRepair:
             assert np.all(plan.after.matrix[i] >= alloc.matrix[i])
 
     def test_no_failure_is_noop(self, pool):
-        alloc = OnlineHeuristic().place([2, 1, 0], pool)
+        alloc = OnlineHeuristic().place(pool, [2, 1, 0]).allocation
         pool.allocate(alloc.matrix)
         plan = plan_repair(alloc, pool, [])
         assert plan.moves == ()
@@ -119,13 +119,13 @@ class TestPlanRepair:
         # One node per rack; fail one, remaining cannot host the residual.
         topo = Topology.build(2, 1, capacity=[2, 0, 0])
         pool = DynamicResourcePool(topo, VMTypeCatalog.ec2_default())
-        alloc = OnlineHeuristic().place([4, 0, 0], pool)
+        alloc = OnlineHeuristic().place(pool, [4, 0, 0]).allocation
         pool.allocate(alloc.matrix)
         pool.fail_node(0)
         assert plan_repair(alloc, pool, [0]) is None
 
     def test_apply_repair_commits(self, pool):
-        alloc = OnlineHeuristic().place([4, 3, 1], pool)
+        alloc = OnlineHeuristic().place(pool, [4, 3, 1]).allocation
         pool.allocate(alloc.matrix)
         victim = int(alloc.used_nodes[0])
         pool.fail_node(victim)

@@ -2,8 +2,8 @@
 
 Every single-request algorithm must honor
 ``place(pool, request, *, rng=None, obs=None) -> PlacementResult`` with the
-paper's admission semantics, accept the deprecated ``place(request, pool)``
-order with a once-per-class warning, and produce bit-identical allocations
+paper's admission semantics, refuse the pre-protocol ``place(request, pool)``
+order with a ``ValidationError``, and produce bit-identical allocations
 whether instrumented or not. Batch algorithms must honor the analogous
 ``place_batch(pool, requests, *, rng=None, obs=None)``.
 """
@@ -15,7 +15,6 @@ import pytest
 
 from repro.cluster.vmtypes import VMTypeCatalog
 from repro.cluster import PoolSpec, random_pool
-from repro.core.placement import base as base_mod
 from repro.core.placement.annealing import AnnealingConfig, AnnealingGsdSolver
 from repro.core.placement.baselines import (
     BestFitPlacement,
@@ -73,15 +72,6 @@ def pool():
 DEMAND = [2, 3, 1]
 
 
-@pytest.fixture(autouse=True)
-def _fresh_warning_state():
-    saved = set(base_mod._legacy_warned)
-    base_mod._legacy_warned.clear()
-    yield
-    base_mod._legacy_warned.clear()
-    base_mod._legacy_warned.update(saved)
-
-
 @pytest.mark.parametrize("factory", SINGLE_ALGORITHMS)
 class TestSingleProtocol:
     def test_new_order_returns_placement_result(self, factory, pool):
@@ -118,16 +108,15 @@ class TestSingleProtocol:
             factory().place(pool, demand)
 
     def test_legacy_order_warns_once_and_matches(self, factory, pool):
-        algo = factory()
-        new = algo.place(pool, DEMAND)
-        with pytest.warns(DeprecationWarning, match="argument order"):
-            legacy = factory().place(DEMAND, pool)
-        assert not isinstance(legacy, PlacementResult)
-        assert np.array_equal(legacy.matrix, new.allocation.matrix)
-        # Second legacy call from the same class stays silent.
+        # The test id is pinned from when ``place(request, pool)`` warned and
+        # returned a raw Allocation; the shim is gone, and the old order is
+        # now what any other non-pool first argument is: a ValidationError.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            factory().place(DEMAND, pool)
+            with pytest.raises(ValidationError, match="ResourcePool as the first"):
+                factory().place(DEMAND, pool)
+            with pytest.raises(ValidationError, match="ResourcePool as the first"):
+                factory().place_and_commit(DEMAND, pool)
 
     def test_obs_is_bit_identical(self, factory, pool):
         bare = factory().place(pool, DEMAND, obs=None)
@@ -159,15 +148,11 @@ class TestBatchProtocol:
         assert all(a is not None for a in allocs)
 
     def test_legacy_order_warns_once_and_matches(self, factory, pool):
-        batch = [[1, 1, 0], [0, 2, 1]]
-        new = factory().place_batch(pool, batch)
-        with pytest.warns(DeprecationWarning, match="argument order"):
-            legacy = factory().place_batch(batch, pool)
-        for a, b in zip(new, legacy):
-            assert np.array_equal(a.matrix, b.matrix)
+        # Test id pinned, as above: the old order is a ValidationError.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            factory().place_batch(batch, pool)
+            with pytest.raises(ValidationError, match="ResourcePool as the first"):
+                factory().place_batch([[1, 1, 0], [0, 2, 1]], pool)
 
     def test_obs_is_bit_identical(self, factory, pool):
         batch = [[1, 1, 0], [0, 2, 1], [2, 0, 0]]

@@ -102,7 +102,7 @@ def test_heuristic_best_mode_equals_exact(instance):
         return
     pool, demand = instance
     exact = solve_sd_exact(demand, pool)
-    heur = OnlineHeuristic(stop="best").place(demand, pool)
+    heur = OnlineHeuristic(stop="best").place(pool, demand).allocation
     assert exact is not None and heur is not None
     assert heur.distance == pytest.approx(exact.distance)
 
@@ -114,7 +114,7 @@ def test_first_mode_never_beats_exact(instance):
         return
     pool, demand = instance
     exact = solve_sd_exact(demand, pool)
-    first = OnlineHeuristic(stop="first").place(demand, pool)
+    first = OnlineHeuristic(stop="first").place(pool, demand).allocation
     assert first is not None
     assert first.distance >= exact.distance - 1e-9
 

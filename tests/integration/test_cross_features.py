@@ -83,7 +83,7 @@ class TestMeasuredNetworkPipeline:
             inter_cloud=float(tiers[1]) * 2,
         )
         pool = ResourcePool(topo, catalog, distance_model=model)
-        alloc = OnlineHeuristic().place(np.array([4, 4, 2]), pool)
+        alloc = OnlineHeuristic().place(pool, np.array([4, 4, 2])).allocation
         pool.allocate(alloc.matrix)
         cluster = VirtualCluster.from_allocation(
             alloc, pool.distance_matrix, catalog
@@ -126,7 +126,7 @@ class TestSpeculationUnderContention:
         from tests.conftest import make_pool
 
         pool = make_pool(3, 4, capacity=(2, 2, 1))
-        alloc = OnlineHeuristic().place(np.array([4, 6, 2]), pool)
+        alloc = OnlineHeuristic().place(pool, np.array([4, 6, 2])).allocation
         cluster = VirtualCluster.from_allocation(alloc, pool.distance_matrix, catalog)
         engine = MapReduceEngine(
             cluster,

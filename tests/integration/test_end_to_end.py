@@ -29,8 +29,8 @@ class TestPlacementToMapReduce:
         demand = np.array([6, 8, 2])
         job = wordcount(combiner=False)
 
-        good_alloc = OnlineHeuristic().place(demand, pool)
-        bad_alloc = StripedPlacement().place(demand, pool)
+        good_alloc = OnlineHeuristic().place(pool, demand).allocation
+        bad_alloc = StripedPlacement().place(pool, demand).allocation
         assert good_alloc.distance < bad_alloc.distance
 
         good = VirtualCluster.from_allocation(good_alloc, pool.distance_matrix, catalog)
@@ -45,7 +45,7 @@ class TestPlacementToMapReduce:
         )
         demand = np.array([4, 4, 2])
         job = wordcount(input_bytes=512 * 1024 * 1024, combiner=False)
-        a = OnlineHeuristic().place(demand, pool)
+        a = OnlineHeuristic().place(pool, demand).allocation
         b = solve_sd_exact(demand, pool)
         assert a.distance == pytest.approx(b.distance)
 
@@ -99,7 +99,7 @@ class TestFullPaperPipeline:
         pool = random_pool(
             PoolSpec(racks=3, nodes_per_rack=10, capacity_high=3), catalog, seed=26
         )
-        alloc = OnlineHeuristic().place(np.array([4, 8, 4]), pool)
+        alloc = OnlineHeuristic().place(pool, np.array([4, 8, 4])).allocation
         pool.allocate(alloc.matrix)
         cluster = VirtualCluster.from_allocation(alloc, pool.distance_matrix, catalog)
         job = wordcount()

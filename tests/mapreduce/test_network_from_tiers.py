@@ -53,7 +53,7 @@ class TestFromTiers:
         _, tiers = infer_distance_matrix(topo, num_tiers=2, seed=3)
         net = NetworkModel.from_tiers(tiers)
         pool = ResourcePool(topo, catalog)
-        alloc = OnlineHeuristic().place(np.array([4, 4, 2]), pool)
+        alloc = OnlineHeuristic().place(pool, np.array([4, 4, 2])).allocation
         cluster = VirtualCluster.from_allocation(alloc, pool.distance_matrix, catalog)
         job = wordcount(input_bytes=256 * 1024 * 1024)
         result = MapReduceEngine(cluster, network=net, seed=4).run(job, hdfs_seed=4)

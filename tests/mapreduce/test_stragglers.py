@@ -23,7 +23,7 @@ def cluster():
     pool = random_pool(
         PoolSpec(racks=3, nodes_per_rack=10, capacity_high=3), catalog, seed=7
     )
-    alloc = OnlineHeuristic().place(np.array([8, 6, 2]), pool)
+    alloc = OnlineHeuristic().place(pool, np.array([8, 6, 2])).allocation
     return VirtualCluster.from_allocation(alloc, pool.distance_matrix, catalog)
 
 

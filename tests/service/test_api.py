@@ -62,7 +62,7 @@ class TestPlacementDecision:
         assert matrix.sum() == 3
 
     def test_from_allocation_preserves_geometry(self, paper_pool):
-        allocation = OnlineHeuristic().place([2, 1, 0], paper_pool)
+        allocation = OnlineHeuristic().place(paper_pool, [2, 1, 0]).allocation
         decision = decision_from_allocation(7, allocation, latency=0.25)
         assert decision.placed
         assert decision.center == allocation.center
@@ -74,7 +74,7 @@ class TestPlacementDecision:
         assert np.array_equal(dense, allocation.matrix)
 
     def test_sparse_placements_match_argwhere(self, paper_pool):
-        allocation = OnlineHeuristic().place([1, 1, 1], paper_pool)
+        allocation = OnlineHeuristic().place(paper_pool, [1, 1, 1]).allocation
         triples = allocation_to_placements(allocation)
         assert all(count > 0 for _, _, count in triples)
         assert sum(count for _, _, count in triples) == allocation.total_vms

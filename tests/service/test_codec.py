@@ -29,6 +29,7 @@ from repro.service.codec import (
     SUPPORTED_CODECS,
     choose_codec,
     pack,
+    read_op,
     resolve_codec,
     unpack,
 )
@@ -91,14 +92,19 @@ class TestPackUnpack:
             unpack(b"\xc1")
 
 
+def read_one(codec, raw: bytes):
+    """What a blocking reader gets from a stream holding exactly *raw*."""
+    return read_op(io.BytesIO(raw), codec.decoder())
+
+
 class TestBinaryCodec:
     def test_blocking_round_trip(self):
         codec = BinaryCodec()
         doc = {"op": "ping", "n": 7}
-        assert codec.decode_op(io.BytesIO(codec.encode_op(doc))) == doc
+        assert read_one(codec, codec.encode_op(doc)) == doc
 
     def test_eof_returns_none(self):
-        assert BinaryCodec().decode_op(io.BytesIO(b"")) is None
+        assert read_one(BinaryCodec(), b"") is None
 
     def test_oversize_frame_rejected_on_encode_and_decode(self):
         small = BinaryCodec(max_bytes=64)
@@ -108,17 +114,28 @@ class TestBinaryCodec:
         # alone — the payload is never read or buffered.
         header = struct.pack(">BI", BINARY_MAGIC, 65)
         with pytest.raises(TransportError, match="exceeds"):
-            small.decode_op(io.BytesIO(header))
+            read_one(small, header)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(TransportError, match="magic"):
-            BinaryCodec().decode_op(io.BytesIO(b'{"op": "ping"}\n'))
+            read_one(BinaryCodec(), b'{"op": "ping"}\n')
 
     def test_truncated_frame_rejected(self):
         codec = BinaryCodec()
         raw = codec.encode_op({"op": "ping"})
-        with pytest.raises(TransportError, match="truncated"):
-            codec.decode_op(io.BytesIO(raw[:-3]))
+        for cut in (3, len(raw) - 3):  # mid-header, mid-payload
+            with pytest.raises(TransportError, match="truncated"):
+                read_one(codec, raw[:cut])
+
+    def test_read_op_keeps_what_it_read_past_a_frame(self):
+        # One stream, one decoder: the pump reads in chunks, so the bytes
+        # behind the first frame must come back as the next calls' frames.
+        codec = BinaryCodec()
+        docs = [{"op": "ping", "i": i} for i in range(3)]
+        stream = io.BytesIO(b"".join(codec.encode_op(d) for d in docs))
+        decoder = codec.decoder()
+        assert [read_op(stream, decoder) for _ in docs] == docs
+        assert read_op(stream, decoder) is None
 
     def test_incremental_decoder_matches_blocking(self):
         codec = BinaryCodec()
@@ -153,6 +170,54 @@ class TestLineDecoder:
             decoder.next_op()
         decoder.feed(b'{"op": "ping"}\n')  # stream re-synced at the newline
         assert decoder.next_op() == {"op": "ping"}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_the_budget_counts_the_terminator_on_both_sides(self, chunk):
+        # A frame encode_op refuses is a frame the decoder refuses, wherever
+        # the read boundaries fall: a line of max_bytes with its newline is
+        # the largest either side lets through.
+        def line(total):  # a ping padded to *total* bytes, newline included
+            return b'{"op":"ping","pad":"' + b"x" * (total - 23) + b'"}\n'
+
+        codec = JsonLineCodec(max_bytes=64)
+        at, past = line(64), line(65)
+        assert codec.encode_op(json.loads(at)) == at
+        with pytest.raises(TransportError, match="exceeds"):
+            codec.encode_op(json.loads(past))
+        decoder = codec.decoder()
+        stream = at + past + at
+        got = []
+        for i in range(0, len(stream), chunk):
+            decoder.feed(stream[i : i + chunk])
+            while True:
+                try:
+                    doc = decoder.next_op()
+                except TransportError as exc:
+                    doc = str(exc)
+                if doc is None:
+                    break
+                got.append(doc)
+        assert got == [json.loads(at), "frame exceeds 64 bytes", json.loads(at)]
+
+    def test_blocking_read_skips_blank_lines_and_ends_clean(self):
+        stream = io.BytesIO(b"\n  \n" * 5000 + b'{"op": "ping"}\n\n \n')
+        decoder = JsonLineCodec().decoder()
+        assert read_op(stream, decoder) == {"op": "ping"}
+        assert read_op(stream, decoder) is None  # trailing blanks: clean EOF
+
+    def test_eof_mid_line_is_a_truncation_raised_once(self):
+        stream = io.BytesIO(b'{"op": "ping"}\n{"op": "pi')
+        decoder = JsonLineCodec().decoder()
+        assert read_op(stream, decoder) == {"op": "ping"}
+        with pytest.raises(TransportError, match="truncated"):
+            read_op(stream, decoder)
+        assert read_op(stream, decoder) is None
+
+    def test_eof_inside_an_oversize_line_is_still_oversize(self):
+        decoder = JsonLineCodec(max_bytes=32).decoder()
+        with pytest.raises(TransportError, match="exceeds"):
+            read_op(io.BytesIO(b"x" * 100), decoder)
+        assert read_op(io.BytesIO(b""), decoder) is None
 
 
 # -------------------------------------------------------------- negotiation

@@ -23,7 +23,7 @@ from repro.service.coord.net import (
     NetworkedCoordinationBackend,
     parse_coord_url,
 )
-from repro.util.errors import TransportError, ValidationError
+from repro.util.errors import RemoteOpError, TransportError, ValidationError
 
 BACKENDS = ("memory", "net")
 
@@ -231,6 +231,31 @@ class TestNetworkedBackend:
             finally:
                 a.close()
                 b.close()
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            ({"worker_id": "w"}, "missing argument 'now'"),
+            ({"worker_id": "w", "now": "soon"}, "bad argument 'now'"),
+            ({"worker_id": "w", "now": None}, "bad argument 'now'"),
+        ],
+    )
+    def test_a_bad_argument_is_a_typed_error_naming_op_and_argument(
+        self, args, named, caplog
+    ):
+        # Not "internal error: 'now'" with a traceback in the server's log:
+        # the caller got the vocabulary wrong, and is told which word.
+        with CoordinationServer() as server:
+            client = NetworkedCoordinationBackend.from_url(server.url)
+            try:
+                with pytest.raises(RemoteOpError) as raised:
+                    client._rpc("beat", **args)
+                assert "op 'beat'" in str(raised.value) and named in str(raised.value)
+                assert "internal error" not in str(raised.value)
+                assert not caplog.records
+                assert client.workers() == {}  # the link still works
+            finally:
+                client.close()
 
     def test_unreachable_server_raises_transport_error(self):
         # Bind-then-close guarantees a dead port.

@@ -63,7 +63,7 @@ class TestDifferentialEquivalence:
         for i, demand in enumerate(demands):
             ticket = service.submit(PlaceRequest(demand=demand, request_id=1000 + i))
             decisions = service.step()
-            expected = heuristic.place(list(demand), mirror)
+            expected = heuristic.place(mirror, list(demand)).allocation
             if expected is None:
                 # The service leaves unsatisfiable requests queued — no
                 # terminal decision yet, and the mirror pool is untouched.
@@ -104,7 +104,7 @@ class TestBatching:
         service.step()
         sequential = 0.0
         for demand in demands:
-            allocation = heuristic.place(list(demand), mirror)
+            allocation = heuristic.place(mirror, list(demand)).allocation
             if allocation is not None:
                 mirror.allocate(allocation.matrix)
                 sequential += allocation.distance

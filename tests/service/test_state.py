@@ -112,7 +112,7 @@ class TestLeaseLedger:
 
     def test_adopt_lease_does_not_change_capacity(self, paper_pool):
         heuristic = OnlineHeuristic()
-        allocation = heuristic.place([1, 1, 0], paper_pool)
+        allocation = heuristic.place(paper_pool, [1, 1, 0]).allocation
         restored = ClusterState(
             paper_pool.topology,
             paper_pool.catalog,
@@ -129,7 +129,7 @@ class TestLeaseLedger:
         # first claims more than C holds — adoption must refuse it so the
         # ledger always sums within the allocated matrix.
         heuristic = OnlineHeuristic()
-        allocation = heuristic.place([1, 1, 0], paper_pool)
+        allocation = heuristic.place(paper_pool, [1, 1, 0]).allocation
         restored = ClusterState(
             paper_pool.topology,
             paper_pool.catalog,
@@ -195,8 +195,8 @@ class TestRandomizedConsistency:
                 if not state.can_satisfy(demand):
                     continue
                 allocation = heuristic.place(
-                    VirtualClusterRequest(demand=demand), state
-                )
+                    state, VirtualClusterRequest(demand=demand)
+                ).allocation
                 if allocation is None:
                     continue
                 state.allocate_lease(next_id, allocation)

@@ -110,7 +110,7 @@ def test_malformed_envelope_gets_error_response(endpoint):
 
 def test_client_raises_on_server_error(client):
     with pytest.raises(ValidationError):
-        client._call({"op": "warp"})
+        client.request({"op": "warp"})
 
 
 def test_handler_timeout_cancels_queued_request(endpoint, client, monkeypatch):

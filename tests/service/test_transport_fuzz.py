@@ -48,10 +48,9 @@ from repro.service import (
     wire,
 )
 from repro.service.api import message_from_doc, message_to_doc
-from repro.service.codec import BINARY_MAGIC
+from repro.service.codec import BINARY_MAGIC, MAX_OP_BYTES, read_op
 from repro.service.coord.net import CoordinationServer, NetworkedCoordinationBackend
 from repro.service.shard import FabricConfig, RackGroupPlan, ShardedPlacementFabric
-from repro.service.transport import MAX_LINE_BYTES
 
 CATALOG = VMTypeCatalog.ec2_default()
 
@@ -200,9 +199,9 @@ def coord_session(server, payload: bytes) -> list:
         wire.expect_hello(rfile, role="coord-server")
         sock.sendall(payload)
         sock.shutdown(socket.SHUT_WR)
-        replies = []
+        replies, decoder = [], wire.ENVELOPE_CODEC.decoder()
         while True:
-            reply = wire.ENVELOPE_CODEC.decode_op(rfile)
+            reply = read_op(rfile, decoder)
             if reply is None:
                 return replies
             replies.append(reply)
@@ -240,7 +239,7 @@ class TestMalformedFrames:
         assert_alive(endpoint)
 
     def test_oversized_frame(self, endpoint):
-        payload = b'{"op": "ping", "pad": "' + b"x" * (MAX_LINE_BYTES + 10) + b'"}\n'
+        payload = b'{"op": "ping", "pad": "' + b"x" * (MAX_OP_BYTES + 10) + b'"}\n'
         reply = send_raw(endpoint, payload)
         assert_typed_errors(reply)
         assert b"exceeds" in reply
@@ -422,6 +421,9 @@ class TestCoordinationServer:
         # to answer the ping behind it.
         assert [r["ok"] for r in got] == ([False, True] if replies else [])
         assert all(isinstance(r.get("error", ""), str) for r in got)
+        # ... typed: whatever the caller got wrong is the caller's mistake,
+        # never an "internal error" with a traceback in the server's log.
+        assert not any("internal error" in r.get("error", "") for r in got)
         assert_coord_alive(coord)
 
     @pytest.mark.parametrize(
