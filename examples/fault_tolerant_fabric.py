@@ -94,7 +94,7 @@ def main() -> None:
         for s in fabric.shards
         if s.shard_id != victim
     }
-    payload = supervisor.backend.get_checkpoint(f"shard-{victim}")
+    payload = supervisor.replicated_payload(victim)
     assert payload is not None, "write-ahead copy must exist before the kill"
 
     gate = {"open": False}

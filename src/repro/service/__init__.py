@@ -129,6 +129,7 @@ from repro.service.coord import (
     CoordinationBackend,
     InMemoryCoordinationBackend,
     LeaseRecord,
+    LogEntry,
     WorkerRecord,
 )
 from repro.service.coord.net import (
@@ -209,6 +210,7 @@ __all__ = [
     "CoordinationServer",
     "InMemoryCoordinationBackend",
     "LeaseRecord",
+    "LogEntry",
     "NetworkedCoordinationBackend",
     "ProcBackend",
     "ProcWorkerHandle",

@@ -28,6 +28,11 @@ Format (version 1)::
 A lease's ``survivability`` key is present only when the lease carries a
 :class:`~repro.core.reliability.SurvivabilityTarget` — checkpoints of
 target-free states are byte-identical to the pre-reliability format.
+
+Write-ahead replication ships *deltas* between snapshots: :func:`delta_bytes`
+encodes journal records as a JSON list of lease entries in exactly the form
+above plus an ``"op"`` tag (``"allocate"``, or ``"release"`` with only the
+``request_id``); :func:`replay` applies logged deltas to a restored snapshot.
 """
 
 from __future__ import annotations
@@ -51,32 +56,47 @@ from repro.util.errors import ValidationError
 CHECKPOINT_VERSION = 1
 
 
+def lease_entry(request_id: int, allocation: Allocation, target=None) -> dict:
+    """One lease in checkpoint form (also the body of an ``allocate`` delta)."""
+    matrix = allocation.matrix
+    entry = {
+        "request_id": int(request_id),
+        "center": int(allocation.center),
+        "distance": float(allocation.distance),
+        "placements": [
+            [int(i), int(j), int(matrix[i, j])] for i, j in np.argwhere(matrix > 0)
+        ],
+    }
+    if target is not None:
+        entry["survivability"] = target.to_dict()
+    return entry
+
+
+def lease_from_entry(entry: dict, shape: "tuple[int, int]"):
+    """Inverse of :func:`lease_entry`: ``(allocation, target or None)``."""
+    matrix = np.zeros(shape, dtype=np.int64)
+    for node, vm_type, count in entry["placements"]:
+        matrix[node, vm_type] += count
+    target = entry.get("survivability")
+    return (
+        Allocation(matrix=matrix, center=entry["center"], distance=entry["distance"]),
+        None if target is None else SurvivabilityTarget.from_dict(target),
+    )
+
+
 def checkpoint_to_dict(state: ClusterState) -> dict:
     """Serialize *state* to a JSON-ready document."""
-    leases = []
-    for request_id in sorted(state.leases):
-        allocation = state.leases[request_id]
-        matrix = allocation.matrix
-        entry = {
-            "request_id": int(request_id),
-            "center": int(allocation.center),
-            "distance": float(allocation.distance),
-            "placements": [
-                [int(i), int(j), int(matrix[i, j])]
-                for i, j in np.argwhere(matrix > 0)
-            ],
-        }
-        target = state.lease_target(request_id)
-        if target is not None:
-            entry["survivability"] = target.to_dict()
-        leases.append(entry)
+    leases = state.leases
     return {
         "version": CHECKPOINT_VERSION,
         "state_version": state.version,
         "catalog": catalog_to_dict(state.catalog),
         "pool": pool_to_dict(state),
         "allocated": state.allocated.tolist(),
-        "leases": leases,
+        "leases": [
+            lease_entry(rid, leases[rid], state.lease_target(rid))
+            for rid in sorted(leases)
+        ],
     }
 
 
@@ -97,27 +117,50 @@ def state_from_checkpoint(doc: dict) -> ClusterState:
         distance_model=pool.distance_model,
         allocated=allocated,
     )
-    n, m = state.num_nodes, state.num_types
+    shape = (state.num_nodes, state.num_types)
     for entry in doc["leases"]:
-        matrix = np.zeros((n, m), dtype=np.int64)
-        for node, vm_type, count in entry["placements"]:
-            matrix[node, vm_type] += count
-        target = entry.get("survivability")
-        state.adopt_lease(
-            entry["request_id"],
-            Allocation(
-                matrix=matrix,
-                center=entry["center"],
-                distance=entry["distance"],
-            ),
-            survivability=(
-                SurvivabilityTarget.from_dict(target)
-                if target is not None
-                else None
-            ),
-        )
+        allocation, target = lease_from_entry(entry, shape)
+        state.adopt_lease(entry["request_id"], allocation, survivability=target)
     state.verify_consistency()
     state._version = int(doc["state_version"])
+    return state
+
+
+def delta_bytes(records, since: int, version: int) -> "bytes | None":
+    """Journal *records* taking a state from version *since* to *version*,
+    encoded as one delta — or ``None`` when they do not do so contiguously
+    (records missing, or a non-ledger mutation among them)."""
+    if [r.version for r in records] != list(range(since + 1, version + 1)):
+        return None
+    if any(r.request_id is None for r in records):
+        return None
+    return json.dumps([
+        {"op": "release", "request_id": int(r.request_id)}
+        if r.allocation is None
+        else {"op": "allocate", **lease_entry(r.request_id, r.allocation, r.target)}
+        for r in records
+    ]).encode("utf-8")
+
+
+def replay(state: ClusterState, log) -> ClusterState:
+    """Apply logged deltas (oldest first) to *state*, restored from the
+    snapshot they follow. A delta logged at version ``v`` with ``k`` ops
+    covers ``v-k+1 … v``: ops the state already reflects (an append re-sent
+    after a lost reply) are skipped, and a gap is refused."""
+    shape = (state.num_nodes, state.num_types)
+    for entry in log:
+        ops = json.loads(entry.record)
+        first = entry.version - len(ops) + 1
+        if first > state.version + 1:
+            raise ValidationError(
+                f"replication log skips from version {state.version} to {first}"
+            )
+        for op in ops[state.version + 1 - first :]:
+            if op["op"] == "release":
+                state.release_lease(op["request_id"])
+            else:
+                allocation, target = lease_from_entry(op, shape)
+                state.allocate_lease(op["request_id"], allocation, survivability=target)
     return state
 
 

@@ -16,7 +16,10 @@ operations:
   releases arrive as ids on the wire, not matrices,
 * a monotonically increasing version stamps every mutation, giving cheap
   versioned snapshots (and letting a checkpoint say exactly which state it
-  captured).
+  captured),
+* an optional change journal records every ledger mutation by the version
+  it produced, so a supervisor can replicate what changed rather than the
+  whole state.
 
 ``ClusterState`` *is a* ``ResourcePool``, so every placement algorithm in
 :mod:`repro.core.placement` runs against it unchanged — the differential
@@ -27,6 +30,7 @@ guarantee that the service places exactly like a direct
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +63,22 @@ class StateSnapshot:
             object.__setattr__(self, "lease_targets", {})
 
 
+class JournalRecord(NamedTuple):
+    """One journaled mutation, keyed by the state version it produced.
+
+    ``allocation`` is the committed lease (``None`` for a release) and
+    ``target`` its survivability target. ``request_id`` is ``None`` for a
+    non-ledger mutation — a raw allocate/release or a restore — which no
+    sequence of lease operations can replay: it breaks the journal's
+    contiguity.
+    """
+
+    version: int
+    request_id: "int | None"
+    allocation: "Allocation | None" = None
+    target: object = None
+
+
 class ClusterState(ResourcePool):
     """A :class:`ResourcePool` with incremental aggregates and a lease ledger.
 
@@ -66,6 +86,10 @@ class ClusterState(ResourcePool):
     or :meth:`allocate_lease`/:meth:`release_lease` (ledger-tracked); both
     paths keep the cached free-capacity matrix, availability vector, and
     per-rack aggregates exact and bump :attr:`version`.
+
+    :attr:`journal` is ``None`` (off, zero cost) unless a supervisor sets it
+    to a list; then every mutation appends one :class:`JournalRecord`, and
+    the consumer trims what it has acknowledged.
     """
 
     def __init__(
@@ -90,6 +114,7 @@ class ClusterState(ResourcePool):
         self._lease_targets: dict[int, object] = {}
         self._lease_sum = np.zeros_like(self._alloc)
         self._version = 0
+        self.journal: "list[JournalRecord] | None" = None
         self._rebuild_aggregates()
 
     @classmethod
@@ -139,6 +164,20 @@ class ClusterState(ResourcePool):
     # ------------------------------------------------------------- mutation
 
     def allocate(self, allocation: np.ndarray) -> None:
+        self._allocate(allocation)
+        self._record(None)
+
+    def release(self, allocation: np.ndarray) -> None:
+        self._release(allocation)
+        self._record(None)
+
+    def restore(self, snapshot: np.ndarray) -> None:
+        super().restore(snapshot)
+        self._rebuild_aggregates()
+        self._version += 1
+        self._record(None)
+
+    def _allocate(self, allocation: np.ndarray) -> None:
         super().allocate(allocation)
         a = np.asarray(allocation, dtype=np.int64)
         self._free -= a
@@ -146,7 +185,7 @@ class ClusterState(ResourcePool):
         np.subtract.at(self._rack_free, self._rack_ids, a)
         self._version += 1
 
-    def release(self, allocation: np.ndarray) -> None:
+    def _release(self, allocation: np.ndarray) -> None:
         super().release(allocation)
         a = np.asarray(allocation, dtype=np.int64)
         self._free += a
@@ -154,10 +193,11 @@ class ClusterState(ResourcePool):
         np.add.at(self._rack_free, self._rack_ids, a)
         self._version += 1
 
-    def restore(self, snapshot: np.ndarray) -> None:
-        super().restore(snapshot)
-        self._rebuild_aggregates()
-        self._version += 1
+    def _record(self, request_id, allocation=None, target=None) -> None:
+        if self.journal is not None:
+            self.journal.append(
+                JournalRecord(self._version, request_id, allocation, target)
+            )
 
     # ---------------------------------------------------------------- leases
 
@@ -197,11 +237,12 @@ class ClusterState(ResourcePool):
             raise ValidationError(
                 f"request {request_id} already holds an active lease"
             )
-        self.allocate(allocation.matrix)
+        self._allocate(allocation.matrix)
         self._leases[request_id] = allocation
         if survivability is not None:
             self._lease_targets[request_id] = survivability
         self._lease_sum += allocation.matrix
+        self._record(request_id, allocation, survivability)
 
     def release_lease(self, request_id: int) -> Allocation:
         """Free the allocation held by *request_id* and return it."""
@@ -209,8 +250,9 @@ class ClusterState(ResourcePool):
         if allocation is None:
             raise ValidationError(f"no active lease for request {request_id}")
         self._lease_targets.pop(request_id, None)
-        self.release(allocation.matrix)
+        self._release(allocation.matrix)
         self._lease_sum -= allocation.matrix
+        self._record(request_id)
         return allocation
 
     def swap_lease(self, request_id: int, allocation: Allocation) -> Allocation:

@@ -241,7 +241,7 @@ def failover_scenario(built):
     victim = 0
     held = sorted(r for r, owner in before.items() if owner == victim)
     assert held, "the victim shard should hold leases"
-    payload = supervisor.backend.get_checkpoint(f"shard-{victim}")
+    payload = supervisor.replicated_payload(victim)
     # More arrivals, admitted but not stepped: the victim's share of them is
     # what the failover has to re-route.
     for i, d in enumerate(demands[8:], start=8):

@@ -211,7 +211,7 @@ class TestSupervisedEquivalence:
         fabric.verify_consistency()
         # Every shard's replicated payload is the live state, byte-exact.
         for worker in supervisor.workers:
-            payload = supervisor.backend.get_checkpoint(worker.worker_id)
+            payload = supervisor.replicated_payload(worker.shard_id)
             assert payload == checkpoint_bytes(worker.service.state).encode("utf-8")
 
 
@@ -230,10 +230,7 @@ class TestFailoverMidTrace:
             for s in fabric.shards
             if s.shard_id not in kill_shards
         }
-        payloads = {
-            k: supervisor.backend.get_checkpoint(f"shard-{k}")
-            for k in kill_shards
-        }
+        payloads = {k: supervisor.replicated_payload(k) for k in kill_shards}
         gate_open = {"open": False}
         supervisor.restore_gate = lambda sid, now: gate_open["open"]
         for k in kill_shards:
@@ -491,31 +488,49 @@ class TestChaosInjector:
         pool, fabric, supervisor, clock = make_supervised(seed=17)
         worker = supervisor.workers[0]
         shard = fabric.shards[0]
-        baseline = supervisor.backend.get_checkpoint(worker.worker_id)
+        live = lambda: checkpoint_bytes(shard.state).encode("utf-8")  # noqa: E731
+
+        def commit_on_shard(first_rid):
+            for candidate in range(first_rid, first_rid + 40):
+                t = fabric.submit(PlaceRequest(request_id=candidate, demand=(1, 0, 0)))
+                pump(fabric)
+                d = t.decision
+                if d is not None and d.placed and placements_touch_shard(d, shard):
+                    return t
+            raise AssertionError("no placement landed on shard 0")
+
+        baseline = supervisor.replicated_payload(0)
+        acked = worker._replicated_version
         # Force every replication to fail, commit a placement on shard 0,
-        # and check the backend still holds the pre-fault payload.
+        # and check the backend still holds the pre-fault state: a faulted
+        # append leaves nothing behind.
         worker.replication_fault = lambda: True
-        rid = 8801
-        local_demand = (1, 0, 0)
-        ticket = None
-        for attempt in range(40):
-            candidate = rid + attempt
-            t = fabric.submit(
-                PlaceRequest(request_id=candidate, demand=local_demand)
-            )
-            pump(fabric)
-            d = t.decision
-            if d is not None and d.placed and placements_touch_shard(d, shard):
-                ticket = t
-                break
-        assert ticket is not None, "no placement landed on shard 0"
+        ticket = commit_on_shard(8801)
         assert worker.replication_failures > 0
-        assert supervisor.backend.get_checkpoint(worker.worker_id) == baseline
-        # Clear the fault; the next commit replicates the missed versions.
+        assert worker._replicated_version == acked
+        assert supervisor.replicated_payload(0) == baseline
+        # Clear the fault; the next commit re-sends the missed versions as
+        # one appended delta.
         worker.replication_fault = None
         fabric.release(ReleaseRequest(request_id=ticket.request_id))
-        payload = supervisor.backend.get_checkpoint(worker.worker_id)
-        assert payload == checkpoint_bytes(shard.state).encode("utf-8")
+        assert worker._replicated_version == shard.state.version
+        assert supervisor.backend.read_since(worker.worker_id, acked)  # a delta
+        payload = supervisor.replicated_payload(0)
+        assert payload == live()
+        # A faulted compaction (forced snapshot) keeps the acknowledged copy ...
+        acked, failures = worker._replicated_version, worker.replication_failures
+        worker.replication_fault = lambda: True
+        worker.sync(force=True)
+        assert worker.replication_failures == failures + 1
+        assert worker._replicated_version == acked
+        assert supervisor.replicated_payload(0) == payload
+        # ... and the next commit retries it as a snapshot, emptying the log.
+        worker.replication_fault = None
+        commit_on_shard(8901)
+        assert worker._replicated_version == shard.state.version
+        assert supervisor.backend.read_since(worker.worker_id, -1) == []
+        assert supervisor.backend.get_checkpoint(worker.worker_id) == live()
+        assert supervisor.replicated_payload(0) == live()
 
     def test_kill_during_repair_window_is_not_double_applied(self):
         pool, fabric, supervisor, clock = make_supervised(seed=19)
