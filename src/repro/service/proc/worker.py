@@ -247,7 +247,7 @@ class WorkerProcess:
         # Force a replication + heartbeat/ledger sync right now — used by
         # audits that must not wait for the next scheduler tick.
         if self.worker is not None:
-            self.worker.sync(force=bool(doc.get("force", True)))
+            self.worker.sync(force=bool(doc.get("force", False)))
 
     def _op_shutdown(self, doc: dict) -> dict:
         if bool(doc.get("drain", True)):
