@@ -9,7 +9,11 @@ tier is a rack or a cloud, not a row of ``D``. Everything here is O(n):
 
 * ``rack_ids`` / ``cloud_ids`` — node → rack / cloud, as the topology has
   them (the fill order's tier key is two equality tests on these);
-* ``tier_distances`` — ``(d1, d2, d3)`` from the distance model;
+* ``tier_distances`` — ``(d1, d2, d3)`` from the distance model, and
+  ``exact_tiers`` — whether all three lie on the ``2⁻¹⁰`` grid (every
+  integer model, the paper's 1/2/4 included), where sums of VM counts times
+  tier distances are exact in float64, so the kernels' closed form *is* the
+  reference ``dc`` rather than an approximation of it;
 * the **rack grouping** — ``rack_order`` lists the nodes rack by rack,
   ``rack_starts[r]`` is where dense rack ``r`` begins in it and
   ``rack_index[i]`` is node ``i``'s dense rack, so per-rack free capacity is
@@ -35,6 +39,11 @@ import numpy as np
 
 from repro.cluster.distance import DistanceModel, build_distance_matrix
 from repro.cluster.topology import Topology
+
+#: Tier distances that are multiples of ``1 / EXACT_GRID`` make every cluster
+#: distance a multiple of it too; below ``2⁵³ / EXACT_GRID`` such sums are
+#: exact in float64 whatever the summation order.
+EXACT_GRID = 1024.0
 
 
 def _grouping(ids: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
@@ -67,6 +76,7 @@ class TopologyCache:
         "rack_ids",
         "cloud_ids",
         "tier_distances",
+        "exact_tiers",
         "rack_order",
         "rack_starts",
         "rack_index",
@@ -85,6 +95,9 @@ class TopologyCache:
         self.cloud_ids = np.asarray(topology.cloud_ids, dtype=np.int64)
         self.tier_distances = tuple(
             float(d) for d in (model.intra_rack, model.inter_rack, model.inter_cloud)
+        )
+        self.exact_tiers = all(
+            (d * EXACT_GRID).is_integer() for d in self.tier_distances
         )
         self.rack_order, self.rack_starts, self.rack_index = _grouping(
             self.rack_ids

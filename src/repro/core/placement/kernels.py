@@ -20,6 +20,10 @@ produce **bit-identical** results (the property tests in
   margin dwarfing float error) are pruned without ever being sorted or
   filled; survivors get the exact fill and the byte-for-byte reference
   distance expression ``float(counts.astype(np.float64) @ dist[:, c])``.
+  When the tier arithmetic is exact (``TopologyCache.exact_tiers``: integer
+  and other on-grid models) the margin is zero, and an unbudgeted sweep
+  fills only the first center attaining the screen's minimum — the
+  reference winner (:func:`sweep_best` has the argument).
 
 * **Fill order** — the reference sorts nodes by
   ``(D[i, c], -providable_i, i)``. ``providable`` does not depend on the
@@ -47,13 +51,15 @@ import time
 
 import numpy as np
 
+from repro.cluster.topocache import EXACT_GRID
 from repro.util.errors import ValidationError
 from repro.util.timing import PhaseTimer
 
 #: Safety margin factor for pruning against the incumbent: the screening
 #: value differs from the exact ``dc`` only by float summation order, which
 #: is ~1e-13 relative; 1e-9 relative dwarfs it while remaining far below any
-#: real distance difference between two placements.
+#: real distance difference between two placements. Zero where that order
+#: cannot matter (:func:`_screen_is_exact`).
 _SCREEN_RTOL = 1e-9
 
 
@@ -343,6 +349,35 @@ def _cannot_complete(demand, remaining, max_vms_per_rack) -> bool:
     return max_vms_per_rack is None and bool(np.any(remaining.sum(axis=0) < demand))
 
 
+def _screen_is_exact(cache, demand: np.ndarray) -> bool:
+    # On-grid tier distances make every screen value and every exact ``dc``
+    # a multiple of 1/EXACT_GRID, and none exceeds Σ demand · d3 (each VM
+    # sits at most d3 away); below 2⁵³/EXACT_GRID every product and partial
+    # sum of either is exactly representable, so both are the same float.
+    bound = float(demand.sum()) * cache.tier_distances[2]
+    return cache.exact_tiers and bound < 2.0**53 / EXACT_GRID
+
+
+def _incumbent(fill, candidates, screen, threshold, margin):
+    """The reference ``stop="best"`` loop over the survivors of the screen.
+
+    Candidates go in order; one whose bound reaches *threshold* is pruned,
+    any other is filled and replaces the incumbent on ``dc < best − 1e-12``.
+    Returns ``(best, best's screen value, pruned count)``.
+    """
+    best = best_bound = None
+    pruned = 0
+    for center, bound in zip(candidates.tolist(), screen.tolist()):
+        if bound >= threshold:
+            pruned += 1
+            continue
+        filled = fill(center)
+        if filled is not None and (best is None or filled[2] < best[2] - 1e-12):
+            best, best_bound = filled, bound
+            threshold = best[2] - 1e-12 + margin * (1.0 + abs(best[2]))
+    return best, best_bound, pruned
+
+
 def sweep_best(
     candidates: np.ndarray,
     demand: np.ndarray,
@@ -364,6 +399,27 @@ def sweep_best(
     as there is anything to sweep. ``obs`` (a metrics registry) receives
     screened/pruned/filled counts and fill timings; it never affects the
     result.
+
+    **One fill when the screen is exact.** With on-grid tier distances
+    (``cache.exact_tiers``) and no rack budget, each candidate's screen value
+    and its reference ``dc`` are the same float64 (both exact sums of the
+    same per-tier takes), so the pruning margin is zero and the threshold
+    starts just above ``m = screen.min()``: only centers with ``dc = m`` are
+    ever filled, and after the first of them, ``c*``, none — a later tie
+    fails ``dc < m − 1e-12``. That is the reference winner. Every candidate
+    before ``c*`` has ``dc > m``, and on the grid that means
+    ``dc ≥ m + 2⁻¹⁰ > m + 1e-12``, so ``c*`` replaces whatever incumbent
+    the reference held when it got there; no candidate after it can replace
+    ``c*``. Skipped centers, all with ``dc > m + 1e-12``, can never be the
+    final incumbent, and skipping them cannot change the incumbent chain from
+    ``c*`` on. As a guard the winner's reference ``dc`` is compared with its
+    screen value and with ``m``; should they differ (the loop would then
+    have walked on from a mismatched first fill, with centers before it
+    already pruned), the full loop runs with the ``_SCREEN_RTOL`` margin.
+    Rack-budgeted and survivability fills keep the full loop, since their
+    screen is only a lower bound on ``dc``; on the grid that bound is exact
+    arithmetic too, so they also prune with a zero margin (a center whose
+    bound ties the incumbent cannot beat it).
     """
     require_rack_ids(rack_ids, max_vms_per_rack)
     if _cannot_complete(demand, remaining, max_vms_per_rack):
@@ -373,17 +429,14 @@ def sweep_best(
     )
     candidates = np.asarray(candidates, dtype=np.int64)
     screen = tier_bound(cache, remaining, demand).sum(axis=1)[candidates]
-    best: "tuple[np.ndarray, int, float] | None" = None
-    threshold = np.inf
-    pruned = 0
-    for center, bound in zip(candidates.tolist(), screen.tolist()):
-        if bound >= threshold:
-            pruned += 1
-            continue
-        filled = fill(center)
-        if filled is not None and (best is None or filled[2] < best[2] - 1e-12):
-            best = filled
-            threshold = best[2] - 1e-12 + _SCREEN_RTOL * (1.0 + abs(best[2]))
+    exact = _screen_is_exact(cache, demand)
+    margin = 0.0 if exact else _SCREEN_RTOL
+    one_fill = exact and max_vms_per_rack is None and screen.size > 0
+    floor = screen.min() if one_fill else np.inf
+    threshold = np.nextafter(floor, np.inf)
+    best, bound, pruned = _incumbent(fill, candidates, screen, threshold, margin)
+    if one_fill and (best is None or not best[2] == bound == floor):
+        best, _, pruned = _incumbent(fill, candidates, screen, np.inf, _SCREEN_RTOL)
     if ins is not None:
         ins.screened.inc(candidates.shape[0])
         ins.pruned.inc(pruned)

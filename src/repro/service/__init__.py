@@ -117,7 +117,6 @@ from repro.service.codec import (
     choose_codec,
     resolve_codec,
 )
-from repro.service.aio import AioServiceEndpoint
 from repro.service.factory import BuiltFabric, build_fabric
 from repro.service.loadgen import (
     LoadGenConfig,
@@ -236,3 +235,13 @@ __all__ = [
     "load_fabric_checkpoint",
     "save_fabric_checkpoint",
 ]
+
+
+def __getattr__(name: str):
+    # The asyncio endpoint loads on first use, so importing the package does
+    # not import asyncio for callers that never serve over it.
+    if name == "AioServiceEndpoint":
+        from repro.service.aio import AioServiceEndpoint
+
+        return AioServiceEndpoint
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

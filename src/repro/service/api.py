@@ -104,7 +104,24 @@ class PlaceRequest:
         )
 
 
-@dataclass(frozen=True)
+#: Shared ``(node, type, count)`` triples, so a retained decision holds
+#: pointers rather than fresh tuples. A pool has at most nodes × types ×
+#: capacity distinct ones; the table is dropped whole past this size, which
+#: keeps it bounded whatever pools a process serves. Sharing only saves
+#: memory — values and equality never depend on it — so a race between
+#: threads costs at most one unshared tuple and needs no lock.
+_TRIPLE_LIMIT = 1 << 16
+_triples: "dict[tuple[int, int, int], tuple[int, int, int]]" = {}
+
+
+def _shared_triple(node, vm_type, count) -> "tuple[int, int, int]":
+    if len(_triples) >= _TRIPLE_LIMIT:
+        _triples.clear()
+    triple = (int(node), int(vm_type), int(count))
+    return _triples.setdefault(triple, triple)
+
+
+@dataclass(frozen=True, slots=True)
 class PlacementDecision:
     """The service's verdict on one :class:`PlaceRequest`.
 
@@ -131,7 +148,7 @@ class PlacementDecision:
         if self.status not in DecisionStatus.TERMINAL_PLACE:
             raise ValidationError(f"invalid decision status {self.status!r}")
         placements = tuple(
-            (int(n), int(t), int(c)) for n, t, c in self.placements
+            _shared_triple(n, t, c) for n, t, c in self.placements
         )
         object.__setattr__(self, "placements", placements)
 

@@ -124,6 +124,21 @@ class TestBuild:
             pool.topology, DistanceModel(intra_rack=0.5, inter_rack=2.0, inter_cloud=9.0)
         )
 
+    @pytest.mark.parametrize(
+        "tiers, exact",
+        [
+            ((1.0, 2.0, 4.0), True),
+            ((2.0, 3.0, 7.0), True),
+            ((0.5, 1.25, 2.0009765625), True),
+            ((0.3, 0.7, 1.9), False),
+            ((1.0, 2.0, 4.1), False),
+        ],
+    )
+    def test_exact_tiers_follow_the_distance_grid(self, pool, tiers, exact):
+        cache = TopologyCache.build(pool.topology, DistanceModel(*tiers))
+        assert cache.tier_distances == tiers
+        assert cache.exact_tiers is exact
+
     def test_standalone_build_equals_pool_distance(self, pool):
         cache = TopologyCache.build(pool.topology, pool.distance_model)
         np.testing.assert_array_equal(cache.distance, pool.distance_matrix)

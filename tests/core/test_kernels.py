@@ -47,6 +47,7 @@ from repro.core.placement.transfer import (
     transfer_pair,
 )
 from repro.core.problem import VirtualClusterRequest
+from repro.obs.registry import MetricsRegistry
 from repro.util.errors import ValidationError
 from repro.util.rng import ensure_rng
 
@@ -400,6 +401,105 @@ def test_sweep_cached_equals_uncached():
         assert with_cache[0].tobytes() == without[0].tobytes()
         assert with_cache[1] == without[1]
         assert with_cache[2] == without[2]
+
+
+def _centers_counter(registry, what: str) -> float:
+    family = registry.get(f"repro_placement_centers_{what}_total")
+    return 0.0 if family is None else family.value
+
+
+@pytest.mark.parametrize(
+    "model, one_fill",
+    [
+        (DistanceModel(), True),
+        (DistanceModel(2.0, 3.0, 7.0), True),
+        (DistanceModel(0.3, 0.7, 1.9), False),
+    ],
+    ids=["paper", "integer", "non-dyadic"],
+)
+def test_tied_centers_are_never_filled(model, one_fill):
+    """Uniform capacities make every center of a rack tie, and every rack of
+    a cloud: on-grid tier distances let an unbudgeted sweep fill one center,
+    the first minimum, which is the reference winner byte for byte. The
+    non-dyadic model keeps the margin path and must agree just the same."""
+    reference = OnlineHeuristic(use_kernels=False)
+    sweeps = tied = 0
+    for seed in range(12):
+        rng = ensure_rng(90_000 + seed)
+        cap = int(rng.integers(1, 4))
+        spec = PoolSpec(
+            clouds=int(rng.integers(1, 3)),
+            racks=int(rng.integers(2, 5)),
+            nodes_per_rack=int(rng.integers(2, 7)),
+            capacity_low=cap,
+            capacity_high=cap,
+        )
+        pool = random_pool(spec, CATALOG, seed=seed, distance_model=model)
+        dist = pool.distance_matrix
+        for _ in range(4):
+            remaining = pool.remaining
+            # More than one node holds per type: no single-node shortcut.
+            demand = rng.integers(cap + 1, 3 * cap + 2, size=pool.num_types)
+            if np.any(remaining.sum(axis=0) < demand):
+                break
+            candidates = np.flatnonzero(remaining.sum(axis=1) > 0)
+            screen = kernels.tier_bound(pool.topology_cache, remaining, demand)
+            screen = screen.sum(axis=1)[candidates]
+            tied += int(np.count_nonzero(screen == screen.min()) > 1)
+            registry = MetricsRegistry()
+            got = kernels.sweep_best(
+                candidates, demand, remaining, dist,
+                cache=pool.topology_cache, obs=registry,
+            )
+            want = reference._sweep_reference(
+                candidates, demand, remaining, dist, None, None
+            )
+            assert got[0].tobytes() == want.matrix.tobytes()
+            assert (got[1], got[2]) == (want.center, want.distance)
+            filled = _centers_counter(registry, "filled")
+            pruned = _centers_counter(registry, "pruned")
+            assert filled + pruned == candidates.size
+            assert filled == 1 if one_fill else filled >= 1
+            pool.allocate(got[0])
+            sweeps += 1
+    assert sweeps >= 30 and tied >= 0.8 * sweeps
+
+
+def test_one_fill_falls_back_when_the_winner_misses_its_screen(monkeypatch):
+    """If the filled winner's exact ``dc`` ever differs from its screen
+    value, the sweep reruns the full loop and still returns the reference
+    winner: here the screen under-reads a losing center placed after the
+    real winner, which the one-fill path then fills alone — having already
+    pruned the real winner."""
+    pool, _ = make_case(2, drain=False)
+    remaining, dist = pool.remaining, pool.distance_matrix
+    demand = remaining.max(axis=0) + 1  # no single node holds it
+    candidates = np.flatnonzero(remaining.sum(axis=1) > 0)
+    honest = kernels.tier_bound(pool.topology_cache, remaining, demand).sum(axis=1)
+    first_min = candidates[np.argmin(honest[candidates])]
+    later = candidates[candidates > first_min]
+    loser = int(later[np.argmax(honest[later])])
+    assert honest[loser] > honest[first_min]
+
+    tier_bound = kernels.tier_bound
+
+    def under_read(cache, free, need):
+        bound = tier_bound(cache, free, need)
+        bound[loser] = 0.0
+        return bound
+
+    monkeypatch.setattr(kernels, "tier_bound", under_read)
+    registry = MetricsRegistry()
+    got = kernels.sweep_best(
+        candidates, demand, remaining, dist, cache=pool.topology_cache,
+        obs=registry,
+    )
+    want = OnlineHeuristic(use_kernels=False)._sweep_reference(
+        candidates, demand, remaining, dist, None, None
+    )
+    assert got[0].tobytes() == want.matrix.tobytes()
+    assert (got[1], got[2]) == (want.center, want.distance)
+    assert got[1] != loser and _centers_counter(registry, "filled") >= 2
 
 
 def test_sweep_without_cache_is_rejected():

@@ -1,5 +1,10 @@
 """Tests for the service API dataclasses and the JSON wire codec."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,6 +83,41 @@ class TestPlacementDecision:
         triples = allocation_to_placements(allocation)
         assert all(count > 0 for _, _, count in triples)
         assert sum(count for _, _, count in triples) == allocation.total_vms
+
+    def test_equal_placements_share_their_triples(self):
+        """Retained decisions hold shared triples, not fresh tuples, and are
+        slotted; equality, hashing and the public tuple type are unchanged."""
+        a = PlacementDecision(
+            request_id=1, status=DecisionStatus.PLACED,
+            placements=((0, 1, 2), (3, 0, 1)),
+        )
+        b = PlacementDecision(
+            request_id=1, status=DecisionStatus.PLACED,
+            placements=[[np.int64(0), 1, 2], (3, 0, np.int64(1))],
+        )
+        assert a == b and hash(a) == hash(b)
+        assert all(x is y for x, y in zip(a.placements, b.placements))
+        assert all(type(v) is int for triple in b.placements for v in triple)
+        assert not hasattr(a, "__dict__")
+
+
+def test_importing_the_service_package_leaves_asyncio_out():
+    """Only the aio endpoint needs asyncio; ``import repro.service`` (every
+    run and every proc worker spawn) must not pay for it, while the
+    package attribute still resolves on first use."""
+    code = (
+        "import sys\n"
+        "import repro.service\n"
+        "assert 'asyncio' not in sys.modules, 'import repro.service pulled asyncio'\n"
+        "from repro.service import AioServiceEndpoint\n"
+        "assert AioServiceEndpoint.__module__ == 'repro.service.aio'\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestReleaseResponse:
