@@ -175,6 +175,14 @@ class ResourcePool:
         return self.remaining.sum(axis=0)
 
     @property
+    def rack_free(self) -> np.ndarray:
+        """Per-rack free capacity ``(num_racks, m)``, row ``r`` being rack
+        ``topology.racks[r]`` (ascending rack id) — one
+        :meth:`TopologyCache.per_rack` over :attr:`remaining`. Incremental
+        pools maintain it instead."""
+        return self.topology_cache.per_rack(self.remaining)
+
+    @property
     def distance_matrix(self) -> np.ndarray:
         """``D`` — read-only n × n distance matrix."""
         return self._distance

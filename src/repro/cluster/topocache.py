@@ -16,9 +16,12 @@ tier is a rack or a cloud, not a row of ``D``. Everything here is O(n):
   reference ``dc`` rather than an approximation of it;
 * the **rack grouping** — ``rack_order`` lists the nodes rack by rack,
   ``rack_starts[r]`` is where dense rack ``r`` begins in it and
-  ``rack_index[i]`` is node ``i``'s dense rack, so per-rack free capacity is
-  one ``np.add.reduceat`` over ``remaining[rack_order]``
-  (:meth:`TopologyCache.per_rack`);
+  ``rack_index[i]`` is node ``i``'s dense rack (ascending rack id, the
+  order of ``topology.racks``), so per-rack free capacity is one
+  ``np.add.reduceat`` over ``remaining[rack_order]``
+  (:meth:`TopologyCache.per_rack`) — and a
+  :class:`~repro.service.state.ClusterState` keeps the same rows current
+  on every commit (``rack_free``);
 * the **rack → cloud map** — the same triple one level up
   (``cloud_order`` over dense racks, ``cloud_starts``, and ``cloud_index[i]``,
   node ``i``'s dense cloud; :meth:`TopologyCache.per_cloud`).
@@ -46,15 +49,22 @@ from repro.cluster.topology import Topology
 EXACT_GRID = 1024.0
 
 
+def dense_index(ids: np.ndarray) -> np.ndarray:
+    """Each position's dense group: the rank of its id among the distinct
+    *ids*, ascending. For rack ids that is the row of the rack in
+    ``topology.racks``, the row order of every per-rack aggregate."""
+    return np.unique(ids, return_inverse=True)[1].reshape(-1)
+
+
 def _grouping(ids: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """``(order, starts, index)`` grouping positions by equal *ids*.
 
-    ``index`` is the dense group of each position, ``order`` lists positions
-    group by group (ascending inside a group) and ``starts`` marks each
-    group's first slot in ``order`` — the ``np.add.reduceat`` offsets. All
-    three come back read-only.
+    ``index`` is the dense group of each position (:func:`dense_index`),
+    ``order`` lists positions group by group (ascending inside a group) and
+    ``starts`` marks each group's first slot in ``order`` — the
+    ``np.add.reduceat`` offsets. All three come back read-only.
     """
-    _, index = np.unique(ids, return_inverse=True)
+    index = dense_index(ids)
     order = np.argsort(index, kind="stable")
     starts = np.searchsorted(index[order], np.arange(index.max() + 1))
     for arr in (order, starts, index):

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,15 +72,20 @@ class PlacementResult:
     """Outcome of one protocol-style :meth:`PlacementAlgorithm.place` call.
 
     ``allocation`` is ``None`` when the request is admissible but cannot be
-    served right now (must wait). ``metrics`` is a small per-call snapshot
-    (algorithm name, wall seconds, allocation shape) — observational only,
-    never part of the placement decision.
+    served right now (must wait). :attr:`metrics` is a small per-call
+    snapshot (algorithm name, allocation shape) — observational only, never
+    part of the placement decision.
     """
 
     allocation: "Allocation | None"
     algorithm: str = ""
     elapsed: float = 0.0
-    metrics: dict = field(default_factory=dict)
+
+    @cached_property
+    def metrics(self) -> dict:
+        """Per-call snapshot, computed on first read (its two n×m
+        reductions are no part of placing)."""
+        return _call_metrics(self.algorithm, self.allocation)
 
     @property
     def placed(self) -> bool:
@@ -194,10 +200,7 @@ class PlacementAlgorithm(abc.ABC):
                 buckets=DISTANCE_BUCKETS,
             ).labels(algorithm=self.name).observe(allocation.distance)
         return PlacementResult(
-            allocation=allocation,
-            algorithm=self.name,
-            elapsed=elapsed,
-            metrics=_call_metrics(self.name, allocation),
+            allocation=allocation, algorithm=self.name, elapsed=elapsed
         )
 
     def place_and_commit(

@@ -362,6 +362,7 @@ class OnlineHeuristic(PlacementAlgorithm):
             remaining,
             dist,
             cache=pool.topology_cache,
+            rack_free=pool.rack_free,
             rack_ids=domain_ids,
             max_vms_per_rack=cap,
             timer=self.timer,

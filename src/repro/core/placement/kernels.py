@@ -11,8 +11,12 @@ produce **bit-identical** results (the property tests in
   fixed center Algorithm 1's ``dc`` depends only on how much of the demand
   each tier fills. :func:`tier_bound` evaluates that for *every* center in
   one O(n·m) pass over the per-rack and per-cloud free aggregates of a
-  :class:`~repro.cluster.topocache.TopologyCache`. Within one tier the
-  total take per type is order-invariant
+  :class:`~repro.cluster.topocache.TopologyCache`. The per-rack aggregate
+  is an argument: a :class:`~repro.service.state.ClusterState` maintains
+  it on every commit (``rack_free``), so the sweep reads it rather than
+  re-reducing ``remaining``; other pools get one ``cache.per_rack``. Its
+  integer sums are exact either way, so the screen values are the same
+  floats. Within one tier the total take per type is order-invariant
   (``min(Σ min(Lᵢ, R), todo) = min(ΣLᵢ, todo)``), so the value equals the
   reference ``dc`` up to floating-point summation order — and is a
   mathematical lower bound for the rack-constrained fill. It is the only
@@ -92,12 +96,15 @@ def clip_to_budget(take: np.ndarray, budget: int) -> np.ndarray:
     return take
 
 
-def tier_bound(cache, free: np.ndarray, need: np.ndarray) -> np.ndarray:
+def tier_bound(
+    cache, free: np.ndarray, rack_free: np.ndarray, need: np.ndarray
+) -> np.ndarray:
     """Closed-form Algorithm-1 ``dc`` with every node as center, per column.
 
-    *free* is ``(n, X)`` and *need* ``(X,)``; columns are independent (VM
-    types for the sweep, whole requests for the router) and the result is
-    ``(n, X)`` float64. A nearest-first fill around center ``c`` takes
+    *free* is ``(n, X)``, *rack_free* its per-rack sums ``cache.per_rack(free)``
+    ``(r, X)`` and *need* ``(X,)``; columns are independent (VM types for
+    the sweep, whole requests for the router) and the result is ``(n, X)``
+    float64. A nearest-first fill around center ``c`` takes
     ``a0 = min(L[c], R)`` on the center, ``a1 = min(rack − L[c], R − a0)``
     from its rack peers, ``a2 = min(cloud − rack, R − a0 − a1)`` from the
     rest of its cloud and ``a3`` likewise from other clouds. Because
@@ -106,7 +113,6 @@ def tier_bound(cache, free: np.ndarray, need: np.ndarray) -> np.ndarray:
     gathered per node.
     """
     d1, d2, d3 = cache.tier_distances
-    rack_free = cache.per_rack(free)
     cloud_free = cache.per_cloud(rack_free)
     own = np.minimum(free, need)
     rack = np.minimum(rack_free, need)[cache.rack_index]
@@ -120,21 +126,24 @@ class TierOrders:
 
     Sorts nodes by ``(-providable, index)`` once; :meth:`full` then
     reproduces the reference order ``(D[i, c], -providable, i)`` for any
-    center from two equality tests on ``rack_ids``/``cloud_ids``. A failed
-    node sits in its static tier rather than last, which no fill can see:
-    it offers nothing, so it takes nothing wherever it is visited.
+    center from two equality tests on ``rack_ids``/``cloud_ids``.
+    *rack_free* is ``cache.per_rack(remaining)`` (see :func:`tier_bound`).
+    A failed node sits in its static tier rather than last, which no fill
+    can see: it offers nothing, so it takes nothing wherever it is visited.
     """
 
     __slots__ = ("cache", "base", "rack", "cloud", "rack_covers")
 
-    def __init__(self, cache, demand: np.ndarray, remaining: np.ndarray) -> None:
+    def __init__(
+        self, cache, demand: np.ndarray, remaining: np.ndarray, rack_free: np.ndarray
+    ) -> None:
         prov = np.minimum(remaining, demand[None, :]).sum(axis=1)
         self.cache = cache
         self.base = np.argsort(-prov, kind="stable")
         self.rack = cache.rack_ids[self.base]
         self.cloud = cache.cloud_ids[self.base]
         #: per node: can its rack alone finish the demand?
-        covers = np.all(cache.per_rack(remaining) >= demand, axis=1)
+        covers = np.all(rack_free >= demand, axis=1)
         self.rack_covers = covers[cache.rack_index]
 
     def full(self, center: int) -> np.ndarray:
@@ -175,7 +184,8 @@ def fill_order(
     determinism unconditional.
     """
     if cache is not None:
-        return TierOrders(cache, demand, remaining).full(center)
+        rack_free = cache.per_rack(remaining)
+        return TierOrders(cache, demand, remaining, rack_free).full(center)
     prov = np.minimum(remaining, demand[None, :]).sum(axis=1)
     return np.lexsort((np.arange(prov.size), -prov, dist[:, center]))
 
@@ -312,14 +322,16 @@ def _sweep_instruments(obs) -> "_SweepInstruments | None":
     return _SweepInstruments(obs)
 
 
-def _filler(demand, remaining, dist, cache, rack_ids, max_vms_per_rack, timer, obs):
+def _filler(
+    demand, remaining, rack_free, dist, cache, rack_ids, max_vms_per_rack, timer, obs
+):
     """One sweep's exact fill, ``center → (matrix, center, dc) | None``,
     with the fill orders and meters its candidates share."""
     if cache is None:
         raise ValidationError(
             "the center sweep needs the pool's TopologyCache (pool.topology_cache)"
         )
-    orders = TierOrders(cache, demand, remaining)
+    orders = TierOrders(cache, demand, remaining, rack_free)
     timer = timer if timer is not None else PhaseTimer()
     ins = _sweep_instruments(obs)
 
@@ -343,10 +355,11 @@ def _filler(demand, remaining, dist, cache, rack_ids, max_vms_per_rack, timer, o
     return fill, ins
 
 
-def _cannot_complete(demand, remaining, max_vms_per_rack) -> bool:
+def _cannot_complete(demand, rack_free, max_vms_per_rack) -> bool:
     # Without rack budgets completion is center-independent: every fill
     # reaches every node, so either all candidates complete or none does.
-    return max_vms_per_rack is None and bool(np.any(remaining.sum(axis=0) < demand))
+    # The per-rack rows have the per-node column sums.
+    return max_vms_per_rack is None and bool(np.any(rack_free.sum(axis=0) < demand))
 
 
 def _screen_is_exact(cache, demand: np.ndarray) -> bool:
@@ -363,11 +376,15 @@ def _incumbent(fill, candidates, screen, threshold, margin):
 
     Candidates go in order; one whose bound reaches *threshold* is pruned,
     any other is filled and replaces the incumbent on ``dc < best − 1e-12``.
-    Returns ``(best, best's screen value, pruned count)``.
+    The threshold only ever falls, so every center at or past the opening
+    one would be pruned when reached: one vectorized pass drops them before
+    the loop (counted as pruned). Returns ``(best, best's screen value,
+    pruned count)``.
     """
     best = best_bound = None
-    pruned = 0
-    for center, bound in zip(candidates.tolist(), screen.tolist()):
+    live = np.flatnonzero(screen < threshold)
+    pruned = screen.size - live.size
+    for center, bound in zip(candidates[live].tolist(), screen[live].tolist()):
         if bound >= threshold:
             pruned += 1
             continue
@@ -385,6 +402,7 @@ def sweep_best(
     dist: np.ndarray,
     *,
     cache=None,
+    rack_free: np.ndarray,
     rack_ids=None,
     max_vms_per_rack: "int | None" = None,
     timer=None,
@@ -396,7 +414,9 @@ def sweep_best(
     ``stop="best"`` loop would select (same incumbent-update rule, same tie
     handling), or ``None`` when no candidate completes. *cache* is the
     pool's :class:`~repro.cluster.topocache.TopologyCache`, required as soon
-    as there is anything to sweep. ``obs`` (a metrics registry) receives
+    as there is anything to sweep, and *rack_free* the pool's per-rack free
+    capacity ``cache.per_rack(remaining)`` (``pool.rack_free``, which a
+    ``ClusterState`` maintains). ``obs`` (a metrics registry) receives
     screened/pruned/filled counts and fill timings; it never affects the
     result.
 
@@ -422,13 +442,14 @@ def sweep_best(
     bound ties the incumbent cannot beat it).
     """
     require_rack_ids(rack_ids, max_vms_per_rack)
-    if _cannot_complete(demand, remaining, max_vms_per_rack):
+    if _cannot_complete(demand, rack_free, max_vms_per_rack):
         return None
     fill, ins = _filler(
-        demand, remaining, dist, cache, rack_ids, max_vms_per_rack, timer, obs
+        demand, remaining, rack_free, dist, cache, rack_ids, max_vms_per_rack,
+        timer, obs,
     )
     candidates = np.asarray(candidates, dtype=np.int64)
-    screen = tier_bound(cache, remaining, demand).sum(axis=1)[candidates]
+    screen = tier_bound(cache, remaining, rack_free, demand).sum(axis=1)[candidates]
     exact = _screen_is_exact(cache, demand)
     margin = 0.0 if exact else _SCREEN_RTOL
     one_fill = exact and max_vms_per_rack is None and screen.size > 0
@@ -450,17 +471,20 @@ def sweep_first(
     dist: np.ndarray,
     *,
     cache=None,
+    rack_free: np.ndarray,
     rack_ids=None,
     max_vms_per_rack: "int | None" = None,
     timer=None,
     obs=None,
 ) -> "tuple[np.ndarray, int, float] | None":
-    """First candidate whose fill completes (the reference ``stop="first"``)."""
+    """First candidate whose fill completes (the reference ``stop="first"``);
+    arguments as for :func:`sweep_best`."""
     require_rack_ids(rack_ids, max_vms_per_rack)
-    if _cannot_complete(demand, remaining, max_vms_per_rack):
+    if _cannot_complete(demand, rack_free, max_vms_per_rack):
         return None
     fill, _ = _filler(
-        demand, remaining, dist, cache, rack_ids, max_vms_per_rack, timer, obs
+        demand, remaining, rack_free, dist, cache, rack_ids, max_vms_per_rack,
+        timer, obs,
     )
     for center in candidates:
         filled = fill(int(center))

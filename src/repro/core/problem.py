@@ -9,7 +9,8 @@ its distance ``DC(C)``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +96,8 @@ class Allocation:
     ``matrix[i, j]`` is the number of type-``j`` VMs placed on node ``N_i``.
     ``center`` is the node index realizing ``DC(C)`` (or a caller-forced
     center); ``distance`` caches the DC value with respect to ``center``.
+    :attr:`rows` lists the nodes the allocation touches, so a pool can
+    commit or release it in O(touched rows) rather than O(n·m).
     """
 
     matrix: np.ndarray
@@ -131,6 +134,14 @@ class Allocation:
         return cls(matrix=m, center=center, distance=dc)
 
     # -------------------------------------------------------------- properties
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Ascending indices of the nonzero rows of :attr:`matrix`
+        (read-only, computed once: the matrix is immutable)."""
+        rows = np.flatnonzero(self.matrix.any(axis=1))
+        rows.flags.writeable = False
+        return rows
 
     @property
     def node_counts(self) -> np.ndarray:

@@ -195,11 +195,12 @@ class ReleaseResponse:
 # ------------------------------------------------------------------- codec
 
 def allocation_to_placements(allocation: Allocation) -> tuple[tuple[int, int, int], ...]:
-    """Sparse ``(node, type, count)`` triples for an allocation matrix."""
-    matrix = allocation.matrix
-    return tuple(
-        (int(i), int(j), int(matrix[i, j])) for i, j in np.argwhere(matrix > 0)
-    )
+    """Sparse ``(node, type, count)`` triples for an allocation matrix,
+    row-major, read off its touched rows (:attr:`Allocation.rows`)."""
+    rows = allocation.rows
+    block = allocation.matrix[rows]
+    r, j = np.nonzero(block)
+    return tuple(zip(rows[r].tolist(), j.tolist(), block[r, j].tolist()))
 
 
 def decision_from_allocation(

@@ -66,7 +66,8 @@ def _fill_bounds(
     # supply[n, b] = free capacity of node n over request b's demanded types.
     supply = np.asarray(state.remaining) @ (demands > 0).astype(np.int64).T
     free = supply.sum(axis=0)
-    est = tier_bound(state.topology_cache, supply, ks).min(axis=0)
+    cache = state.topology_cache
+    est = tier_bound(cache, supply, cache.per_rack(supply), ks).min(axis=0)
     est[free < ks] = np.inf
     return free, est
 

@@ -9,7 +9,13 @@ operations:
 
 * ``L = M − C`` (free capacity) is updated in place instead of recomputed,
 * the per-type availability vector ``A`` and per-rack free aggregates are
-  maintained incrementally,
+  maintained incrementally — the per-rack rows in the
+  :class:`~repro.cluster.topocache.TopologyCache`'s dense rack order, so
+  Algorithm 1's tier screen reads them (``rack_free``) instead of
+  re-reducing ``L`` per request,
+* every commit, release and swap touches only the rows its allocation
+  occupies (:attr:`~repro.core.problem.Allocation.rows`): O(touched rows),
+  not O(n·m), per lease operation,
 * the distance matrix is inherited (cached) from the pool construction and
   never rebuilt,
 * every active allocation is tracked in a lease ledger keyed by request id so
@@ -36,10 +42,12 @@ import numpy as np
 
 from repro.cluster.distance import DistanceModel
 from repro.cluster.resources import ResourcePool
+from repro.cluster.topocache import dense_index
 from repro.cluster.topology import Topology
 from repro.cluster.vmtypes import VMTypeCatalog
 from repro.core.problem import Allocation
-from repro.util.errors import ValidationError
+from repro.util.errors import CapacityError, ValidationError
+from repro.util.validation import as_int_matrix, as_int_vector
 
 
 @dataclass(frozen=True)
@@ -108,8 +116,12 @@ class ClusterState(ResourcePool):
             allocated=allocated,
             cache=cache,
         )
-        self._rack_ids = np.asarray(topology.rack_ids, dtype=np.int64)
+        # Node → row of ``topology.racks``: the TopologyCache's dense rack
+        # order, whatever the rack ids are.
+        self._rack_index = dense_index(topology.rack_ids)
         self._num_racks = topology.num_racks
+        # M never changes on a ClusterState: its column sums are taken once.
+        self._max_total = self._max.sum(axis=0)
         self._leases: dict[int, Allocation] = {}
         self._lease_targets: dict[int, object] = {}
         self._lease_sum = np.zeros_like(self._alloc)
@@ -130,12 +142,15 @@ class ClusterState(ResourcePool):
 
     # ----------------------------------------------------------- aggregates
 
+    def _per_rack(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros((self._num_racks, self.num_types), dtype=np.int64)
+        np.add.at(out, self._rack_index, values)
+        return out
+
     def _rebuild_aggregates(self) -> None:
         self._free = self._max - self._alloc
         self._avail = self._free.sum(axis=0)
-        rack_free = np.zeros((self._num_racks, self.num_types), dtype=np.int64)
-        np.add.at(rack_free, self._rack_ids, self._free)
-        self._rack_free = rack_free
+        self._rack_free = self._per_rack(self._free)
 
     @property
     def remaining(self) -> np.ndarray:
@@ -151,7 +166,12 @@ class ClusterState(ResourcePool):
 
     @property
     def rack_free(self) -> np.ndarray:
-        """Per-rack free capacity (num_racks × m, read-only view)."""
+        """Per-rack free capacity (num_racks × m, read-only view).
+
+        Row ``r`` is rack ``topology.racks[r]`` (ascending rack id), the
+        dense order of ``topology_cache.per_rack``: the two are equal, so
+        the placement kernels take this in place of recomputing it.
+        """
         v = self._rack_free.view()
         v.flags.writeable = False
         return v
@@ -161,14 +181,18 @@ class ClusterState(ResourcePool):
         """Mutation counter; bumps on every allocate/release/restore."""
         return self._version
 
+    def exceeds_max_capacity(self, request: np.ndarray) -> bool:
+        r = as_int_vector(request, name="request", length=self.num_types)
+        return bool(np.any(r > self._max_total))
+
     # ------------------------------------------------------------- mutation
 
     def allocate(self, allocation: np.ndarray) -> None:
-        self._allocate(allocation)
+        self._take(*self._touched(allocation))
         self._record(None)
 
     def release(self, allocation: np.ndarray) -> None:
-        self._release(allocation)
+        self._give(*self._touched(allocation))
         self._record(None)
 
     def restore(self, snapshot: np.ndarray) -> None:
@@ -177,20 +201,54 @@ class ClusterState(ResourcePool):
         self._version += 1
         self._record(None)
 
-    def _allocate(self, allocation: np.ndarray) -> None:
-        super().allocate(allocation)
-        a = np.asarray(allocation, dtype=np.int64)
-        self._free -= a
-        self._avail -= a.sum(axis=0)
-        np.subtract.at(self._rack_free, self._rack_ids, a)
-        self._version += 1
+    def _touched(self, allocation: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Validate a raw matrix; return its nonzero rows and their block."""
+        a = as_int_matrix(
+            allocation, name="allocation", shape=(self.num_nodes, self.num_types)
+        )
+        rows = np.flatnonzero(a.any(axis=1))
+        return rows, a[rows]
 
-    def _release(self, allocation: np.ndarray) -> None:
-        super().release(allocation)
-        a = np.asarray(allocation, dtype=np.int64)
-        self._free += a
-        self._avail += a.sum(axis=0)
-        np.add.at(self._rack_free, self._rack_ids, a)
+    def _lease_rows(self, allocation: Allocation) -> "tuple[np.ndarray, np.ndarray]":
+        """An (already validated) lease's touched rows and their block."""
+        shape = (self.num_nodes, self.num_types)
+        if allocation.matrix.shape != shape:
+            raise ValidationError(
+                f"allocation must have shape {shape}, got {allocation.matrix.shape}"
+            )
+        rows = allocation.rows
+        return rows, allocation.matrix[rows]
+
+    def _take(self, rows: np.ndarray, block: np.ndarray) -> None:
+        """Commit *block* (``allocation[rows]``); an untouched row takes
+        nothing, so only *rows* can exceed. Unchanged on failure."""
+        free = self._free[rows]
+        if np.any(block > free):
+            r, j = np.argwhere(block > free)[0]
+            raise CapacityError(
+                f"allocation exceeds remaining capacity at node {rows[r]}, "
+                f"type {j}: want {block[r, j]}, have {free[r, j]}"
+            )
+        self._shift(rows, block)
+
+    def _give(self, rows: np.ndarray, block: np.ndarray) -> None:
+        """Release *block* (``allocation[rows]``); unchanged on failure."""
+        held = self._alloc[rows]
+        if np.any(block > held):
+            r, j = np.argwhere(block > held)[0]
+            raise CapacityError(
+                f"release exceeds allocation at node {rows[r]}, type {j}: "
+                f"releasing {block[r, j]}, allocated {held[r, j]}"
+            )
+        self._shift(rows, -block)
+
+    def _shift(self, rows: np.ndarray, delta: np.ndarray) -> None:
+        # Move *delta* from free to allocated on *rows* (unique, ascending)
+        # and into every aggregate.
+        self._alloc[rows] += delta
+        self._free[rows] -= delta
+        self._avail -= delta.sum(axis=0)
+        np.subtract.at(self._rack_free, self._rack_index[rows], delta)
         self._version += 1
 
     def _record(self, request_id, allocation=None, target=None) -> None:
@@ -237,11 +295,12 @@ class ClusterState(ResourcePool):
             raise ValidationError(
                 f"request {request_id} already holds an active lease"
             )
-        self._allocate(allocation.matrix)
+        rows, block = self._lease_rows(allocation)
+        self._take(rows, block)
         self._leases[request_id] = allocation
         if survivability is not None:
             self._lease_targets[request_id] = survivability
-        self._lease_sum += allocation.matrix
+        self._lease_sum[rows] += block
         self._record(request_id, allocation, survivability)
 
     def release_lease(self, request_id: int) -> Allocation:
@@ -250,8 +309,9 @@ class ClusterState(ResourcePool):
         if allocation is None:
             raise ValidationError(f"no active lease for request {request_id}")
         self._lease_targets.pop(request_id, None)
-        self._release(allocation.matrix)
-        self._lease_sum -= allocation.matrix
+        rows, block = self._lease_rows(allocation)
+        self._give(rows, block)
+        self._lease_sum[rows] -= block
         self._record(request_id)
         return allocation
 
@@ -289,14 +349,15 @@ class ClusterState(ResourcePool):
             raise ValidationError(
                 f"request {request_id} already holds an active lease"
             )
-        if np.any(self._lease_sum + allocation.matrix > self._alloc):
+        rows, block = self._lease_rows(allocation)
+        if np.any(self._lease_sum[rows] + block > self._alloc[rows]):
             raise ValidationError(
                 f"adopted lease {request_id} is not covered by the allocated matrix"
             )
         self._leases[request_id] = allocation
         if survivability is not None:
             self._lease_targets[request_id] = survivability
-        self._lease_sum += allocation.matrix
+        self._lease_sum[rows] += block
 
     # ------------------------------------------------------------- snapshots
 
@@ -316,7 +377,8 @@ class ClusterState(ResourcePool):
         self._lease_targets = dict(snapshot.lease_targets)
         self._lease_sum = np.zeros_like(self._alloc)
         for allocation in self._leases.values():
-            self._lease_sum += allocation.matrix
+            rows, block = self._lease_rows(allocation)
+            self._lease_sum[rows] += block
         self._version = snapshot.version
 
     def copy(self) -> "ClusterState":
@@ -348,9 +410,7 @@ class ClusterState(ResourcePool):
             raise ValidationError("incremental free-capacity matrix diverged")
         if not np.array_equal(self._avail, expected_free.sum(axis=0)):
             raise ValidationError("incremental availability vector diverged")
-        rack_free = np.zeros((self._num_racks, self.num_types), dtype=np.int64)
-        np.add.at(rack_free, self._rack_ids, expected_free)
-        if not np.array_equal(self._rack_free, rack_free):
+        if not np.array_equal(self._rack_free, self._per_rack(expected_free)):
             raise ValidationError("incremental per-rack aggregates diverged")
         total = np.zeros_like(self._alloc)
         for allocation in self._leases.values():

@@ -16,7 +16,9 @@ from repro.cluster import (
     Topology,
     VMTypeCatalog,
     random_pool,
+    random_topology,
 )
+from repro.util.rng import ensure_rng
 
 # Tier-1 must be a function of the tree: the default profile derives every
 # example from the test's name and keeps no example database, so a run
@@ -78,3 +80,29 @@ def make_pool(
     catalog = VMTypeCatalog.ec2_default()
     topo = Topology.build(racks, nodes_per_rack, capacity=list(capacity), clouds=clouds)
     return ResourcePool(topo, catalog)
+
+
+def sparse_rack_pool(seed: int, *, distance_model=None) -> ResourcePool:
+    """A random two-cloud pool whose rack ids are sparse and *descend* with
+    node id (40, 33, 26, …), so the dense rack order — ascending rack id,
+    ``topology.racks`` — is neither the ids themselves nor node order."""
+    rng = ensure_rng(seed)
+    spec = PoolSpec(
+        clouds=2,
+        racks=int(rng.integers(1, 4)),
+        nodes_per_rack=int(rng.integers(1, 5)),
+        capacity_low=1,
+        capacity_high=int(rng.integers(1, 4)),
+    )
+    catalog = VMTypeCatalog.ec2_default()
+    base = random_topology(spec, catalog, seed=seed)
+    nodes = [
+        PhysicalNode(
+            node_id=node.node_id,
+            rack_id=40 - 7 * node.rack_id,
+            cloud_id=3 * node.cloud_id + 1,
+            capacity=node.capacity,
+        )
+        for node in base.nodes
+    ]
+    return ResourcePool(Topology(nodes), catalog, distance_model=distance_model)

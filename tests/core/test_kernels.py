@@ -48,8 +48,10 @@ from repro.core.placement.transfer import (
 )
 from repro.core.problem import VirtualClusterRequest
 from repro.obs.registry import MetricsRegistry
+from repro.service.state import ClusterState
 from repro.util.errors import ValidationError
 from repro.util.rng import ensure_rng
+from tests.conftest import sparse_rack_pool
 
 CATALOG = VMTypeCatalog.ec2_default()
 
@@ -286,7 +288,10 @@ def test_tier_bound_matches_tensor_screen_and_bounds_the_fill(case):
     pool, demand = case
     remaining, dist = pool.remaining, pool.distance_matrix
     centers = np.arange(pool.num_nodes)
-    bound = kernels.tier_bound(pool.topology_cache, remaining, demand).sum(axis=1)
+    cache = pool.topology_cache
+    bound = kernels.tier_bound(
+        cache, remaining, cache.per_rack(remaining), demand
+    ).sum(axis=1)
     oracle = tensor_screen(centers, demand, remaining, dist)
     # Same per-tier totals, another summation order: float64 over < 100 terms.
     np.testing.assert_allclose(bound, oracle, rtol=1e-9, atol=1e-12)
@@ -384,7 +389,8 @@ def test_sweep_cached_equals_uncached():
         dist = pool.distance_matrix
         candidates = np.flatnonzero(remaining.sum(axis=1) > 0)
         with_cache = kernels.sweep_best(
-            candidates, request, remaining, dist, cache=pool.topology_cache
+            candidates, request, remaining, dist,
+            cache=pool.topology_cache, rack_free=pool.rack_free,
         )
         without = None
         for center in candidates:
@@ -443,13 +449,16 @@ def test_tied_centers_are_never_filled(model, one_fill):
             if np.any(remaining.sum(axis=0) < demand):
                 break
             candidates = np.flatnonzero(remaining.sum(axis=1) > 0)
-            screen = kernels.tier_bound(pool.topology_cache, remaining, demand)
+            cache = pool.topology_cache
+            screen = kernels.tier_bound(
+                cache, remaining, cache.per_rack(remaining), demand
+            )
             screen = screen.sum(axis=1)[candidates]
             tied += int(np.count_nonzero(screen == screen.min()) > 1)
             registry = MetricsRegistry()
             got = kernels.sweep_best(
                 candidates, demand, remaining, dist,
-                cache=pool.topology_cache, obs=registry,
+                cache=pool.topology_cache, rack_free=pool.rack_free, obs=registry,
             )
             want = reference._sweep_reference(
                 candidates, demand, remaining, dist, None, None
@@ -475,7 +484,10 @@ def test_one_fill_falls_back_when_the_winner_misses_its_screen(monkeypatch):
     remaining, dist = pool.remaining, pool.distance_matrix
     demand = remaining.max(axis=0) + 1  # no single node holds it
     candidates = np.flatnonzero(remaining.sum(axis=1) > 0)
-    honest = kernels.tier_bound(pool.topology_cache, remaining, demand).sum(axis=1)
+    cache = pool.topology_cache
+    honest = kernels.tier_bound(
+        cache, remaining, cache.per_rack(remaining), demand
+    ).sum(axis=1)
     first_min = candidates[np.argmin(honest[candidates])]
     later = candidates[candidates > first_min]
     loser = int(later[np.argmax(honest[later])])
@@ -483,8 +495,8 @@ def test_one_fill_falls_back_when_the_winner_misses_its_screen(monkeypatch):
 
     tier_bound = kernels.tier_bound
 
-    def under_read(cache, free, need):
-        bound = tier_bound(cache, free, need)
+    def under_read(cache, free, rack_free, need):
+        bound = tier_bound(cache, free, rack_free, need)
         bound[loser] = 0.0
         return bound
 
@@ -492,7 +504,7 @@ def test_one_fill_falls_back_when_the_winner_misses_its_screen(monkeypatch):
     registry = MetricsRegistry()
     got = kernels.sweep_best(
         candidates, demand, remaining, dist, cache=pool.topology_cache,
-        obs=registry,
+        rack_free=pool.rack_free, obs=registry,
     )
     want = OnlineHeuristic(use_kernels=False)._sweep_reference(
         candidates, demand, remaining, dist, None, None
@@ -502,30 +514,158 @@ def test_one_fill_falls_back_when_the_winner_misses_its_screen(monkeypatch):
     assert got[1] != loser and _centers_counter(registry, "filled") >= 2
 
 
+def _leased_state(pool, seed: int) -> ClusterState:
+    """*pool* as a ClusterState with a few committed leases, so its
+    maintained per-rack aggregate has moved away from the capacity's."""
+    state = ClusterState.from_pool(pool)
+    rng = ensure_rng(seed)
+    for rid in range(int(rng.integers(0, 6))):
+        request = random_request(
+            RequestSpec(low=0, high=3, min_total=1), state.num_types, seed=rng
+        )
+        if state.can_satisfy(request):
+            state.allocate_lease(rid, OnlineHeuristic().place(state, request).allocation)
+    return state
+
+
+@pytest.mark.parametrize(
+    "make_pool",
+    [
+        lambda seed: make_case(seed)[0],
+        lambda seed: random_pool(
+            PoolSpec(clouds=2, racks=2, nodes_per_rack=4, capacity_high=3),
+            CATALOG, seed=seed, distance_model=DistanceModel(0.3, 0.7, 1.9),
+        ),
+        sparse_rack_pool,
+    ],
+    ids=["paper", "non-dyadic", "sparse-rack-ids"],
+)
+@pytest.mark.parametrize("cap", [None, 3])
+def test_sweep_on_the_states_rack_free_is_byte_equal(make_pool, cap):
+    """Feeding the sweep ``ClusterState.rack_free`` (maintained through
+    commits) returns exactly what recomputing ``per_rack(remaining)`` does
+    — matrix bytes, center, ``dc`` and the screened/pruned/filled counts —
+    on the one-fill path, the margin path and sparse rack ids."""
+    swept = 0
+    for seed in range(25):
+        state = _leased_state(make_pool(seed), 95_000 + seed)
+        cache, remaining = state.topology_cache, state.remaining
+        np.testing.assert_array_equal(state.rack_free, cache.per_rack(remaining))
+        rack_ids = state.topology.rack_ids if cap else None
+        rng = ensure_rng(96_000 + seed)
+        for _ in range(3):
+            demand = random_request(
+                RequestSpec(low=0, high=5, min_total=2), state.num_types, seed=rng
+            )
+            candidates = np.flatnonzero(remaining.sum(axis=1) > 0)
+            runs = []
+            for rack_free in (state.rack_free, cache.per_rack(remaining)):
+                registry = MetricsRegistry()
+                got = kernels.sweep_best(
+                    candidates, demand, remaining, state.distance_matrix,
+                    cache=cache, rack_free=rack_free, rack_ids=rack_ids,
+                    max_vms_per_rack=cap, obs=registry,
+                )
+                counts = [
+                    _centers_counter(registry, what)
+                    for what in ("screened", "pruned", "filled")
+                ]
+                runs.append((got, counts))
+            (a, a_counts), (b, b_counts) = runs
+            assert a_counts == b_counts
+            if a is None or b is None:
+                assert a is None and b is None
+                continue
+            assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
+            swept += 1
+    assert swept >= 20
+
+
+def _loop_incumbent(fill, candidates, screen, threshold, margin):
+    """The per-candidate loop ``kernels._incumbent`` prefilters: every
+    center is visited, and one reaching the threshold is pruned there."""
+    best = best_bound = None
+    pruned = 0
+    for center, bound in zip(candidates.tolist(), screen.tolist()):
+        if bound >= threshold:
+            pruned += 1
+            continue
+        filled = fill(center)
+        if filled is not None and (best is None or filled[2] < best[2] - 1e-12):
+            best, best_bound = filled, bound
+            threshold = best[2] - 1e-12 + margin * (1.0 + abs(best[2]))
+    return best, best_bound, pruned
+
+
+@pytest.mark.parametrize(
+    "model", [DistanceModel(), DistanceModel(0.3, 0.7, 1.9)],
+    ids=["paper", "non-dyadic"],
+)
+@pytest.mark.parametrize("cap", [None, 4])
+def test_incumbent_prefilter_counts_like_the_loop(monkeypatch, model, cap):
+    """Dropping centers at or past the opening threshold before the loop
+    leaves the winner and every center counter as the per-candidate loop
+    has them."""
+    prefiltered = kernels._incumbent
+    checked = 0
+    for seed in range(30):
+        rng = ensure_rng(97_000 + seed)
+        pool = random_pool(
+            PoolSpec(racks=int(rng.integers(2, 5)), nodes_per_rack=6, capacity_high=3),
+            CATALOG, seed=seed, distance_model=model,
+        )
+        pool.allocate(rng.integers(0, pool.remaining + 1) // 2)
+        remaining = pool.remaining
+        rack_ids = pool.topology.rack_ids if cap else None
+        demand = random_request(
+            RequestSpec(low=0, high=4, min_total=3), pool.num_types, seed=rng
+        )
+        candidates = np.flatnonzero(remaining.sum(axis=1) > 0)
+        runs = []
+        for incumbent in (prefiltered, _loop_incumbent):
+            monkeypatch.setattr(kernels, "_incumbent", incumbent)
+            registry = MetricsRegistry()
+            got = kernels.sweep_best(
+                candidates, demand, remaining, pool.distance_matrix,
+                cache=pool.topology_cache, rack_free=pool.rack_free,
+                rack_ids=rack_ids, max_vms_per_rack=cap, obs=registry,
+            )
+            runs.append((got, [
+                _centers_counter(registry, what)
+                for what in ("screened", "pruned", "filled")
+            ]))
+        (a, a_counts), (b, b_counts) = runs
+        assert a_counts == b_counts, f"seed={seed}"
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
+            checked += a_counts[1] > 0
+    assert checked >= 10
+
+
 def test_sweep_without_cache_is_rejected():
     pool, request = make_case(4, drain=False)
     candidates = np.arange(pool.num_nodes)
     for sweep in (kernels.sweep_best, kernels.sweep_first):
         with pytest.raises(ValidationError, match="TopologyCache"):
-            sweep(candidates, request, pool.remaining, pool.distance_matrix)
+            sweep(
+                candidates, request, pool.remaining, pool.distance_matrix,
+                rack_free=pool.rack_free,
+            )
 
 
 def test_sweep_infeasible_returns_none():
     pool, _ = make_case(3, drain=False)
     demand = pool.remaining.sum(axis=0) + 1  # beyond total availability
     candidates = np.arange(pool.num_nodes)
-    assert (
-        kernels.sweep_best(
-            candidates, demand, pool.remaining, pool.distance_matrix
+    for sweep in (kernels.sweep_best, kernels.sweep_first):
+        assert (
+            sweep(
+                candidates, demand, pool.remaining, pool.distance_matrix,
+                rack_free=pool.rack_free,
+            )
+            is None
         )
-        is None
-    )
-    assert (
-        kernels.sweep_first(
-            candidates, demand, pool.remaining, pool.distance_matrix
-        )
-        is None
-    )
 
 
 def test_rack_cap_without_rack_ids_raises_on_every_path():
@@ -543,6 +683,7 @@ def test_rack_cap_without_rack_ids_raises_on_every_path():
                 request,
                 pool.remaining,
                 pool.distance_matrix,
+                rack_free=pool.rack_free,
                 max_vms_per_rack=2,
             )
     with pytest.raises(ValidationError, match="requires rack_ids"):

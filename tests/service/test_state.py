@@ -2,12 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import PoolSpec, ResourcePool, VMTypeCatalog, random_pool
+from repro.cluster import (
+    PhysicalNode,
+    PoolSpec,
+    ResourcePool,
+    Topology,
+    TopologyCache,
+    VMTypeCatalog,
+    random_pool,
+)
 from repro.core import OnlineHeuristic
 from repro.core.problem import Allocation, VirtualClusterRequest
 from repro.service import ClusterState
 from repro.util.errors import CapacityError, ValidationError
+from tests.conftest import sparse_rack_pool
 
 
 @pytest.fixture
@@ -211,3 +222,153 @@ class TestRandomizedConsistency:
             assert np.array_equal(state.remaining, fresh.remaining), step
             assert np.array_equal(state.available, fresh.available), step
             state.verify_consistency()
+
+
+class TestSparseRackIds:
+    def test_state_accepts_rack_ids_that_are_not_dense(self):
+        """Regression: 4 nodes in racks {0, 5} used to raise ``IndexError``
+        in ``from_pool`` (per-rack rows were indexed by raw rack id)."""
+        catalog = VMTypeCatalog.ec2_default()
+        nodes = [
+            PhysicalNode(node_id=i, rack_id=rack, cloud_id=0, capacity=[2, 1, 1])
+            for i, rack in enumerate([5, 0, 5, 0])
+        ]
+        pool = ResourcePool(Topology(nodes), catalog)
+        state = ClusterState.from_pool(pool)
+        assert [rack.rack_id for rack in state.topology.racks] == [0, 5]
+        # Row r is rack topology.racks[r]: rack 0 holds nodes 1 and 3.
+        np.testing.assert_array_equal(state.rack_free, [[4, 2, 2], [4, 2, 2]])
+        state.allocate_lease(1, alloc_one(state, 0, 0, count=2))
+        np.testing.assert_array_equal(state.rack_free, [[4, 2, 2], [2, 2, 2]])
+        np.testing.assert_array_equal(
+            state.rack_free, pool.topology_cache.per_rack(state.remaining)
+        )
+        # A plain pool computes the same rows the state maintains.
+        plain = pool.copy()
+        plain.allocate(state.allocated)
+        np.testing.assert_array_equal(plain.rack_free, state.rack_free)
+        state.verify_consistency()
+
+
+# ------------------------------------------------------- row-sparse commits
+
+_OPS = ("lease", "lease", "release", "swap", "raw", "snapshot", "restore",
+        "over", "bad_shape")
+
+
+def _random_matrix(rng, free: np.ndarray, rows: int = 3) -> np.ndarray:
+    """A nonzero matrix touching up to *rows* nodes, within *free* unless
+    the draw comes up empty (then one VM anywhere some node has room)."""
+    matrix = np.zeros_like(free)
+    open_rows = np.flatnonzero(free.any(axis=1))
+    for i in rng.choice(open_rows, size=min(rows, open_rows.size), replace=False):
+        matrix[i] = rng.integers(0, free[i] + 1)
+    if not matrix.any() and open_rows.size:
+        i = int(open_rows[0])
+        matrix[i, int(np.flatnonzero(free[i])[0])] = 1
+    return matrix
+
+
+def _aggregates(state: ClusterState) -> tuple:
+    return (
+        state.remaining.copy(), state.available, state.rack_free.copy(),
+        state.allocated, state.leases, state.lease_targets,
+        list(state.journal), state.version,
+    )
+
+
+def _same(a: tuple, b: tuple) -> bool:
+    arrays = all(np.array_equal(x, y) for x, y in zip(a[:4], b[:4]))
+    return arrays and a[4].keys() == b[4].keys() and all(
+        a[4][k] is b[4][k] for k in a[4]
+    ) and a[5:] == b[5:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sparse=st.booleans(),
+    seed=st.integers(0, 10_000),
+    ops=st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 2**16)),
+                 min_size=1, max_size=30),
+)
+def test_row_sparse_commits_match_a_dense_recomputation(sparse, seed, ops):
+    """Every lease / raw / restore step keeps each aggregate equal to a
+    dense recomputation from ``C``, and a refused commit changes nothing —
+    not the aggregates, the ledger, the journal or the version."""
+    if sparse:
+        pool = sparse_rack_pool(seed)
+    else:
+        pool = random_pool(
+            PoolSpec(racks=3, nodes_per_rack=4, capacity_high=3),
+            VMTypeCatalog.ec2_default(), seed=seed,
+        )
+    state = ClusterState.from_pool(pool)
+    state.journal = []
+    oracle = TopologyCache.build(pool.topology, pool.distance_model)
+    n, m = state.num_nodes, state.num_types
+    dist = state.distance_matrix
+    raw: list = []  # raw matrices outside the ledger, oldest first
+    saved = None
+    next_id = 0
+    for op, draw in ops:
+        rng = np.random.default_rng(draw)
+        before = _aggregates(state)
+        if op == "lease" and state.available.any():
+            matrix = _random_matrix(rng, state.remaining)
+            state.allocate_lease(next_id, Allocation.from_matrix(matrix, dist))
+            assert state.journal[-1].version == state.version
+            assert state.journal[-1].request_id == next_id
+            next_id += 1
+        elif op == "release" and state.num_leases:
+            victim = int(rng.choice(sorted(state.leases)))
+            state.release_lease(victim)
+            assert state.journal[-1] == (state.version, victim, None, None)
+        elif op == "swap" and state.num_leases:
+            victim = int(rng.choice(sorted(state.leases)))
+            free = state.remaining + state.leases[victim].matrix
+            replacement = Allocation.from_matrix(_random_matrix(rng, free), dist)
+            state.swap_lease(victim, replacement)
+            assert state.leases[victim] is replacement
+        elif op == "raw" and (raw or state.available.any()):
+            if raw and (rng.random() < 0.5 or not state.available.any()):
+                state.release(raw.pop(int(rng.integers(len(raw)))))
+            else:
+                matrix = _random_matrix(rng, state.remaining)
+                state.allocate(matrix)
+                raw.append(matrix)
+            assert state.journal[-1] == (state.version, None, None, None)
+        elif op == "snapshot":
+            saved = (state.snapshot_state(), list(raw))
+        elif op == "restore" and saved is not None:
+            state.restore_state(saved[0])
+            raw = list(saved[1])
+            assert state.version == saved[0].version
+        elif op == "over":
+            # Fits everywhere but one slot, which asks for one VM too many.
+            matrix = _random_matrix(rng, state.remaining)
+            i, j = int(rng.integers(n)), int(rng.integers(m))
+            matrix[i, j] = state.remaining[i, j] + 1
+            over = Allocation.from_matrix(matrix, dist)
+            with pytest.raises(CapacityError):
+                state.allocate_lease(next_id, over)
+            assert _same(before, _aggregates(state))
+        elif op == "bad_shape":
+            shape = (n + 1, m) if rng.random() < 0.5 else (n, m + 1)
+            bad = Allocation(matrix=np.ones(shape, dtype=np.int64), center=0,
+                             distance=0.0)
+            with pytest.raises(ValidationError, match="shape"):
+                state.allocate_lease(next_id, bad)
+            with pytest.raises(ValidationError, match="shape"):
+                state.allocate(bad.matrix)
+            assert _same(before, _aggregates(state))
+        # The dense oracle: everything from C and M alone.
+        free = state.max_capacity - state.allocated
+        assert np.array_equal(state.remaining, free)
+        assert np.array_equal(state.available, free.sum(axis=0))
+        assert np.array_equal(state.rack_free, oracle.per_rack(free))
+        leased = sum(
+            (a.matrix for a in state.leases.values()), np.zeros((n, m), np.int64)
+        )
+        assert np.array_equal(leased + sum(raw, np.zeros((n, m), np.int64)),
+                              state.allocated)
+        state.verify_consistency(check_leases=not raw)
