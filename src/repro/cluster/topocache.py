@@ -23,8 +23,12 @@ tier is a rack or a cloud, not a row of ``D``. Everything here is O(n):
   :class:`~repro.service.state.ClusterState` keeps the same rows current
   on every commit (``rack_free``);
 * the **rack → cloud map** — the same triple one level up
-  (``cloud_order`` over dense racks, ``cloud_starts``, and ``cloud_index[i]``,
-  node ``i``'s dense cloud; :meth:`TopologyCache.per_cloud`).
+  (``cloud_order`` over dense racks, ``cloud_starts``, and ``rack_cloud[r]``,
+  dense rack ``r``'s dense cloud; :meth:`TopologyCache.per_cloud`), plus
+  ``cloud_index[i]``, node ``i``'s dense cloud. With it the kernels price a
+  rack from the ``(racks × m)`` aggregates alone, and
+  :meth:`TopologyCache.rack_nodes` hands them one rack's nodes without a
+  pass over the pool.
 
 **Invariants.** The structure is a function of the topology and the distance
 model only, so allocation churn never invalidates it — and neither does node
@@ -92,6 +96,7 @@ class TopologyCache:
         "rack_index",
         "cloud_order",
         "cloud_starts",
+        "rack_cloud",
         "cloud_index",
     )
 
@@ -114,9 +119,11 @@ class TopologyCache:
         )
         # A rack lies in one cloud (Topology enforces it), so any member
         # names the rack's cloud.
-        rack_cloud = self.cloud_ids[self.rack_order[self.rack_starts]]
-        self.cloud_order, self.cloud_starts, cloud_of_rack = _grouping(rack_cloud)
-        self.cloud_index = cloud_of_rack[self.rack_index]
+        rack_cloud_ids = self.cloud_ids[self.rack_order[self.rack_starts]]
+        self.cloud_order, self.cloud_starts, self.rack_cloud = _grouping(
+            rack_cloud_ids
+        )
+        self.cloud_index = self.rack_cloud[self.rack_index]
         self.cloud_index.flags.writeable = False
 
     @classmethod
@@ -141,6 +148,16 @@ class TopologyCache:
     def per_rack(self, values: np.ndarray) -> np.ndarray:
         """Sum per-node rows of *values* ``(n, …)`` into dense racks ``(r, …)``."""
         return np.add.reduceat(values[self.rack_order], self.rack_starts, axis=0)
+
+    def rack_nodes(self, rack: int) -> np.ndarray:
+        """The nodes of dense rack *rack*, ascending (a read-only view)."""
+        start = self.rack_starts[rack]
+        stop = (
+            self.rack_starts[rack + 1]
+            if rack + 1 < self.rack_starts.size
+            else self.rack_order.size
+        )
+        return self.rack_order[start:stop]
 
     def per_cloud(self, rack_values: np.ndarray) -> np.ndarray:
         """Sum :meth:`per_rack` rows ``(r, …)`` into dense clouds ``(q, …)``."""

@@ -118,9 +118,15 @@ class GlobalSubOptimizer(BatchPlacementAlgorithm):
         allocations: list["Allocation | None"],
         dist: np.ndarray,
         *,
+        cache=None,
         obs=None,
     ) -> list["Allocation | None"]:
         """Step 3: pairwise Theorem-2 transfers to a fixpoint.
+
+        *cache* is the pool's
+        :class:`~repro.cluster.topocache.TopologyCache`, which lets each
+        pair be searched on its holder rows (see
+        :func:`~repro.core.placement.transfer.transfer_pair`).
 
         With :attr:`worklist` enabled, each allocation carries a change
         stamp; a pair is recomputed only when at least one side changed
@@ -178,7 +184,9 @@ class GlobalSubOptimizer(BatchPlacementAlgorithm):
                         if self.use_paper_transfer:
                             result = transfer_pair_paper(a1, a2, dist)
                         else:
-                            result = transfer_pair(a1, a2, dist)
+                            result = transfer_pair(
+                                a1, a2, dist, cache=cache, obs=obs
+                            )
                         attempts_total.inc()
                         if result.improved and result.gain > 1e-9:
                             allocs[i] = result.first
@@ -208,7 +216,9 @@ class GlobalSubOptimizer(BatchPlacementAlgorithm):
         self.last_stats.initial_total_distance = float(
             sum(a.distance for a in placed)
         )
-        allocs = self.optimize_transfers(allocs, pool.distance_matrix, obs=obs)
+        allocs = self.optimize_transfers(
+            allocs, pool.distance_matrix, cache=pool.topology_cache, obs=obs
+        )
         placed = [a for a in allocs if a is not None]
         self.last_stats.final_total_distance = float(
             sum(a.distance for a in placed)

@@ -24,18 +24,28 @@ produce **bit-identical** results (the property tests in
   margin dwarfing float error) are pruned without ever being sorted or
   filled; survivors get the exact fill and the byte-for-byte reference
   distance expression ``float(counts.astype(np.float64) @ dist[:, c])``.
-  When the tier arithmetic is exact (``TopologyCache.exact_tiers``: integer
-  and other on-grid models) the margin is zero, and an unbudgeted sweep
-  fills only the first center attaining the screen's minimum — the
-  reference winner (:func:`sweep_best` has the argument).
+
+* **Exact tiers: racks, then one rack** — when the tier arithmetic is
+  exact (``TopologyCache.exact_tiers``: integer and other on-grid models,
+  :func:`_screen_is_exact`) the same screen is a per-rack constant minus
+  ``d1 ·`` the center's own take (:func:`rack_screen`): O(racks·m) on the
+  aggregates plus one n-vector, and the same floats. Screen and reference
+  ``dc`` then agree exactly, so an unbudgeted sweep fills only the first
+  center attaining the minimum — the reference winner (:func:`sweep_best`
+  has the argument). That fill orders just the center's rack when the rack
+  covers the demand, and its ``dc`` is the dot over the rows it ordered.
+  A guard compares that ``dc`` with the screen; a mismatch, an off-grid
+  model or a ``Σ demand · d3`` past the exact range runs the full loop
+  (``repro_placement_exact_fallbacks_total{kernel="sweep"}``). Rack
+  budgets and survivability fills always run it.
 
 * **Fill order** — the reference sorts nodes by
   ``(D[i, c], -providable_i, i)``. ``providable`` does not depend on the
   center, so :class:`TierOrders` sorts by ``(-providable, index)`` once per
-  request and a center's order is itself, then its rack, its cloud and the
-  rest, each in that one order. :func:`fill_order` without a cache (an
-  arbitrary caller-supplied matrix) is one ``np.lexsort`` on the distance
-  column.
+  request, when a fill first needs more than one rack, and a center's order
+  is itself, then its rack, its cloud and the rest, each in that one order.
+  :func:`fill_order` without a cache (an arbitrary caller-supplied matrix)
+  is one ``np.lexsort`` on the distance column.
 
 * **Cumulative-sum fill** — the reference walks the order taking
   ``min(remaining[i], todo)`` per node. Per VM type the running ``todo``
@@ -121,48 +131,89 @@ def tier_bound(
     return d1 * (rack - own) + d2 * (cloud - rack) + d3 * (total - cloud)
 
 
+def rack_screen(
+    cache, rack_free: np.ndarray, need: np.ndarray, prov: np.ndarray
+) -> np.ndarray:
+    """:func:`tier_bound`'s row sums from per-rack constants, ``(n,)``.
+
+    A center of dense rack ``r`` that offers nothing itself screens at
+    ``K[r] = Σₜ d1·min(rack_r, R) + d2·(min(cloud, R) − min(rack_r, R))
+    + d3·(min(total, R) − min(cloud, R))``, computed from the
+    ``(racks × m)`` aggregates alone; center ``c`` screens at
+    ``K[rack(c)] − d1·prov[c]`` with *prov* = :func:`providable`. That is an
+    identity of reals. Only on exact tiers (:func:`_screen_is_exact`) is it
+    also the same float as ``tier_bound(...).sum(axis=1)``: every term is
+    then a non-negative multiple of 2⁻¹⁰ below 2⁴³, so no sum or
+    difference rounds.
+    """
+    d1, d2, d3 = cache.tier_distances
+    cloud_free = cache.per_cloud(rack_free)
+    rack = np.minimum(rack_free, need)
+    cloud = np.minimum(cloud_free, need)[cache.rack_cloud]
+    total = np.minimum(cloud_free.sum(axis=0), need)
+    per_rack = (d1 * rack + d2 * (cloud - rack) + d3 * (total - cloud)).sum(axis=1)
+    return per_rack[cache.rack_index] - d1 * prov
+
+
+def providable(remaining: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """Per node, how many of the demanded VMs it could host: ``Σₜ min(L, R)``."""
+    return np.minimum(remaining, demand[None, :]).sum(axis=1)
+
+
 class TierOrders:
     """One request's fill orders on a tiered topology.
 
-    Sorts nodes by ``(-providable, index)`` once; :meth:`full` then
-    reproduces the reference order ``(D[i, c], -providable, i)`` for any
-    center from two equality tests on ``rack_ids``/``cloud_ids``.
-    *rack_free* is ``cache.per_rack(remaining)`` (see :func:`tier_bound`).
+    The reference order for center ``c`` is ``(D[i, c], -providable, i)``.
+    :meth:`covering` orders just the center's rack when that rack covers
+    the demand. :meth:`full` orders every node: it sorts them by
+    ``(-providable, index)`` once, on first use, and then places each tier
+    by two equality tests on ``rack_ids``/``cloud_ids``.
+    *rack_free* is ``cache.per_rack(remaining)`` (see :func:`tier_bound`),
+    and *prov* is :func:`providable`, when the caller already has it.
     A failed node sits in its static tier rather than last, which no fill
     can see: it offers nothing, so it takes nothing wherever it is visited.
     """
 
-    __slots__ = ("cache", "base", "rack", "cloud", "rack_covers")
+    __slots__ = ("cache", "prov", "rack_covers", "_base", "_rack", "_cloud")
 
     def __init__(
-        self, cache, demand: np.ndarray, remaining: np.ndarray, rack_free: np.ndarray
+        self,
+        cache,
+        demand: np.ndarray,
+        remaining: np.ndarray,
+        rack_free: np.ndarray,
+        prov: "np.ndarray | None" = None,
     ) -> None:
-        prov = np.minimum(remaining, demand[None, :]).sum(axis=1)
         self.cache = cache
-        self.base = np.argsort(-prov, kind="stable")
-        self.rack = cache.rack_ids[self.base]
-        self.cloud = cache.cloud_ids[self.base]
-        #: per node: can its rack alone finish the demand?
-        covers = np.all(rack_free >= demand, axis=1)
-        self.rack_covers = covers[cache.rack_index]
+        self.prov = providable(remaining, demand) if prov is None else prov
+        #: per dense rack: can the rack alone finish the demand?
+        self.rack_covers = np.all(rack_free >= demand, axis=1)
+        self._base = None
 
     def full(self, center: int) -> np.ndarray:
         """All nodes: *center*, its rack, its cloud, then everything else."""
-        tier = (self.rack != self.cache.rack_ids[center]).astype(np.int8)
-        tier += self.cloud != self.cache.cloud_ids[center]
-        tier[self.base == center] = -1
-        return self.base[np.argsort(tier, kind="stable")]  # int8: radix, O(n)
+        if self._base is None:
+            self._base = np.argsort(-self.prov, kind="stable")
+            self._rack = self.cache.rack_ids[self._base]
+            self._cloud = self.cache.cloud_ids[self._base]
+        tier = (self._rack != self.cache.rack_ids[center]).astype(np.int8)
+        tier += self._cloud != self.cache.cloud_ids[center]
+        tier[self._base == center] = -1
+        return self._base[np.argsort(tier, kind="stable")]  # int8: radix, O(n)
 
     def covering(self, center: int) -> np.ndarray:
         """The prefix of :meth:`full` an unbudgeted fill can stop within.
 
         :func:`fill_counts` is prefix-deterministic — takes along a prefix
         do not depend on what follows — so when the center's rack covers
-        the demand the other n − rack nodes need not be ordered at all.
+        the demand the other n − rack nodes need not be ordered at all:
+        the rack's nodes by ``(-providable, index)``, center first.
         """
-        if not self.rack_covers[center]:
+        rack = self.cache.rack_index[center]
+        if not self.rack_covers[rack]:
             return self.full(center)
-        peers = self.base[self.rack == self.cache.rack_ids[center]]
+        peers = self.cache.rack_nodes(rack)
+        peers = peers[np.argsort(-self.prov[peers], kind="stable")]
         return peers[np.argsort(peers != center, kind="stable")]  # center first
 
 
@@ -186,7 +237,7 @@ def fill_order(
     if cache is not None:
         rack_free = cache.per_rack(remaining)
         return TierOrders(cache, demand, remaining, rack_free).full(center)
-    prov = np.minimum(remaining, demand[None, :]).sum(axis=1)
+    prov = providable(remaining, demand)
     return np.lexsort((np.arange(prov.size), -prov, dist[:, center]))
 
 
@@ -203,6 +254,17 @@ def fill_counts(
     caps = np.minimum(remaining[order], demand[None, :])
     prev = np.cumsum(caps, axis=0) - caps
     return np.minimum(caps, np.maximum(demand[None, :] - prev, 0))
+
+
+def _fill_along(
+    order: np.ndarray, demand: np.ndarray, remaining: np.ndarray
+) -> "np.ndarray | None":
+    """The takes of an unbudgeted fill along *order* (order space), or
+    ``None`` when *order* cannot finish the demand."""
+    takes = fill_counts(order, demand, remaining)
+    if np.any(takes.sum(axis=0) != demand):
+        return None
+    return takes
 
 
 def fill_one(
@@ -222,8 +284,8 @@ def fill_one(
         order = fill_order(center, demand, remaining, dist)
     else:
         order = orders.covering(center)
-    takes = fill_counts(order, demand, remaining)
-    if np.any(takes.sum(axis=0) != demand):
+    takes = _fill_along(order, demand, remaining)
+    if takes is None:
         return None
     alloc = np.zeros(remaining.shape, dtype=np.int64)
     alloc[order] = takes
@@ -287,6 +349,19 @@ def _exact_distance(matrix: np.ndarray, dist: np.ndarray, center: int) -> float:
     return float(matrix.sum(axis=1).astype(np.float64) @ dist[:, center])
 
 
+def count_exact_fallback(obs, kernel: str) -> None:
+    """Count one piece of work an exactness guard sent to the full path.
+
+    Called only on that path, so the exact paths pay nothing for it.
+    """
+    if obs is not None:
+        obs.counter(
+            "repro_placement_exact_fallbacks_total",
+            "Sweeps and pair transfers the exactness guard sent to the full path.",
+            labels=("kernel",),
+        ).labels(kernel=kernel).inc()
+
+
 class _SweepInstruments:
     """Per-sweep counters for the candidate-center screen/prune/fill trio.
 
@@ -323,23 +398,35 @@ def _sweep_instruments(obs) -> "_SweepInstruments | None":
 
 
 def _filler(
-    demand, remaining, rack_free, dist, cache, rack_ids, max_vms_per_rack, timer, obs
+    demand, remaining, rack_free, dist, cache, rack_ids, max_vms_per_rack, timer,
+    obs, prov=None,
 ):
     """One sweep's exact fill, ``center → (matrix, center, dc) | None``,
-    with the fill orders and meters its candidates share."""
+    with the fill orders and meters its candidates share.
+
+    ``dc`` is the reference expression over all n rows, or with
+    ``touched=True`` the same dot over just the rows the fill ordered —
+    the same float when the tier arithmetic is exact (a row outside the
+    order holds nothing and adds ``0 · D = 0``).
+    """
     if cache is None:
         raise ValidationError(
             "the center sweep needs the pool's TopologyCache (pool.topology_cache)"
         )
-    orders = TierOrders(cache, demand, remaining, rack_free)
+    orders = TierOrders(cache, demand, remaining, rack_free, prov)
     timer = timer if timer is not None else PhaseTimer()
     ins = _sweep_instruments(obs)
 
-    def fill(center: int):
+    def fill(center: int, *, touched: bool = False):
         started = time.perf_counter()
         with timer.phase("fill"):
             if max_vms_per_rack is None:
-                matrix = fill_one(center, demand, remaining, dist, orders=orders)
+                order = orders.covering(center)
+                takes = _fill_along(order, demand, remaining)
+                matrix = None
+                if takes is not None:
+                    matrix = np.zeros(remaining.shape, dtype=np.int64)
+                    matrix[order] = takes
             else:
                 matrix = fill_one_rack_limited(
                     center, demand, remaining, dist, rack_ids, max_vms_per_rack,
@@ -350,7 +437,11 @@ def _filler(
             ins.filled.inc()
         if matrix is None:
             return None
-        return matrix, center, _exact_distance(matrix, dist, center)
+        if touched:  # unbudgeted fills only
+            dc = float(takes.sum(axis=1).astype(np.float64) @ dist[order, center])
+        else:
+            dc = _exact_distance(matrix, dist, center)
+        return matrix, center, dc
 
     return fill, ins
 
@@ -371,28 +462,26 @@ def _screen_is_exact(cache, demand: np.ndarray) -> bool:
     return cache.exact_tiers and bound < 2.0**53 / EXACT_GRID
 
 
-def _incumbent(fill, candidates, screen, threshold, margin):
+def _incumbent(fill, candidates, screen, margin):
     """The reference ``stop="best"`` loop over the survivors of the screen.
 
-    Candidates go in order; one whose bound reaches *threshold* is pruned,
-    any other is filled and replaces the incumbent on ``dc < best − 1e-12``.
-    The threshold only ever falls, so every center at or past the opening
-    one would be pruned when reached: one vectorized pass drops them before
-    the loop (counted as pruned). Returns ``(best, best's screen value,
-    pruned count)``.
+    Candidates go in order; one whose bound reaches the threshold (``inf``
+    until the first completed fill) is pruned, any other is filled and
+    replaces the incumbent on ``dc < best − 1e-12``. Returns
+    ``(best, pruned count)``.
     """
-    best = best_bound = None
-    live = np.flatnonzero(screen < threshold)
-    pruned = screen.size - live.size
-    for center, bound in zip(candidates[live].tolist(), screen[live].tolist()):
+    best = None
+    threshold = np.inf
+    pruned = 0
+    for center, bound in zip(candidates.tolist(), screen.tolist()):
         if bound >= threshold:
             pruned += 1
             continue
         filled = fill(center)
         if filled is not None and (best is None or filled[2] < best[2] - 1e-12):
-            best, best_bound = filled, bound
+            best = filled
             threshold = best[2] - 1e-12 + margin * (1.0 + abs(best[2]))
-    return best, best_bound, pruned
+    return best, pruned
 
 
 def sweep_best(
@@ -421,43 +510,57 @@ def sweep_best(
     result.
 
     **One fill when the screen is exact.** With on-grid tier distances
-    (``cache.exact_tiers``) and no rack budget, each candidate's screen value
-    and its reference ``dc`` are the same float64 (both exact sums of the
-    same per-tier takes), so the pruning margin is zero and the threshold
-    starts just above ``m = screen.min()``: only centers with ``dc = m`` are
-    ever filled, and after the first of them, ``c*``, none — a later tie
-    fails ``dc < m − 1e-12``. That is the reference winner. Every candidate
-    before ``c*`` has ``dc > m``, and on the grid that means
-    ``dc ≥ m + 2⁻¹⁰ > m + 1e-12``, so ``c*`` replaces whatever incumbent
-    the reference held when it got there; no candidate after it can replace
-    ``c*``. Skipped centers, all with ``dc > m + 1e-12``, can never be the
-    final incumbent, and skipping them cannot change the incumbent chain from
-    ``c*`` on. As a guard the winner's reference ``dc`` is compared with its
-    screen value and with ``m``; should they differ (the loop would then
-    have walked on from a mismatched first fill, with centers before it
-    already pruned), the full loop runs with the ``_SCREEN_RTOL`` margin.
-    Rack-budgeted and survivability fills keep the full loop, since their
-    screen is only a lower bound on ``dc``; on the grid that bound is exact
-    arithmetic too, so they also prune with a zero margin (a center whose
-    bound ties the incumbent cannot beat it).
+    (``cache.exact_tiers``, :func:`_screen_is_exact`) the screen is
+    :func:`rack_screen` — a per-rack constant minus ``d1 ·``
+    :func:`providable` per center, O(racks·m) plus one n-vector, and the
+    same floats as ``tier_bound(...).sum(axis=1)``. Without a rack budget,
+    each candidate's screen value and its reference ``dc`` are then the
+    same float64 (both exact sums of the same per-tier takes), so only the
+    first candidate attaining ``m = screen.min()``, ``c*``, is filled:
+    that is the reference winner. Every candidate before ``c*`` has
+    ``dc > m``, and on the grid that means ``dc ≥ m + 2⁻¹⁰ > m + 1e-12``,
+    so ``c*`` replaces whatever incumbent the reference held when it got
+    there; no candidate after it can replace ``c*`` (a later tie fails
+    ``dc < m − 1e-12``). Its fill orders one rack when that rack covers the
+    demand (:meth:`TierOrders.covering`), and its ``dc`` is the dot over
+    the rows the fill ordered. As a guard that ``dc`` is compared with
+    ``m``; should they differ, the full loop runs with the ``_SCREEN_RTOL``
+    margin and ``repro_placement_exact_fallbacks_total{kernel="sweep"}``
+    counts it, as it does an unbudgeted sweep off the grid. Counters then
+    hold the one fill plus the full loop's. Rack-budgeted and survivability
+    fills keep the full loop, since their screen is only a lower bound on
+    ``dc``; on the grid that bound is exact arithmetic too, so they also
+    prune with a zero margin (a center whose bound ties the incumbent
+    cannot beat it).
     """
     require_rack_ids(rack_ids, max_vms_per_rack)
     if _cannot_complete(demand, rack_free, max_vms_per_rack):
         return None
+    prov = providable(remaining, demand)
     fill, ins = _filler(
         demand, remaining, rack_free, dist, cache, rack_ids, max_vms_per_rack,
-        timer, obs,
+        timer, obs, prov,
     )
     candidates = np.asarray(candidates, dtype=np.int64)
-    screen = tier_bound(cache, remaining, rack_free, demand).sum(axis=1)[candidates]
     exact = _screen_is_exact(cache, demand)
-    margin = 0.0 if exact else _SCREEN_RTOL
-    one_fill = exact and max_vms_per_rack is None and screen.size > 0
-    floor = screen.min() if one_fill else np.inf
-    threshold = np.nextafter(floor, np.inf)
-    best, bound, pruned = _incumbent(fill, candidates, screen, threshold, margin)
-    if one_fill and (best is None or not best[2] == bound == floor):
-        best, _, pruned = _incumbent(fill, candidates, screen, np.inf, _SCREEN_RTOL)
+    if exact:
+        screen = rack_screen(cache, rack_free, demand, prov)[candidates]
+    else:
+        screen = tier_bound(cache, remaining, rack_free, demand).sum(axis=1)
+        screen = screen[candidates]
+    one_fill = max_vms_per_rack is None and screen.size > 0
+    best = None
+    if one_fill and exact:
+        first = int(np.argmin(screen))  # the first candidate attaining it
+        best = fill(int(candidates[first]), touched=True)
+        pruned = screen.size - 1
+        if best is not None and best[2] != screen[first]:
+            best = None
+    if best is None:
+        if one_fill:
+            count_exact_fallback(obs, "sweep")
+        margin = 0.0 if exact and not one_fill else _SCREEN_RTOL
+        best, pruned = _incumbent(fill, candidates, screen, margin)
     if ins is not None:
         ins.screened.inc(candidates.shape[0])
         ins.pruned.inc(pruned)

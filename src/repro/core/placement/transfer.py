@@ -9,6 +9,18 @@ repeat until no improving exchange exists.
 
 Every exchange is capacity-neutral (combined per-node, per-type usage is
 unchanged), so applying transfers never breaks pool feasibility.
+
+**Holder rows.** An exchange only moves VMs between nodes that already hold
+one of the pair's VMs, so the set ``U = rows(a1) ∪ rows(a2)`` never grows.
+Given the pool's :class:`~repro.cluster.topocache.TopologyCache`, and with
+*dist* being that cache's own matrix on exact tiers, :func:`transfer_pair`
+searches the pair on ``U`` alone: :func:`best_exchange` runs on ``dist[U]``
+(the same floats, in the same argmax order) and recentering is
+``counts[U] @ dist[U, :]``, which on the ``2⁻¹⁰`` grid is the full
+mat-vec's float. Everything else — no cache, an off-grid model, a matrix
+that is not the cache's (a failure-masked one) — runs the full n×n path,
+and with a cache given ``repro_placement_exact_fallbacks_total{kernel=
+"transfer"}`` counts it.
 """
 
 from __future__ import annotations
@@ -17,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster.topocache import EXACT_GRID
+from repro.core.placement.kernels import count_exact_fallback
 from repro.core.problem import Allocation
 from repro.core.theorems import apply_theorem2_exchange
 from repro.util.errors import ValidationError
@@ -64,8 +78,9 @@ def best_exchange(
     # Per-node swap potentials: phi1[u] = D_ux − D_uy is what cluster 1
     # saves (per VM) by vacating u, and cluster 2 loses by occupying it.
     phi = dist[:, x] - dist[:, y]
-    give = np.where(m1 > 0, phi[:, None], -np.inf).max(axis=0)
-    gain_ceiling = give - np.where(m2 > 0, phi[:, None], np.inf).min(axis=0)
+    give = np.where(m1 > 0, phi[:, None], -np.inf).max(axis=0, initial=-np.inf)
+    take = np.where(m2 > 0, phi[:, None], np.inf).min(axis=0, initial=np.inf)
+    gain_ceiling = give - take
     j = int(np.argmax(gain_ceiling))  # first type attaining the max
     if not (gain_ceiling[j] > tol):
         return None
@@ -109,11 +124,26 @@ def _reference_best_exchange(
     return best
 
 
+def _holder_rows(a1: Allocation, a2: Allocation, dist, cache) -> "np.ndarray | None":
+    """``rows(a1) ∪ rows(a2)`` when the pair may be searched on them alone,
+    else ``None``: that needs *dist* to be *cache*'s own matrix (decided by
+    identity, never by scanning it) on exact tiers, with every center total
+    — at most all the pair's VMs at ``d3`` — below the exact range."""
+    if cache is None or dist is not cache.distance or not cache.exact_tiers:
+        return None
+    vms = a1.total_vms + a2.total_vms
+    if vms * cache.tier_distances[2] >= 2.0**53 / EXACT_GRID:
+        return None
+    return np.union1d(a1.rows, a2.rows)
+
+
 def transfer_pair(
     a1: Allocation,
     a2: Allocation,
     dist: np.ndarray,
     *,
+    cache=None,
+    obs=None,
     recenter: bool = True,
     max_exchanges: int = 10_000,
     tol: float = 1e-9,
@@ -129,23 +159,32 @@ def transfer_pair(
     (``counts @ D`` + first-minimum argmin — the exact
     :func:`~repro.core.distance.cluster_distance` expression) instead of
     constructing throwaway :class:`Allocation` objects, whose validation
-    dominated the Algorithm-2 transfer phase. The original formulation is
-    retained as :func:`_reference_transfer_pair` and property-tested to
-    return bit-identical results.
+    dominated the Algorithm-2 transfer phase. *cache* (the pool's
+    :class:`~repro.cluster.topocache.TopologyCache`) lets the search run on
+    the pair's holder rows (module docstring); *obs* receives the exactness
+    guard's fallback count. The original formulation is retained as
+    :func:`_reference_transfer_pair` and property-tested to return
+    bit-identical results.
     """
-    m1 = a1.matrix.copy()
-    m2 = a2.matrix.copy()
+    rows = _holder_rows(a1, a2, dist, cache)
+    if rows is None:
+        if cache is not None:
+            count_exact_fallback(obs, "transfer")
+        m1, m2, d = a1.matrix.copy(), a2.matrix.copy(), dist
+    else:
+        # Local row k is node rows[k]; columns (centers) stay global.
+        m1, m2, d = a1.matrix[rows], a2.matrix[rows], dist[rows]
     x, y = a1.center, a2.center
     start = a1.distance + a2.distance
     exchanges = 0
     totals: "tuple[np.ndarray, np.ndarray] | None" = None
     while exchanges < max_exchanges:
-        step = best_exchange(m1, m2, dist, x, y, tol=tol)
+        step = best_exchange(m1, m2, d, x, y, tol=tol)
         if step is None:
             if not recenter:
                 break
-            t1 = m1.sum(axis=1).astype(np.float64) @ dist
-            t2 = m2.sum(axis=1).astype(np.float64) @ dist
+            t1 = m1.sum(axis=1).astype(np.float64) @ d
+            t2 = m2.sum(axis=1).astype(np.float64) @ d
             nx, ny = int(np.argmin(t1)), int(np.argmin(t2))
             if nx == x and ny == y:
                 totals = (t1, t2)
@@ -159,6 +198,11 @@ def transfer_pair(
         raise ValidationError(
             f"transfer_pair did not converge in {max_exchanges} exchanges"
         )
+    if rows is not None:
+        full1 = np.zeros(a1.matrix.shape, dtype=np.int64)
+        full2 = np.zeros(a2.matrix.shape, dtype=np.int64)
+        full1[rows], full2[rows] = m1, m2
+        m1, m2 = full1, full2
     if recenter:
         t1, t2 = totals
         out1 = Allocation(matrix=m1, center=x, distance=float(t1[x]))

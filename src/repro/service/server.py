@@ -661,6 +661,7 @@ class PlacementService:
         decisions must report exactly what admission promised.
         """
         dist = self.state.distance_matrix
+        cache = self.state.topology_cache
         entries = list(placed)
         gain_before = self.stats.transfer_gain
         stamps = [0] * len(entries)
@@ -682,7 +683,9 @@ class PlacementService:
                             continue
                         if converged.get((i, j)) == (stamps[i], stamps[j]):
                             continue
-                        result = transfer_pair(a1, a2, dist)
+                        result = transfer_pair(
+                            a1, a2, dist, cache=cache, obs=self.obs
+                        )
                         self._m_transfer_attempts.inc()
                         if not result.improved or result.gain <= 1e-9:
                             converged[(i, j)] = (stamps[i], stamps[j])

@@ -348,6 +348,7 @@ class ShardedPlacementFabric:
         self.timer = PhaseTimer()
         self._pool = pool
         self._dist = pool.distance_matrix
+        self._cache = pool.topology_cache
         if plan is None:
             plan = ByRackPlan()
         assignment = plan if isinstance(plan, ShardAssignment) else plan.partition(pool.topology)
@@ -1309,7 +1310,7 @@ class ShardedPlacementFabric:
             return 0.0
         source = self._shards[source_id]
         with source.service._lock:
-            allocation = source.state.leases.get(request_id)
+            allocation = source.state.lease(request_id)
             lease_target = source.state.lease_target(request_id)
         if allocation is None:
             return 0.0
@@ -1320,7 +1321,7 @@ class ShardedPlacementFabric:
         target_id = route.ranked[0]
         target = self._shards[target_id]
         with self._shard_locks(source_id, target_id):
-            allocation = source.state.leases.get(request_id)
+            allocation = source.state.lease(request_id)
             if allocation is None:  # released while we were routing
                 return 0.0
             lease_target = source.state.lease_target(request_id)
@@ -1360,8 +1361,8 @@ class ShardedPlacementFabric:
         shard1, shard2 = self._shards[sid1], self._shards[sid2]
         num_types = self.num_types
         with self._shard_locks(sid1, sid2):
-            a1 = shard1.state.leases.get(rid1)
-            a2 = shard2.state.leases.get(rid2)
+            a1 = shard1.state.lease(rid1)
+            a2 = shard2.state.lease(rid2)
             if a1 is None or a2 is None:
                 return 0.0
             if (
@@ -1380,7 +1381,9 @@ class ShardedPlacementFabric:
             g2 = shard2.global_allocation(a2, num_types)
             if g1.center == g2.center:
                 return 0.0
-            result = transfer_pair(g1, g2, self._dist)
+            result = transfer_pair(
+                g1, g2, self._dist, cache=self._cache, obs=self.obs
+            )
             if not result.improved or result.gain <= self.config.rebalance_min_gain:
                 return 0.0
             own1 = self._owning_shard(result.first, (shard1, shard2))

@@ -264,6 +264,11 @@ class ClusterState(ResourcePool):
         """Active allocations by request id (shallow copy of the ledger)."""
         return dict(self._leases)
 
+    def lease(self, request_id: int) -> "Allocation | None":
+        """*request_id*'s active allocation, or ``None`` — one ledger
+        lookup, where :attr:`leases` copies the whole ledger."""
+        return self._leases.get(request_id)
+
     @property
     def num_leases(self) -> int:
         return len(self._leases)

@@ -25,10 +25,13 @@ from repro.cluster import (
     DistanceModel,
     DynamicResourcePool,
     PoolSpec,
+    ResourcePool,
     VMTypeCatalog,
     random_pool,
     random_topology,
 )
+from repro.cluster.node import PhysicalNode
+from repro.cluster.topology import Topology
 from repro.cluster.generators import RequestSpec, random_request
 from repro.core import reliability
 from repro.core.placement import kernels
@@ -46,7 +49,8 @@ from repro.core.placement.transfer import (
     best_exchange,
     transfer_pair,
 )
-from repro.core.problem import VirtualClusterRequest
+from repro.core.problem import Allocation, VirtualClusterRequest
+from repro.core.theorems import apply_theorem2_exchange
 from repro.obs.registry import MetricsRegistry
 from repro.service.state import ClusterState
 from repro.util.errors import ValidationError
@@ -262,8 +266,8 @@ def test_survivability_caps_walk_the_full_order(scope):
 
 @st.composite
 def tiered_cases(draw):
-    """Drained pools over 1–2 clouds, racks down to a single node, dyadic
-    and non-dyadic distance models."""
+    """Drained pools over 1–2 clouds, racks down to a single node, dyadic,
+    integer and non-dyadic distance models."""
     seed = draw(st.integers(0, 10_000))
     spec = PoolSpec(
         clouds=draw(st.integers(1, 2)),
@@ -271,7 +275,9 @@ def tiered_cases(draw):
         nodes_per_rack=draw(st.integers(1, 5)),
         capacity_high=draw(st.integers(1, 4)),
     )
-    model = draw(st.sampled_from([DistanceModel(), DistanceModel(0.3, 0.7, 1.9)]))
+    model = draw(st.sampled_from(
+        [DistanceModel(), DistanceModel(2.0, 3.0, 7.0), DistanceModel(0.3, 0.7, 1.9)]
+    ))
     pool = random_pool(spec, CATALOG, seed=seed, distance_model=model)
     rng = ensure_rng(seed)
     if draw(st.booleans()):
@@ -326,6 +332,127 @@ def test_best_sweep_attains_the_exact_optimum(case):
     assert got.distance == pytest.approx(exact.distance, rel=1e-12, abs=1e-12)
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=tiered_cases())
+def test_rack_screen_is_the_tier_bound_sum_on_exact_tiers(case):
+    """The per-rack screen is ``tier_bound(...).sum(axis=1)`` to the bit
+    wherever the sweep uses it, and only there is it claimed to be."""
+    pool, demand = case
+    cache, remaining = pool.topology_cache, pool.remaining
+    rack_free = cache.per_rack(remaining)
+    want = kernels.tier_bound(cache, remaining, rack_free, demand).sum(axis=1)
+    got = kernels.rack_screen(
+        cache, rack_free, demand, kernels.providable(remaining, demand)
+    )
+    if kernels._screen_is_exact(cache, demand):
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """Uniform capacities, so every center of a rack ties and so does every
+    rack of a cloud; 1–3 clouds, sparse cloud ids and sparse rack ids that
+    descend with node id;
+    failed (zero-capacity) nodes behind a failure-masked distance matrix;
+    the candidates in a random order (``center_order="random"``)."""
+    seed = draw(st.integers(0, 10_000))
+    cap = draw(st.integers(1, 3))
+    spec = PoolSpec(
+        clouds=draw(st.integers(1, 3)),
+        racks=draw(st.integers(1, 4)),
+        nodes_per_rack=draw(st.integers(1, 5)),
+        capacity_low=cap,
+        capacity_high=cap,
+    )
+    base = random_topology(spec, CATALOG, seed=seed)
+    topology = Topology([
+        PhysicalNode(
+            node_id=node.node_id,
+            rack_id=100 - 7 * node.rack_id,
+            cloud_id=3 * node.cloud_id + 1,
+            capacity=node.capacity,
+        )
+        for node in base.nodes
+    ])
+    model = draw(st.sampled_from([DistanceModel(), DistanceModel(2.0, 3.0, 7.0)]))
+    pool = DynamicResourcePool(topology, CATALOG, distance_model=model)
+    n = pool.num_nodes
+    for node in draw(st.lists(st.integers(0, n - 1), max_size=n // 2, unique=True)):
+        pool.fail_node(node)
+    rng = ensure_rng(seed)
+    if draw(st.booleans()):
+        pool.allocate(rng.integers(0, pool.remaining + 1) // 2)
+    demand = np.asarray(
+        draw(st.lists(st.integers(0, 3 * cap + 2), min_size=3, max_size=3)),
+        dtype=np.int64,
+    )
+    candidates = rng.permutation(np.flatnonzero(pool.remaining.sum(axis=1) > 0))
+    return pool, demand, candidates
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tie_heavy_cases())
+def test_one_fill_sweep_is_the_reference_on_tie_heavy_pools(case):
+    """The one-fill sweep — per-rack screen, one rack's order, ``dc`` on the
+    touched rows — returns the reference loop's winner byte for byte, fills
+    one center, and never needs the guard's fallback."""
+    pool, demand, candidates = case
+    remaining, dist = pool.remaining, pool.distance_matrix
+    registry = MetricsRegistry()
+    got = kernels.sweep_best(
+        candidates, demand, remaining, dist, cache=pool.topology_cache,
+        rack_free=pool.rack_free, obs=registry,
+    )
+    want = OnlineHeuristic(use_kernels=False)._sweep_reference(
+        candidates, demand, remaining, dist, None, None
+    )
+    assert registry.get("repro_placement_exact_fallbacks_total") is None
+    if want is None:
+        assert got is None
+        return
+    assert got[0].tobytes() == want.matrix.tobytes()
+    assert (got[1], got[2]) == (want.center, want.distance)
+    assert _centers_counter(registry, "filled") == 1
+    assert _centers_counter(registry, "pruned") == candidates.size - 1
+
+
+@pytest.mark.parametrize("total, exact", [(2047, True), (2048, False)])
+def test_sweep_at_the_exactness_bound(total, exact):
+    """``Σ demand · d3`` just below 2⁴³ keeps the one-fill path; at 2⁴³ the
+    sweep takes the full loop (and counts the fallback). Both return the
+    reference winner."""
+    model = DistanceModel(2.0**30, 2.0**31, 2.0**32)
+    rows = [
+        (rack, 3 * rack + node, name, 300 + 17 * node + 5 * rack)
+        for rack in range(4)
+        for node in range(3)
+        for name in CATALOG.names
+    ]
+    pool = ResourcePool.from_table(
+        rows, CATALOG, distance_model=model, cloud_of_rack={2: 1, 3: 1}
+    )
+    demand = np.array([total // 3, total // 3, total - 2 * (total // 3)])
+    assert kernels._screen_is_exact(pool.topology_cache, demand) == exact
+    candidates = np.arange(pool.num_nodes)
+    registry = MetricsRegistry()
+    got = kernels.sweep_best(
+        candidates, demand, pool.remaining, pool.distance_matrix,
+        cache=pool.topology_cache, rack_free=pool.rack_free, obs=registry,
+    )
+    want = OnlineHeuristic(use_kernels=False)._sweep_reference(
+        candidates, demand, pool.remaining, pool.distance_matrix, None, None
+    )
+    assert got[0].tobytes() == want.matrix.tobytes()
+    assert (got[1], got[2]) == (want.center, want.distance)
+    fallbacks = registry.get("repro_placement_exact_fallbacks_total")
+    if exact:
+        assert fallbacks is None and _centers_counter(registry, "filled") == 1
+    else:
+        assert fallbacks.labels(kernel="sweep").value == 1
+
+
 # ------------------------------------------------------------ fill primitives
 
 
@@ -345,6 +472,10 @@ def test_fill_order_matches_reference():
             )
             np.testing.assert_array_equal(got, ref)
             np.testing.assert_array_equal(cached, ref)
+            covering = kernels.TierOrders(
+                cache, request, remaining, cache.per_rack(remaining)
+            ).covering(center)
+            np.testing.assert_array_equal(covering, ref[: covering.size])
 
 
 @pytest.mark.parametrize("max_vms_per_rack", [None, 3, 6])
@@ -477,9 +608,9 @@ def test_tied_centers_are_never_filled(model, one_fill):
 def test_one_fill_falls_back_when_the_winner_misses_its_screen(monkeypatch):
     """If the filled winner's exact ``dc`` ever differs from its screen
     value, the sweep reruns the full loop and still returns the reference
-    winner: here the screen under-reads a losing center placed after the
-    real winner, which the one-fill path then fills alone — having already
-    pruned the real winner."""
+    winner: here the per-rack screen under-reads every center of a losing
+    rack, whose first center the one-fill path then fills alone — the real
+    winner not filled at all."""
     pool, _ = make_case(2, drain=False)
     remaining, dist = pool.remaining, pool.distance_matrix
     demand = remaining.max(axis=0) + 1  # no single node holds it
@@ -489,18 +620,18 @@ def test_one_fill_falls_back_when_the_winner_misses_its_screen(monkeypatch):
         cache, remaining, cache.per_rack(remaining), demand
     ).sum(axis=1)
     first_min = candidates[np.argmin(honest[candidates])]
-    later = candidates[candidates > first_min]
-    loser = int(later[np.argmax(honest[later])])
-    assert honest[loser] > honest[first_min]
+    others = candidates[cache.rack_index[candidates] != cache.rack_index[first_min]]
+    loser_rack = int(cache.rack_index[others[np.argmax(honest[others])]])
+    assert np.all(honest[cache.rack_nodes(loser_rack)] > honest[first_min])
 
-    tier_bound = kernels.tier_bound
+    rack_screen = kernels.rack_screen
 
-    def under_read(cache, free, rack_free, need):
-        bound = tier_bound(cache, free, rack_free, need)
-        bound[loser] = 0.0
-        return bound
+    def under_read(cache, rack_free, need, prov):
+        screen = rack_screen(cache, rack_free, need, prov)
+        screen[cache.rack_nodes(loser_rack)] = 0.0
+        return screen
 
-    monkeypatch.setattr(kernels, "tier_bound", under_read)
+    monkeypatch.setattr(kernels, "rack_screen", under_read)
     registry = MetricsRegistry()
     got = kernels.sweep_best(
         candidates, demand, remaining, dist, cache=pool.topology_cache,
@@ -511,7 +642,10 @@ def test_one_fill_falls_back_when_the_winner_misses_its_screen(monkeypatch):
     )
     assert got[0].tobytes() == want.matrix.tobytes()
     assert (got[1], got[2]) == (want.center, want.distance)
-    assert got[1] != loser and _centers_counter(registry, "filled") >= 2
+    assert cache.rack_index[got[1]] != loser_rack
+    assert _centers_counter(registry, "filled") >= 2
+    fallbacks = registry.get("repro_placement_exact_fallbacks_total")
+    assert fallbacks.labels(kernel="sweep").value == 1
 
 
 def _leased_state(pool, seed: int) -> ClusterState:
@@ -579,68 +713,6 @@ def test_sweep_on_the_states_rack_free_is_byte_equal(make_pool, cap):
             assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
             swept += 1
     assert swept >= 20
-
-
-def _loop_incumbent(fill, candidates, screen, threshold, margin):
-    """The per-candidate loop ``kernels._incumbent`` prefilters: every
-    center is visited, and one reaching the threshold is pruned there."""
-    best = best_bound = None
-    pruned = 0
-    for center, bound in zip(candidates.tolist(), screen.tolist()):
-        if bound >= threshold:
-            pruned += 1
-            continue
-        filled = fill(center)
-        if filled is not None and (best is None or filled[2] < best[2] - 1e-12):
-            best, best_bound = filled, bound
-            threshold = best[2] - 1e-12 + margin * (1.0 + abs(best[2]))
-    return best, best_bound, pruned
-
-
-@pytest.mark.parametrize(
-    "model", [DistanceModel(), DistanceModel(0.3, 0.7, 1.9)],
-    ids=["paper", "non-dyadic"],
-)
-@pytest.mark.parametrize("cap", [None, 4])
-def test_incumbent_prefilter_counts_like_the_loop(monkeypatch, model, cap):
-    """Dropping centers at or past the opening threshold before the loop
-    leaves the winner and every center counter as the per-candidate loop
-    has them."""
-    prefiltered = kernels._incumbent
-    checked = 0
-    for seed in range(30):
-        rng = ensure_rng(97_000 + seed)
-        pool = random_pool(
-            PoolSpec(racks=int(rng.integers(2, 5)), nodes_per_rack=6, capacity_high=3),
-            CATALOG, seed=seed, distance_model=model,
-        )
-        pool.allocate(rng.integers(0, pool.remaining + 1) // 2)
-        remaining = pool.remaining
-        rack_ids = pool.topology.rack_ids if cap else None
-        demand = random_request(
-            RequestSpec(low=0, high=4, min_total=3), pool.num_types, seed=rng
-        )
-        candidates = np.flatnonzero(remaining.sum(axis=1) > 0)
-        runs = []
-        for incumbent in (prefiltered, _loop_incumbent):
-            monkeypatch.setattr(kernels, "_incumbent", incumbent)
-            registry = MetricsRegistry()
-            got = kernels.sweep_best(
-                candidates, demand, remaining, pool.distance_matrix,
-                cache=pool.topology_cache, rack_free=pool.rack_free,
-                rack_ids=rack_ids, max_vms_per_rack=cap, obs=registry,
-            )
-            runs.append((got, [
-                _centers_counter(registry, what)
-                for what in ("screened", "pruned", "filled")
-            ]))
-        (a, a_counts), (b, b_counts) = runs
-        assert a_counts == b_counts, f"seed={seed}"
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
-            checked += a_counts[1] > 0
-    assert checked >= 10
 
 
 def test_sweep_without_cache_is_rejected():
@@ -779,6 +851,125 @@ def test_transfer_pair_matches_reference(recenter):
         assert_same_allocation(got.second, ref.second, f"seed={seed} second")
         checked += 1
     assert checked >= 25
+
+
+def _scrambled_pair(seed: int):
+    """A :func:`_random_pair` pushed off its fixpoint by three random
+    same-type exchanges, so the search has improving steps to find."""
+    case = _random_pair(seed)
+    if case is None:
+        return None
+    pool, a1, a2 = case
+    rng = ensure_rng(70_000 + seed)
+    m1, m2 = a1.matrix, a2.matrix
+    for _ in range(3):
+        j = int(rng.integers(m1.shape[1]))
+        us, vs = np.flatnonzero(m1[:, j]), np.flatnonzero(m2[:, j])
+        if us.size and vs.size:
+            m1, m2 = apply_theorem2_exchange(
+                m1, m2, int(rng.choice(us)), int(rng.choice(vs)), j
+            )
+    dist = pool.distance_matrix
+    return (
+        pool,
+        Allocation.with_center(m1, dist, a1.center),
+        Allocation.with_center(m2, dist, a2.center),
+    )
+
+
+def assert_same_transfer(got, ref, context: str) -> None:
+    assert got.exchanges == ref.exchanges, context
+    assert got.gain == ref.gain, context
+    assert_same_allocation(got.first, ref.first, f"{context} first")
+    assert_same_allocation(got.second, ref.second, f"{context} second")
+
+
+_FALLBACKS = "repro_placement_exact_fallbacks_total"
+
+
+@pytest.mark.parametrize("recenter", [True, False])
+def test_transfer_pair_on_holder_rows_matches_reference(recenter):
+    """With the pool's cache the pair is searched on its holder rows: same
+    exchanges, gain and allocations as the reference, bit for bit, and the
+    exactness guard never sends a pair to the full path."""
+    checked = improved = 0
+    for seed in range(60):
+        for make in (_random_pair, _scrambled_pair):
+            case = make(seed)
+            if case is None:
+                continue
+            pool, a1, a2 = case
+            dist = pool.distance_matrix
+            registry = MetricsRegistry()
+            got = transfer_pair(
+                a1, a2, dist, cache=pool.topology_cache, obs=registry,
+                recenter=recenter,
+            )
+            ref = _reference_transfer_pair(a1, a2, dist, recenter=recenter)
+            assert_same_transfer(got, ref, f"seed={seed} {make.__name__}")
+            assert registry.get(_FALLBACKS) is None
+            checked += 1
+            improved += got.improved
+    assert checked >= 100 and improved >= 30
+
+
+def test_transfer_pair_off_the_exact_path_runs_the_full_search():
+    """An off-grid model, or a matrix that is not the cache's own (here an
+    equal copy), takes the full n×n path — counted once per pair — and
+    still matches the reference; without a cache nothing is counted."""
+    checked = 0
+    for seed in range(30):
+        case = _scrambled_pair(seed)
+        if case is None:
+            continue
+        pool, a1, a2 = case
+        off_grid = ResourcePool(
+            pool.topology, CATALOG, distance_model=DistanceModel(0.3, 0.7, 1.9)
+        )
+        for cache, dist, counted in (
+            (pool.topology_cache, np.array(pool.distance_matrix), 1),
+            (off_grid.topology_cache, off_grid.distance_matrix, 1),
+            (None, pool.distance_matrix, 0),
+        ):
+            registry = MetricsRegistry()
+            got = transfer_pair(a1, a2, dist, cache=cache, obs=registry)
+            ref = _reference_transfer_pair(a1, a2, dist)
+            assert_same_transfer(got, ref, f"seed={seed}")
+            family = registry.get(_FALLBACKS)
+            value = 0 if family is None else family.labels(kernel="transfer").value
+            assert value == counted
+            checked += 1
+    assert checked >= 75
+
+
+@pytest.mark.parametrize(
+    "model, exact",
+    [(DistanceModel(), True), (DistanceModel(0.3, 0.7, 1.9), False)],
+    ids=["paper", "non-dyadic"],
+)
+def test_exact_fallbacks_counter(model, exact):
+    """Algorithm 2 over a batch on the ledger's pool shape (two clouds,
+    15-node racks, capacities 1–4): the paper's 1/2/4 tiers never leave the
+    exact paths; an off-grid model sends every unbudgeted sweep and every
+    pair to the full ones."""
+    pool = random_pool(
+        PoolSpec(clouds=2, racks=2, nodes_per_rack=15, capacity_low=1, capacity_high=4),
+        CATALOG, seed=37, distance_model=model,
+    )
+    rng = ensure_rng(37)
+    requests = [
+        random_request(RequestSpec(low=2, high=8), pool.num_types, seed=rng)
+        for _ in range(8)
+    ]
+    registry = MetricsRegistry()
+    GlobalSubOptimizer().place_batch(pool, requests, obs=registry)
+    family = registry.get(_FALLBACKS)
+    if exact:
+        assert family is None
+        return
+    assert family.labels(kernel="sweep").value >= 1
+    attempts = registry.get("repro_transfer_attempts_total").value
+    assert family.labels(kernel="transfer").value == attempts >= 1
 
 
 # ------------------------------------------------- worklist transfer scheduler

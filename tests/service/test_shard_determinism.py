@@ -8,8 +8,10 @@ order feeding the batch optimizer, unsorted ledgers in serialization, and
 scheduler-thread timing leaking into placement order."""
 
 import numpy as np
+import pytest
 
 from repro.cluster import PoolSpec, VMTypeCatalog, random_pool
+from repro.core.placement.transfer import _reference_transfer_pair
 from repro.obs import MetricsRegistry
 from repro.service import (
     ClusterState,
@@ -26,6 +28,8 @@ from repro.service.shard import (
     RackGroupPlan,
     ShardedPlacementFabric,
 )
+from repro.service import server as server_module
+from repro.service.shard import fabric as fabric_module
 from repro.service.shard.router import estimate_dc, estimate_dc_batch
 
 CATALOG = VMTypeCatalog.ec2_default()
@@ -406,3 +410,67 @@ class TestSingleServiceDeterminism:
             return checkpoint_bytes(service.state)
 
         assert run() == run()
+
+
+def _settle(fabric) -> None:
+    for _ in range(8):
+        if not fabric.step_all(now=0.0) and not fabric.queued:
+            break
+
+
+def run_transfer_trace(seed):
+    """A step-driven fabric with batch transfers on and a rebalance every
+    ten requests: ``(reports, owners, checkpoint, registry)``."""
+    pool = random_pool(
+        PoolSpec(racks=6, nodes_per_rack=2, clouds=2, capacity_low=1, capacity_high=3),
+        CATALOG,
+        seed=seed,
+    )
+    registry = MetricsRegistry()
+    fabric = ShardedPlacementFabric(
+        pool,
+        plan=RackGroupPlan(3),
+        config=FabricConfig(
+            service=ServiceConfig(batch_window=0.0, max_batch=8, enable_transfers=True)
+        ),
+        obs=registry,
+    )
+    rng = np.random.default_rng(seed)
+    reports, live = [], []
+    for rid in range(60):
+        demand = [int(x) for x in rng.integers(0, 4, size=pool.num_types)]
+        if sum(demand) == 0:
+            demand[0] = 1
+        fabric.submit(PlaceRequest(request_id=rid, demand=demand))
+        live.append(rid)
+        if rid % 3 == 2:
+            _settle(fabric)
+        if rng.random() < 0.35:
+            _settle(fabric)
+            victim = live.pop(int(rng.integers(0, len(live))))
+            fabric.release(ReleaseRequest(request_id=victim))
+        if rid % 10 == 9:
+            reports.append(fabric.rebalance())
+    reports.append(fabric.rebalance())
+    fabric.verify_consistency()
+    owners = {rid: fabric.owner_of(rid) for rid in range(60)}
+    return reports, owners, fabric.checkpoint_bytes(), registry
+
+
+@pytest.mark.parametrize("seed", [14, 32])
+def test_holder_row_transfers_match_the_reference_search(monkeypatch, seed):
+    """Rebalance reports, owners and checkpoint bytes are the same whether
+    the fabric and its shards' batch optimizers search pairs on their holder
+    rows or with the reference ``_reference_transfer_pair`` patched in."""
+    fast = run_transfer_trace(seed)
+
+    def reference(a1, a2, dist, *, cache=None, obs=None, **kwargs):
+        return _reference_transfer_pair(a1, a2, dist, **kwargs)
+
+    monkeypatch.setattr(fabric_module, "transfer_pair", reference)
+    monkeypatch.setattr(server_module, "transfer_pair", reference)
+    slow = run_transfer_trace(seed)
+    assert fast[:3] == slow[:3]
+    assert sum(report.transfers for report in fast[0]) >= 2
+    assert fast[3].get("repro_placement_exact_fallbacks_total") is None
+    assert fast[3].get("repro_transfer_attempts_total").value > 0
