@@ -913,6 +913,38 @@ def test_transfer_pair_on_holder_rows_matches_reference(recenter):
     assert checked >= 100 and improved >= 30
 
 
+def test_transfer_pair_that_moves_nothing_returns_its_inputs():
+    """On holder rows, a pair where no exchange applies and both centers
+    hold comes back as the very input objects, with no exchange and zero
+    gain — what the reference rebuilds, equal to the bit."""
+    unchanged = recentered = 0
+    for seed in range(60):
+        case = _random_pair(seed)
+        if case is None:
+            continue
+        pool, a1, a2 = case
+        dist = pool.distance_matrix
+        got = transfer_pair(a1, a2, dist, cache=pool.topology_cache)
+        ref = _reference_transfer_pair(a1, a2, dist)
+        assert_same_transfer(got, ref, f"seed={seed}")
+        if ref.exchanges == 0 and (ref.first.center, ref.second.center) == (
+            a1.center,
+            a2.center,
+        ):
+            assert got.first is a1 and got.second is a2
+            assert got.exchanges == 0 and got.gain == 0.0
+            unchanged += 1
+        # Off-center inputs: recentering moves a center, so the result is
+        # rebuilt even when no exchange applies.
+        far = int(np.argmax(dist[:, a1.center]))
+        off = Allocation.with_center(a1.matrix, dist, far)
+        got = transfer_pair(off, a2, dist, cache=pool.topology_cache)
+        assert_same_transfer(got, _reference_transfer_pair(off, a2, dist), f"seed={seed}")
+        assert got.first is not off
+        recentered += got.exchanges == 0
+    assert unchanged >= 10 and recentered >= 10
+
+
 def test_transfer_pair_off_the_exact_path_runs_the_full_search():
     """An off-grid model, or a matrix that is not the cache's own (here an
     equal copy), takes the full n×n path — counted once per pair — and
