@@ -10,7 +10,9 @@ found two distinct causes:
   locks each*, ~230 ms of lock-shadowed work per sweep even when every
   lease was already at distance 0 and no exchange could possibly gain.
   Fixed in the fabric (pairs whose combined distance cannot clear the
-  min-gain bar are pruned before any lock is taken).
+  min-gain bar were pruned before any lock is taken); the cross-shard
+  pair pass has since been deleted, and the migration sweep runs one
+  candidate per scheduler turn.
 * **Harness interference** — the thread-per-client closed loop runs 24
   client threads against 8 scheduler threads on the same interpreter; on
   small hosts a scheduler can wait tens of milliseconds behind runnable

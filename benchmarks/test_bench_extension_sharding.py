@@ -3,7 +3,7 @@
 The single :class:`~repro.service.server.PlacementService` serializes every
 placement behind one lock and one scheduler thread, and each Algorithm-1
 sweep scans all ``n`` candidate centers. The sharded fabric cuts the pool
-into 8 rack-aligned shards: 8 scheduler threads place concurrently and each
+into 8 rack-aligned shards, stepped in turn by one scheduler thread, and each
 sweep touches ``n/8`` nodes, at the cost of routing and (slightly) less
 global affinity information per decision.
 

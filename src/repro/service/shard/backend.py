@@ -173,10 +173,9 @@ class LocalBackend:
         self.service.state.verify_consistency()
 
     def quarantine(self):
-        # Lock-free fence + stop flag: the dead worker's loop (if it still
-        # runs at all) observes these without us touching its lock.
+        # A lock-free fence: every entry point of the dead worker (the
+        # scheduler's step included) observes it without touching its lock.
         self.service.fence = lambda: False
-        self.service._stop.set()
 
     def restore(self, payload, state):
         old = self.service

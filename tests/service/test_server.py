@@ -301,7 +301,7 @@ class TestLifecycle:
             assert ticket.result(timeout=0.2) is None  # starved, still queued
             with service._lock:
                 state.release(saturation)
-                service._wakeup.notify_all()
+            service.wake()
             decision = ticket.result(timeout=5.0)
             assert decision is not None and decision.placed
         finally:

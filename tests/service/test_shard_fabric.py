@@ -335,7 +335,7 @@ class TestRebalance:
         fabric.verify_consistency()
         after = fabric.stats
         assert report.gain >= 0.0
-        if report.moves:
+        if report.migrations:
             assert after.rebalance_gain > before.rebalance_gain
             # Every applied move strictly reduced summed distance.
             assert report.gain > 0
@@ -380,17 +380,19 @@ class TestRebalance:
             import time
 
             time.sleep(0.1)
-            assert fabric._rebalance_thread.is_alive()
+            scheduler = fabric._scheduler
+            assert scheduler.running
         finally:
             fabric.stop()
-        assert fabric._rebalance_thread is None
+        assert not scheduler.running
+        assert fabric._scheduler is None
 
     def test_release_follows_a_lease_the_rebalancer_moved(self):
         """``release`` reads the owner, drops the fabric lock, then asks the
-        shard; the rebalancer thread may migrate the lease in between. The
-        release must follow it, not answer ``unknown_lease`` for a live
-        lease. The window is microseconds wide, so the test holds a release
-        open inside it until the rebalancer has run."""
+        shard; the scheduler's rebalance sweep may migrate the lease in
+        between. The release must follow it, not answer ``unknown_lease``
+        for a live lease. The window is microseconds wide, so the test holds
+        a release open inside it until the sweep has run."""
         import threading
         import time
 
