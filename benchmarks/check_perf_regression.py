@@ -63,7 +63,7 @@ def measure_kernel(repeats: int) -> "tuple[float, float]":
         seed=5,
         distance_model=cfg.DISTANCES,
     )
-    heuristic = OnlineHeuristic(stop="best", use_kernels=True)
+    heuristic = OnlineHeuristic(stop="best")
     heuristic.place(pool, REQUEST)  # warm-up (builds the topology cache)
     samples = []
     for _ in range(repeats):

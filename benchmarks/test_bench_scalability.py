@@ -2,11 +2,13 @@
 
 The paper claims O(n²·m) for Algorithm 1. This bench measures wall-clock
 growth of the heuristic from 30 to 960 nodes in both implementations — the
-retained per-center Python reference loop and the vectorized kernels
+per-center Python reference loop (``ReferenceHeuristic`` in
+``tests/core/oracles.py``) and the vectorized kernels
 (:mod:`repro.core.placement.kernels`) — reports the observed log-log scaling
 exponent, and times Algorithm 2's transfer phase on the Fig. 5 batches
-against the pre-kernel baseline (``_reference_transfer_pair`` + full O(k²)
-re-sweep vs. vectorized ``best_exchange`` + worklist scheduling).
+against the pre-kernel baseline (the oracles' ``_reference_transfer_pair``
+with a full O(k²) re-sweep vs. vectorized ``best_exchange`` + worklist
+scheduling).
 
 Full runs rewrite ``benchmarks/results/scalability_bench.json`` (the
 committed record the perf-smoke CI gate compares against). Smoke runs —
@@ -26,13 +28,13 @@ from repro.analysis import format_table
 from repro.cluster import PoolSpec, random_pool
 from repro.cluster.generators import feasible_random_requests
 from repro.core.placement import global_opt as gmod
-from repro.core.placement import transfer as tmod
 from repro.core.placement.exact import solve_sd_exact
 from repro.core.placement.global_opt import GlobalSubOptimizer
 from repro.core.placement.greedy import OnlineHeuristic
 from repro.experiments import paperconfig as cfg
 
 from benchmarks.conftest import emit
+from tests.core.oracles import ReferenceHeuristic, _reference_transfer_pair
 
 SMOKE = os.environ.get("SCALABILITY_BENCH_SMOKE") == "1"
 #: (racks, nodes/rack) → 30/90 nodes on smoke, 30/90/240/480/960 on full.
@@ -72,10 +74,10 @@ def run_heuristic_scaling() -> list[dict]:
         )
         repeats = max(2, REPEATS.get(pool.num_nodes, 2) // (2 if SMOKE else 1))
         kernel_s, kernel_p99_s = _placement_stats_s(
-            OnlineHeuristic(use_kernels=True), pool, repeats
+            OnlineHeuristic(), pool, repeats
         )
         reference_s, reference_p99_s = _placement_stats_s(
-            OnlineHeuristic(use_kernels=False), pool, repeats
+            ReferenceHeuristic(), pool, repeats
         )
         records.append(
             {
@@ -124,16 +126,22 @@ def fig5_batches() -> list[tuple[list, np.ndarray]]:
     return batches
 
 
+def _baseline_transfer_pair(a1, a2, dist, *, cache=None, obs=None, **kwargs):
+    # The oracle takes no holder-row cache or metrics registry; the optimizer
+    # passes both.
+    return _reference_transfer_pair(a1, a2, dist, **kwargs)
+
+
 def _time_transfers(batches, *, worklist: bool, baseline: bool, repeats=5):
     """Best-of-N wall time for the transfer phase over all batches.
 
-    ``baseline=True`` swaps in the retained pre-kernel pair optimizer
+    ``baseline=True`` swaps in the oracles' pre-kernel pair optimizer
     (per-type ``best_exchange`` loop + ``Allocation``-based recentering) so
     full runs record an honest before/after pair.
     """
     saved = gmod.transfer_pair
     if baseline:
-        gmod.transfer_pair = tmod._reference_transfer_pair
+        gmod.transfer_pair = _baseline_transfer_pair
     try:
         best = float("inf")
         outs = None
@@ -238,7 +246,7 @@ def test_scalability_kernels_vs_reference(benchmark):
         distance_model=cfg.DISTANCES,
     )
     heuristic = OnlineHeuristic()
-    benchmark(functools.partial(heuristic.place, REQUEST, pool))
+    benchmark(functools.partial(heuristic.place, pool, REQUEST))
 
 
 def test_scalability_exact(benchmark):

@@ -11,9 +11,13 @@ tier is a rack or a cloud, not a row of ``D``. Everything here is O(n):
   them (the fill order's tier key is two equality tests on these);
 * ``tier_distances`` — ``(d1, d2, d3)`` from the distance model, and
   ``exact_tiers`` — whether all three lie on the ``2⁻¹⁰`` grid (every
-  integer model, the paper's 1/2/4 included), where sums of VM counts times
-  tier distances are exact in float64, so the kernels' closed form *is* the
-  reference ``dc`` rather than an approximation of it;
+  integer model, the paper's 1/2/4 included);
+* the **tier algebra**, the one place both of these live for the kernels,
+  the router and the transfer search: :func:`tier_dc`, the closed-form
+  ``dc`` of a center from how much of the demand each tier takes, and
+  :meth:`TopologyCache.exact_for`, whether sums over a given number of VMs
+  are exact in float64 — where the closed form *is* the reference ``dc``
+  rather than an approximation of it;
 * the **rack grouping** — ``rack_order`` lists the nodes rack by rack,
   ``rack_starts[r]`` is where dense rack ``r`` begins in it and
   ``rack_index[i]`` is node ``i``'s dense rack (ascending rack id, the
@@ -51,6 +55,24 @@ from repro.cluster.topology import Topology
 #: distance a multiple of it too; below ``2⁵³ / EXACT_GRID`` such sums are
 #: exact in float64 whatever the summation order.
 EXACT_GRID = 1024.0
+
+
+def tier_dc(tiers, own, rack, cloud, total):
+    """Algorithm 1's ``dc`` from the running takes of a nearest-first fill.
+
+    A fill around a center takes ``own`` VMs on the center, ``rack`` in all
+    on its rack, ``cloud`` on its cloud and ``total`` overall, with
+    ``own ≤ rack ≤ cloud ≤ total`` — each the running ``min(supply, need)``
+    of its tier, since within one tier the take per type does not depend on
+    the node order (``min(Σ min(Lᵢ, R), todo) = min(ΣLᵢ, todo)``). Each VM
+    then sits ``0``, ``d1``, ``d2`` or ``d3`` from the center, which gives
+    ``d1·(rack − own) + d2·(cloud − rack) + d3·(total − cloud)``.
+    *tiers* is ``(d1, d2, d3)``, scalars or arrays; the takes broadcast.
+    The value equals the reference ``dc`` up to summation order, and
+    exactly where :meth:`TopologyCache.exact_for` holds.
+    """
+    d1, d2, d3 = tiers
+    return d1 * (rack - own) + d2 * (cloud - rack) + d3 * (total - cloud)
 
 
 def dense_index(ids: np.ndarray) -> np.ndarray:
@@ -140,6 +162,21 @@ class TopologyCache:
             distance = build_distance_matrix(topology, model)
             distance.flags.writeable = False
         return cls(topology, model, distance)
+
+    def exact_for(self, vms: int) -> bool:
+        """Whether tier sums over *vms* VMs are exact floats.
+
+        On-grid tier distances (``exact_tiers``) make every cluster distance
+        and every :func:`tier_dc` value over *vms* VMs a multiple of
+        ``1 / EXACT_GRID``, and none exceeds ``vms · d3`` (each VM sits at
+        most ``d3`` away). Below ``2⁵³ / EXACT_GRID`` every product and
+        partial sum of such values is exactly representable, so any two
+        summation orders give the same float.
+        """
+        return (
+            self.exact_tiers
+            and vms * self.tier_distances[2] < 2.0**53 / EXACT_GRID
+        )
 
     def matches(self, topology: Topology, model: DistanceModel) -> bool:
         """Whether this cache was built for exactly this topology + model."""

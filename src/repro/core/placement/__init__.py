@@ -19,7 +19,7 @@ from repro.core.placement.ilp import (
     solve_gsd_milp,
     solve_sd_milp,
 )
-from repro.core.placement.greedy import OnlineHeuristic, com, greedy_fill, providable
+from repro.core.placement.greedy import OnlineHeuristic, com, greedy_fill
 from repro.core.placement.transfer import (
     TransferResult,
     best_exchange,
@@ -65,7 +65,6 @@ __all__ = [
     "OnlineHeuristic",
     "com",
     "greedy_fill",
-    "providable",
     "TransferResult",
     "best_exchange",
     "transfer_pair",

@@ -26,6 +26,10 @@ readings:
 * ``center_order`` — ``"index"`` (deterministic) or ``"random"`` ("we choose
   one central node randomly" — only meaningful with ``stop="first"``).
 
+The candidate sweep runs through the vectorized kernels
+(:mod:`repro.core.placement.kernels`); the per-center loop they are held
+bit-identical to is a test oracle (``tests/core/oracles.py``).
+
 A structural note (verified by the test suite): because nearest-first fill
 is optimal for a *fixed* center, ``stop="best"`` attains the exact SD
 optimum. The heuristic's "sub-optimality" in the paper manifests only in the
@@ -44,7 +48,7 @@ from repro.core.placement.base import (
     check_admissible,
     normalize_request,
 )
-from repro.core.problem import Allocation, VirtualClusterRequest
+from repro.core.problem import Allocation
 from repro.util.errors import ValidationError
 from repro.util.rng import ensure_rng
 from repro.util.timing import PhaseTimer
@@ -56,33 +60,6 @@ def com(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``com(L[i], R) == R`` means node ``i`` alone can provide all of ``R``.
     """
     return np.minimum(a, b)
-
-
-def providable(remaining_row: np.ndarray, demand: np.ndarray) -> int:
-    """How many requested VMs (summed over types) a node can contribute."""
-    return int(np.minimum(remaining_row, demand).sum())
-
-
-def _reference_fill_order(
-    center: int, demand: np.ndarray, remaining: np.ndarray, dist: np.ndarray
-) -> np.ndarray:
-    """Node visit order for one candidate center.
-
-    Primary key: distance to the center ascending (center itself first, then
-    its rack, then farther tiers — the paper's rackList/nRackList split
-    generalized to any number of hierarchy levels). Secondary key: providable
-    resources descending ("the more resources they provide, the greater
-    chance of being selected"). Ternary: node index, for determinism.
-    """
-    n = remaining.shape[0]
-    prov = np.minimum(remaining, demand[None, :]).sum(axis=1)
-    order = sorted(range(n), key=lambda i: (dist[i, center], -int(prov[i]), i))
-    return np.asarray(order, dtype=np.int64)
-
-
-#: Budget clip shared with the vectorized kernels (moved there; re-exported
-#: here because the rack-limited loop below predates the kernels module).
-_clip_to_budget = kernels.clip_to_budget
 
 
 def greedy_fill(
@@ -106,8 +83,8 @@ def greedy_fill(
     per-rack budget) runs out before the request is covered.
 
     Delegates to the vectorized kernels in
-    :mod:`repro.core.placement.kernels`, which are bit-identical to the
-    sequential formulation retained as :func:`_reference_greedy_fill`.
+    :mod:`repro.core.placement.kernels`, which the tests hold bit-identical
+    to the sequential formulation (an oracle in ``tests/core/oracles.py``).
     """
     kernels.require_rack_ids(rack_ids, max_vms_per_rack)
     if max_vms_per_rack is None:
@@ -115,48 +92,6 @@ def greedy_fill(
     return kernels.fill_one_rack_limited(
         center, demand, remaining, dist, rack_ids, max_vms_per_rack
     )
-
-
-def _reference_greedy_fill(
-    center: int,
-    demand: np.ndarray,
-    remaining: np.ndarray,
-    dist: np.ndarray,
-    *,
-    rack_ids: "np.ndarray | None" = None,
-    max_vms_per_rack: "int | None" = None,
-) -> "np.ndarray | None":
-    """The original per-node-loop formulation of :func:`greedy_fill`.
-
-    Kept as the executable specification the vectorized kernels are
-    property-tested against (byte-identical allocations).
-    """
-    kernels.require_rack_ids(rack_ids, max_vms_per_rack)
-    n, m = remaining.shape
-    alloc = np.zeros((n, m), dtype=np.int64)
-    todo = demand.astype(np.int64).copy()
-    rack_budget: "dict[int, int] | None" = None
-    if max_vms_per_rack is not None:
-        rack_budget = {}
-    for i in _reference_fill_order(center, demand, remaining, dist):
-        if not todo.any():
-            break
-        take = com(remaining[i], todo)
-        if rack_budget is not None:
-            rack = int(rack_ids[i])
-            budget = rack_budget.get(rack, max_vms_per_rack)
-            if budget <= 0:
-                continue
-            if int(take.sum()) > budget:
-                take = _clip_to_budget(take, budget)
-        if take.any():
-            alloc[i] = take
-            todo -= take
-            if rack_budget is not None:
-                rack_budget[rack] = budget - int(take.sum())
-    if todo.any():
-        return None
-    return alloc
 
 
 class OnlineHeuristic(PlacementAlgorithm):
@@ -180,13 +115,6 @@ class OnlineHeuristic(PlacementAlgorithm):
         then costs at most this many VMs (k-resilience against rack
         failures), traded against cluster affinity — spread allocations have
         longer distance than the unconstrained greedy packing.
-    use_kernels:
-        Run the candidate-center sweep through the vectorized kernels
-        (:mod:`repro.core.placement.kernels`), which are bit-identical to
-        the reference loop but screen every center from the rack/cloud
-        free aggregates in one pass and exact-fill only the survivors.
-        ``False`` forces the original per-center Python loop (kept for
-        property testing and ablation).
     timer:
         Optional :class:`~repro.util.timing.PhaseTimer`; when enabled it
         receives the ``admission`` / ``center_sweep`` / ``fill`` phase
@@ -202,7 +130,6 @@ class OnlineHeuristic(PlacementAlgorithm):
         center_order: str = "index",
         seed=None,
         max_vms_per_rack: "int | None" = None,
-        use_kernels: bool = True,
         timer: "PhaseTimer | None" = None,
     ) -> None:
         if stop not in ("best", "first"):
@@ -216,7 +143,6 @@ class OnlineHeuristic(PlacementAlgorithm):
         self.stop = stop
         self.center_order = center_order
         self.max_vms_per_rack = max_vms_per_rack
-        self.use_kernels = bool(use_kernels)
         self.timer = timer if timer is not None else PhaseTimer()
         self._rng = ensure_rng(seed)
 
@@ -341,20 +267,17 @@ class OnlineHeuristic(PlacementAlgorithm):
 
         with self.timer.phase("center_sweep"):
             candidates = self._candidate_centers(remaining, rng)
-            if self.use_kernels:
-                return self._sweep_kernels(
-                    candidates, demand, remaining, dist, pool, domain_ids,
-                    cap, obs,
-                )
-            return self._sweep_reference(
-                candidates, demand, remaining, dist, domain_ids, cap
+            return self._sweep(
+                candidates, demand, remaining, dist, domain_ids, cap, pool, obs
             )
 
-    def _sweep_kernels(
-        self, candidates, demand, remaining, dist, pool, domain_ids, cap,
+    def _sweep(
+        self, candidates, demand, remaining, dist, domain_ids, cap, pool=None,
         obs=None,
     ):
-        """Vectorized candidate sweep (bit-identical to the reference)."""
+        """The candidate sweep through the vectorized kernels, which screen
+        every center from the pool's rack/cloud free aggregates and
+        exact-fill only the survivors."""
         sweep = kernels.sweep_best if self.stop == "best" else kernels.sweep_first
         result = sweep(
             candidates,
@@ -372,24 +295,3 @@ class OnlineHeuristic(PlacementAlgorithm):
             return None
         matrix, center, dc = result
         return Allocation(matrix=matrix, center=center, distance=dc)
-
-    def _sweep_reference(self, candidates, demand, remaining, dist, domain_ids, cap):
-        """The original per-center Python loop (executable specification)."""
-        best: "Allocation | None" = None
-        for center in candidates:
-            matrix = _reference_greedy_fill(
-                int(center),
-                demand,
-                remaining,
-                dist,
-                rack_ids=domain_ids,
-                max_vms_per_rack=cap,
-            )
-            if matrix is None:
-                continue
-            dc = float(matrix.sum(axis=1).astype(np.float64) @ dist[:, center])
-            if self.stop == "first":
-                return Allocation(matrix=matrix, center=int(center), distance=dc)
-            if best is None or dc < best.distance - 1e-12:
-                best = Allocation(matrix=matrix, center=int(center), distance=dc)
-        return best

@@ -3,41 +3,40 @@
 These kernels replace the per-center Python ``sorted`` + per-node loop of
 :func:`repro.core.placement.greedy.greedy_fill` with array operations that
 produce **bit-identical** results (the property tests in
-``tests/core/test_kernels.py`` enforce this against the retained
-``_reference_*`` implementations):
+``tests/core/test_kernels.py`` enforce this against the per-node loops kept
+as oracles in ``tests/core/oracles.py``):
 
-* **Tier closed form** — the paper's distance matrix has four values
-  (``0 < d1 < d2 < d3``: same node / rack / cloud / elsewhere), so for a
-  fixed center Algorithm 1's ``dc`` depends only on how much of the demand
-  each tier fills. :func:`tier_bound` evaluates that for *every* center in
-  one O(n·m) pass over the per-rack and per-cloud free aggregates of a
-  :class:`~repro.cluster.topocache.TopologyCache`. The per-rack aggregate
-  is an argument: a :class:`~repro.service.state.ClusterState` maintains
-  it on every commit (``rack_free``), so the sweep reads it rather than
+* **Tier closed form, the only screen** — the paper's distance matrix has
+  four values (``0 < d1 < d2 < d3``: same node / rack / cloud / elsewhere),
+  so for a fixed center Algorithm 1's ``dc`` depends only on how much of
+  the demand each tier fills (:func:`repro.cluster.topocache.tier_dc`).
+  :func:`rack_screen` evaluates it for *every* center as a per-rack
+  constant, from the ``(racks × m)`` rack and cloud free aggregates of a
+  :class:`~repro.cluster.topocache.TopologyCache`, minus ``d1 ·`` the
+  center's own take (:func:`providable`). The per-rack aggregate is an
+  argument: a :class:`~repro.service.state.ClusterState` maintains it on
+  every commit (``rack_free``), so the sweep reads it rather than
   re-reducing ``remaining``; other pools get one ``cache.per_rack``. Its
   integer sums are exact either way, so the screen values are the same
-  floats. Within one tier the total take per type is order-invariant
-  (``min(Σ min(Lᵢ, R), todo) = min(ΣLᵢ, todo)``), so the value equals the
-  reference ``dc`` up to floating-point summation order — and is a
-  mathematical lower bound for the rack-constrained fill. It is the only
-  screen: centers whose bound cannot beat the incumbent (with a safety
-  margin dwarfing float error) are pruned without ever being sorted or
-  filled; survivors get the exact fill and the byte-for-byte reference
-  distance expression ``float(counts.astype(np.float64) @ dist[:, c])``.
+  floats. The value equals the reference ``dc`` up to floating-point
+  summation order, and is a mathematical lower bound for the
+  rack-constrained fill: centers whose bound cannot beat the incumbent
+  (with a safety margin dwarfing float error) are pruned without ever
+  being sorted or filled; survivors get the exact fill and the
+  byte-for-byte reference distance expression
+  ``float(counts.astype(np.float64) @ dist[:, c])``.
 
-* **Exact tiers: racks, then one rack** — when the tier arithmetic is
-  exact (``TopologyCache.exact_tiers``: integer and other on-grid models,
-  :func:`_screen_is_exact`) the same screen is a per-rack constant minus
-  ``d1 ·`` the center's own take (:func:`rack_screen`): O(racks·m) on the
-  aggregates plus one n-vector, and the same floats. Screen and reference
-  ``dc`` then agree exactly, so an unbudgeted sweep fills only the first
-  center attaining the minimum — the reference winner (:func:`sweep_best`
-  has the argument). That fill orders just the center's rack when the rack
-  covers the demand, and its ``dc`` is the dot over the rows it ordered.
-  A guard compares that ``dc`` with the screen; a mismatch, an off-grid
-  model or a ``Σ demand · d3`` past the exact range runs the full loop
-  (``repro_placement_exact_fallbacks_total{kernel="sweep"}``). Rack
-  budgets and survivability fills always run it.
+* **Exact tiers: one fill, one rack** — when the tier arithmetic is exact
+  (``TopologyCache.exact_for``: integer and other on-grid models,
+  ``Σ demand · d3 < 2⁴³``) screen and reference ``dc`` agree exactly, so
+  an unbudgeted sweep fills only the first center attaining the minimum —
+  the reference winner (:func:`sweep_best` has the argument). That fill
+  orders just the center's rack when the rack covers the demand, and its
+  ``dc`` is the dot over the rows it ordered. A guard compares that ``dc``
+  with the screen; a mismatch, an off-grid model or a total past the exact
+  range runs the full loop
+  (``repro_placement_exact_fallbacks_total{kernel="sweep"}``). Rack budgets
+  and survivability fills always run it.
 
 * **Fill order** — the reference sorts nodes by
   ``(D[i, c], -providable_i, i)``. ``providable`` does not depend on the
@@ -65,7 +64,7 @@ import time
 
 import numpy as np
 
-from repro.cluster.topocache import EXACT_GRID
+from repro.cluster.topocache import tier_dc
 from repro.util.errors import ValidationError
 from repro.util.timing import PhaseTimer
 
@@ -73,7 +72,7 @@ from repro.util.timing import PhaseTimer
 #: value differs from the exact ``dc`` only by float summation order, which
 #: is ~1e-13 relative; 1e-9 relative dwarfs it while remaining far below any
 #: real distance difference between two placements. Zero where that order
-#: cannot matter (:func:`_screen_is_exact`).
+#: cannot matter (``TopologyCache.exact_for``).
 _SCREEN_RTOL = 1e-9
 
 
@@ -106,53 +105,28 @@ def clip_to_budget(take: np.ndarray, budget: int) -> np.ndarray:
     return take
 
 
-def tier_bound(
-    cache, free: np.ndarray, rack_free: np.ndarray, need: np.ndarray
-) -> np.ndarray:
-    """Closed-form Algorithm-1 ``dc`` with every node as center, per column.
-
-    *free* is ``(n, X)``, *rack_free* its per-rack sums ``cache.per_rack(free)``
-    ``(r, X)`` and *need* ``(X,)``; columns are independent (VM types for
-    the sweep, whole requests for the router) and the result is ``(n, X)``
-    float64. A nearest-first fill around center ``c`` takes
-    ``a0 = min(L[c], R)`` on the center, ``a1 = min(rack − L[c], R − a0)``
-    from its rack peers, ``a2 = min(cloud − rack, R − a0 − a1)`` from the
-    rest of its cloud and ``a3`` likewise from other clouds. Because
-    ``L[c] ≤ rack ≤ cloud ≤ total`` those are differences of the running
-    ``min(·, R)``, which is what is computed — per rack and per cloud, then
-    gathered per node.
-    """
-    d1, d2, d3 = cache.tier_distances
-    cloud_free = cache.per_cloud(rack_free)
-    own = np.minimum(free, need)
-    rack = np.minimum(rack_free, need)[cache.rack_index]
-    cloud = np.minimum(cloud_free, need)[cache.cloud_index]
-    total = np.minimum(cloud_free.sum(axis=0), need)
-    return d1 * (rack - own) + d2 * (cloud - rack) + d3 * (total - cloud)
-
-
 def rack_screen(
     cache, rack_free: np.ndarray, need: np.ndarray, prov: np.ndarray
 ) -> np.ndarray:
-    """:func:`tier_bound`'s row sums from per-rack constants, ``(n,)``.
+    """Algorithm 1's closed-form ``dc`` with every node as center, ``(n,)``.
 
     A center of dense rack ``r`` that offers nothing itself screens at
-    ``K[r] = Σₜ d1·min(rack_r, R) + d2·(min(cloud, R) − min(rack_r, R))
-    + d3·(min(total, R) − min(cloud, R))``, computed from the
-    ``(racks × m)`` aggregates alone; center ``c`` screens at
-    ``K[rack(c)] − d1·prov[c]`` with *prov* = :func:`providable`. That is an
-    identity of reals. Only on exact tiers (:func:`_screen_is_exact`) is it
-    also the same float as ``tier_bound(...).sum(axis=1)``: every term is
-    then a non-negative multiple of 2⁻¹⁰ below 2⁴³, so no sum or
-    difference rounds.
+    ``K[r] = Σₜ tier_dc(own=0, rack=min(rack_r, R), cloud=min(cloud, R),
+    total=min(total, R))``, computed from the ``(racks × m)`` aggregates
+    *rack_free* (``cache.per_rack(remaining)``) alone; center ``c`` screens
+    at ``K[rack(c)] − d1·prov[c]`` with *prov* = :func:`providable`, its own
+    take. That is the per-type closed form summed over types, an identity
+    of reals. On exact tiers (``cache.exact_for``) every term is a
+    non-negative multiple of 2⁻¹⁰ below 2⁴³, so no sum or difference
+    rounds and the value is the reference ``dc``'s float; elsewhere it
+    differs from it by summation order only.
     """
-    d1, d2, d3 = cache.tier_distances
     cloud_free = cache.per_cloud(rack_free)
     rack = np.minimum(rack_free, need)
     cloud = np.minimum(cloud_free, need)[cache.rack_cloud]
     total = np.minimum(cloud_free.sum(axis=0), need)
-    per_rack = (d1 * rack + d2 * (cloud - rack) + d3 * (total - cloud)).sum(axis=1)
-    return per_rack[cache.rack_index] - d1 * prov
+    per_rack = tier_dc(cache.tier_distances, 0, rack, cloud, total).sum(axis=1)
+    return per_rack[cache.rack_index] - cache.tier_distances[0] * prov
 
 
 def providable(remaining: np.ndarray, demand: np.ndarray) -> np.ndarray:
@@ -168,7 +142,7 @@ class TierOrders:
     the demand. :meth:`full` orders every node: it sorts them by
     ``(-providable, index)`` once, on first use, and then places each tier
     by two equality tests on ``rack_ids``/``cloud_ids``.
-    *rack_free* is ``cache.per_rack(remaining)`` (see :func:`tier_bound`),
+    *rack_free* is ``cache.per_rack(remaining)`` (see :func:`rack_screen`),
     and *prov* is :func:`providable`, when the caller already has it.
     A failed node sits in its static tier rather than last, which no fill
     can see: it offers nothing, so it takes nothing wherever it is visited.
@@ -453,15 +427,6 @@ def _cannot_complete(demand, rack_free, max_vms_per_rack) -> bool:
     return max_vms_per_rack is None and bool(np.any(rack_free.sum(axis=0) < demand))
 
 
-def _screen_is_exact(cache, demand: np.ndarray) -> bool:
-    # On-grid tier distances make every screen value and every exact ``dc``
-    # a multiple of 1/EXACT_GRID, and none exceeds Σ demand · d3 (each VM
-    # sits at most d3 away); below 2⁵³/EXACT_GRID every product and partial
-    # sum of either is exactly representable, so both are the same float.
-    bound = float(demand.sum()) * cache.tier_distances[2]
-    return cache.exact_tiers and bound < 2.0**53 / EXACT_GRID
-
-
 def _incumbent(fill, candidates, screen, margin):
     """The reference ``stop="best"`` loop over the survivors of the screen.
 
@@ -509,13 +474,16 @@ def sweep_best(
     screened/pruned/filled counts and fill timings; it never affects the
     result.
 
-    **One fill when the screen is exact.** With on-grid tier distances
-    (``cache.exact_tiers``, :func:`_screen_is_exact`) the screen is
-    :func:`rack_screen` — a per-rack constant minus ``d1 ·``
-    :func:`providable` per center, O(racks·m) plus one n-vector, and the
-    same floats as ``tier_bound(...).sum(axis=1)``. Without a rack budget,
-    each candidate's screen value and its reference ``dc`` are then the
-    same float64 (both exact sums of the same per-tier takes), so only the
+    **One screen.** Every sweep screens with :func:`rack_screen` — a
+    per-rack constant minus ``d1 ·`` :func:`providable` per center,
+    O(racks·m) plus one n-vector. Off the grid it differs from the
+    per-type closed form only by float rounding, which the
+    ``_SCREEN_RTOL`` margin absorbs, so pruning stays sound.
+
+    **One fill when the screen is exact.** When the tier arithmetic is
+    exact (``cache.exact_for(Σ demand)``) and there is no rack budget,
+    each candidate's screen value and its reference ``dc`` are the same
+    float64 (both exact sums of the same per-tier takes), so only the
     first candidate attaining ``m = screen.min()``, ``c*``, is filled:
     that is the reference winner. Every candidate before ``c*`` has
     ``dc > m``, and on the grid that means ``dc ≥ m + 2⁻¹⁰ > m + 1e-12``,
@@ -542,12 +510,8 @@ def sweep_best(
         timer, obs, prov,
     )
     candidates = np.asarray(candidates, dtype=np.int64)
-    exact = _screen_is_exact(cache, demand)
-    if exact:
-        screen = rack_screen(cache, rack_free, demand, prov)[candidates]
-    else:
-        screen = tier_bound(cache, remaining, rack_free, demand).sum(axis=1)
-        screen = screen[candidates]
+    exact = cache.exact_for(int(demand.sum()))
+    screen = rack_screen(cache, rack_free, demand, prov)[candidates]
     one_fill = max_vms_per_rack is None and screen.size > 0
     best = None
     if one_fill and exact:

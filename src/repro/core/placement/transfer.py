@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.topocache import EXACT_GRID
 from repro.core.placement.kernels import count_exact_fallback
 from repro.core.problem import Allocation
 from repro.core.theorems import apply_theorem2_exchange
@@ -95,48 +94,14 @@ def best_exchange(
     return (int(us[idx[0]]), int(vs[idx[1]]), j, float(gains[idx]))
 
 
-def _reference_best_exchange(
-    m1: np.ndarray,
-    m2: np.ndarray,
-    dist: np.ndarray,
-    x: int,
-    y: int,
-    *,
-    tol: float = 1e-9,
-) -> "tuple[int, int, int, float] | None":
-    """The original per-type loop of :func:`best_exchange`.
-
-    Kept as the executable specification the vectorized version is
-    property-tested against (identical tuples on every input). The gain
-    ``(D_ux − D_vx) + (D_vy − D_uy)`` is an outer sum over candidate source
-    and destination nodes, evaluated per VM type.
-    """
-    m = m1.shape[1]
-    best: "tuple[int, int, int, float] | None" = None
-    phi = dist[:, x] - dist[:, y]
-    for j in range(m):
-        us = np.flatnonzero(m1[:, j] > 0)
-        vs = np.flatnonzero(m2[:, j] > 0)
-        if us.size == 0 or vs.size == 0:
-            continue
-        # gain[u, v] = phi[u] − phi[v]
-        gains = phi[us][:, None] - phi[vs][None, :]
-        idx = np.unravel_index(np.argmax(gains), gains.shape)
-        g = float(gains[idx])
-        if g > tol and (best is None or g > best[3]):
-            best = (int(us[idx[0]]), int(vs[idx[1]]), j, g)
-    return best
-
-
 def _holder_rows(a1: Allocation, a2: Allocation, dist, cache) -> "np.ndarray | None":
     """``rows(a1) ∪ rows(a2)`` when the pair may be searched on them alone,
     else ``None``: that needs *dist* to be *cache*'s own matrix (decided by
-    identity, never by scanning it) on exact tiers, with every center total
-    — at most all the pair's VMs at ``d3`` — below the exact range."""
-    if cache is None or dist is not cache.distance or not cache.exact_tiers:
+    identity, never by scanning it), with every center total — over at most
+    all the pair's VMs — exact (``cache.exact_for``)."""
+    if cache is None or dist is not cache.distance:
         return None
-    vms = a1.total_vms + a2.total_vms
-    if vms * cache.tier_distances[2] >= 2.0**53 / EXACT_GRID:
+    if not cache.exact_for(a1.total_vms + a2.total_vms):
         return None
     return np.union1d(a1.rows, a2.rows)
 
@@ -166,9 +131,8 @@ def transfer_pair(
     dominated the Algorithm-2 transfer phase. *cache* (the pool's
     :class:`~repro.cluster.topocache.TopologyCache`) lets the search run on
     the pair's holder rows (module docstring); *obs* receives the exactness
-    guard's fallback count. The original formulation is retained as
-    :func:`_reference_transfer_pair` and property-tested to return
-    bit-identical results.
+    guard's fallback count. The tests hold it bit-identical to the
+    original formulation, kept as an oracle in ``tests/core/oracles.py``.
     """
     rows = _holder_rows(a1, a2, dist, cache)
     if rows is None:
@@ -217,57 +181,6 @@ def transfer_pair(
         t1, t2 = totals
         out1 = Allocation(matrix=m1, center=x, distance=float(t1[x]))
         out2 = Allocation(matrix=m2, center=y, distance=float(t2[y]))
-    else:
-        out1 = Allocation.with_center(m1, dist, x)
-        out2 = Allocation.with_center(m2, dist, y)
-    return TransferResult(
-        first=out1,
-        second=out2,
-        gain=start - (out1.distance + out2.distance),
-        exchanges=exchanges,
-    )
-
-
-def _reference_transfer_pair(
-    a1: Allocation,
-    a2: Allocation,
-    dist: np.ndarray,
-    *,
-    recenter: bool = True,
-    max_exchanges: int = 10_000,
-    tol: float = 1e-9,
-) -> TransferResult:
-    """The original :func:`transfer_pair` with ``Allocation``-based
-    recentering, kept as the executable specification (and the pre-kernel
-    benchmark baseline). ``Allocation.from_matrix`` applies the same
-    ``counts @ D`` + first-minimum argmin the fast path inlines, so both
-    produce bit-identical results."""
-    m1 = a1.matrix.copy()
-    m2 = a2.matrix.copy()
-    x, y = a1.center, a2.center
-    start = a1.distance + a2.distance
-    exchanges = 0
-    while exchanges < max_exchanges:
-        step = _reference_best_exchange(m1, m2, dist, x, y, tol=tol)
-        if step is None:
-            if not recenter:
-                break
-            new1 = Allocation.from_matrix(m1, dist)
-            new2 = Allocation.from_matrix(m2, dist)
-            if new1.center == x and new2.center == y:
-                break
-            x, y = new1.center, new2.center
-            continue
-        u, v, j, _gain = step
-        m1, m2 = apply_theorem2_exchange(m1, m2, u, v, j)
-        exchanges += 1
-    else:
-        raise ValidationError(
-            f"transfer_pair did not converge in {max_exchanges} exchanges"
-        )
-    if recenter:
-        out1 = Allocation.from_matrix(m1, dist)
-        out2 = Allocation.from_matrix(m2, dist)
     else:
         out1 = Allocation.with_center(m1, dist, x)
         out2 = Allocation.with_center(m2, dist, y)

@@ -30,7 +30,7 @@ from repro.service.shard.plan import (
     resolve_plan,
     shard_topology,
 )
-from repro.service.shard.router import RouteResult, ShardRouter, estimate_dc
+from repro.service.shard.router import RouteResult, ShardRouter
 
 __all__ = [
     "FABRIC_CHECKPOINT_VERSION",
@@ -50,7 +50,6 @@ __all__ = [
     "ShardRouter",
     "ShardedPlacementFabric",
     "assignment_from_racks",
-    "estimate_dc",
     "fabric_from_checkpoint",
     "load_fabric_checkpoint",
     "resolve_plan",

@@ -5,13 +5,14 @@ request first, and who is next if it declines?* Scoring combines the two
 signals a rack-aligned partition makes cheap to read:
 
 * **estimated DC** — a lower bound on the cluster distance the shard could
-  achieve for the demand: the placement kernels' tier closed form
-  (:func:`repro.core.placement.kernels.tier_bound`) on the shard's
+  achieve for the demand: the tier closed form
+  (:func:`repro.cluster.topocache.tier_dc`) on the shard's
   :class:`~repro.cluster.topocache.TopologyCache` and its live
   free-capacity matrix aggregated over the requested types, minimized over
   centers. This is the bound Algorithm 1 prunes with, only on coarser
-  supply, so a shard's estimate is never above what Algorithm 1 will
-  actually achieve there.
+  supply (a node offering any mix of the requested types counts fully), so
+  a shard's estimate is never above what Algorithm 1 will actually achieve
+  there.
 * **free capacity** — how much headroom the shard has for the requested
   types; fuller shards are penalized so load spreads before queues build.
 
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster.topocache import tier_dc
 from repro.core import reliability
-from repro.core.placement.kernels import _screen_is_exact
 from repro.service.state import ClusterState
 from repro.util.errors import ValidationError
 from repro.util.validation import as_int_matrix, as_int_vector
@@ -114,14 +115,15 @@ class _Layout:
 
         Returns ``(free, est)``, both ``(S, B)``: free capacity over each
         request's demanded types (int64) and the estimate (float64, ``inf``
-        where the free capacity is short). Bit-identical to
-        ``tier_bound(cache, supply, cache.per_rack(supply), ks).min(axis=0)``
-        per shard: inside a rack every center shares the ``rack``, ``cloud``
-        and ``total`` terms, and the tier expression is non-increasing in
-        the center's own take ``min(supply[c], k)`` (IEEE rounding is
-        monotone), so the rack's minimum is the expression at the rack's
-        largest supply. Columns are independent, so a request's values do
-        not depend on its batch.
+        where the free capacity is short). Bit-identical to the per-node
+        :func:`~repro.cluster.topocache.tier_dc` on the aggregated supply,
+        minimized over each shard's centers: inside a rack every center
+        shares the ``rack``, ``cloud`` and ``total`` terms, and the tier
+        expression is non-increasing in the center's own take
+        ``min(supply[c], k)`` (IEEE rounding is monotone), so the rack's
+        minimum is the expression at the rack's largest supply. Columns are
+        independent, so a request's values do not depend on its batch; a
+        one-shard layout is the estimate on that shard's state alone.
         """
         # One copy of every shard's remaining capacity; the rack sums and
         # maxima below come from it, never from ``rack_free``.
@@ -133,28 +135,16 @@ class _Layout:
         rack_max = np.maximum.reduceat(ordered, self.rack_bounds)
         cloud_sum = np.add.reduceat(rack_sum[self.cloud_order], self.cloud_bounds)
         free = np.add.reduceat(cloud_sum, self.shard_clouds)
-        d1, d2, d3 = self.tiers
-        own = np.minimum(rack_max, ks)
-        rack = np.minimum(rack_sum, ks)
-        cloud = np.minimum(cloud_sum, ks)[self.rack_cloud]
-        total = np.minimum(free, ks)[self.rack_shard]
-        value = d1 * (rack - own) + d2 * (cloud - rack) + d3 * (total - cloud)
+        value = tier_dc(
+            self.tiers,
+            np.minimum(rack_max, ks),
+            np.minimum(rack_sum, ks),
+            np.minimum(cloud_sum, ks)[self.rack_cloud],
+            np.minimum(free, ks)[self.rack_shard],
+        )
         est = np.minimum.reduceat(value, self.shard_racks)
         est[free < ks] = np.inf
         return free, est
-
-
-def estimate_dc(state: ClusterState, demand: np.ndarray) -> float:
-    """Lower bound on the ``DC`` this shard could give *demand* right now.
-
-    Supply is aggregated over the requested types (a node offering any mix
-    of them counts fully), which can only over-promise — so the returned
-    value never exceeds the distance of a real placement. ``inf`` when the
-    aggregated free capacity cannot cover the request at all. The one-row
-    case of :func:`estimate_dc_batch`, so the two agree by construction.
-    """
-    demand = as_int_vector(demand, name="demand", length=state.num_types)
-    return float(estimate_dc_batch(state, demand[None, :])[0])
 
 
 def _as_demands(demands, num_types: int) -> np.ndarray:
@@ -164,20 +154,6 @@ def _as_demands(demands, num_types: int) -> np.ndarray:
             f"demands must have {num_types} columns, got {demands.shape[1]}"
         )
     return demands
-
-
-def estimate_dc_batch(state: ClusterState, demands: np.ndarray) -> np.ndarray:
-    """:func:`estimate_dc` for a ``(B, num_types)`` demand matrix at once.
-
-    ``out[b] == estimate_dc(state, demands[b])`` exactly (bit-identical, not
-    merely close) for every row — the fabric's batched admission relies on
-    this to keep batched routing decision-identical to sequential routing.
-    It is the router's one routing pass on a single state.
-    """
-    demands = _as_demands(demands, state.num_types)
-    layout = _Layout([state.topology_cache])
-    _, est = layout.bounds([state], demands, demands.sum(axis=1))
-    return est[0]
 
 
 @dataclass(frozen=True)
@@ -266,24 +242,24 @@ class ShardRouter:
     def exact_estimate_dc(
         self, shard_id: int, state: ClusterState, demand: np.ndarray
     ) -> "float | None":
-        """Shard *shard_id*'s :func:`estimate_dc` when it is exact, else ``None``.
+        """Shard *shard_id*'s estimate when it is exact, else ``None``.
 
-        On the kernels' exact tiers (the predicate their screen uses) the
-        estimate and every placement's ``dc`` are exact floats, so the
-        estimate is at most the float distance of any placement the shard
-        could make now — with a survivability target too, since a
-        spread-constrained fill only costs more. Off the grid the two floats
-        may round apart, so no bound is given. *state* is the shard state
-        the caller holds locked; ``None`` too while the router still scores
-        another object for the shard (a restore not yet handed over).
+        Where the tier arithmetic is exact for the demand
+        (``TopologyCache.exact_for``) the estimate and every placement's
+        ``dc`` are exact floats, so the estimate is at most the float
+        distance of any placement the shard could make now — with a
+        survivability target too, since a spread-constrained fill only
+        costs more. Elsewhere the two floats may round apart, so no bound is
+        given. *state* is the shard state the caller holds locked; ``None``
+        too while the router still scores another object for the shard (a
+        restore not yet handed over).
         """
         states, layout, _ = self._view
         demand = as_int_vector(demand, name="demand", length=state.num_types)
-        if states[shard_id] is not state or not _screen_is_exact(
-            state.topology_cache, demand
-        ):
+        k = int(demand.sum())
+        if states[shard_id] is not state or not state.topology_cache.exact_for(k):
             return None
-        ks = np.array([demand.sum()], dtype=np.int64)
+        ks = np.array([k], dtype=np.int64)
         return float(layout.bounds(states, demand[None, :], ks)[1][shard_id, 0])
 
     def route(

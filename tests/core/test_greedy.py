@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.placement.exact import solve_sd_exact
-from repro.core.placement.greedy import OnlineHeuristic, com, greedy_fill, providable
+from repro.core.placement.greedy import OnlineHeuristic, com, greedy_fill
+from repro.core.placement.kernels import providable
 from repro.util.errors import InfeasibleRequestError, ValidationError
 
 from tests.conftest import make_pool

@@ -1,19 +1,20 @@
 """Property tests: the vectorized placement kernels are *bit-identical* to
-the retained reference implementations.
+the reference implementations in ``tests/core/oracles.py``.
 
 The contract under test (see ``repro.core.placement.kernels``): for every
-pool and request, ``OnlineHeuristic(use_kernels=True)`` returns exactly the
-allocation the original per-center Python loop returns — the same bytes in
-the matrix, the same center, the same IEEE-754 distance. Likewise
+pool and request, ``OnlineHeuristic()`` returns exactly the allocation
+``ReferenceHeuristic()``'s per-center Python loop returns — the same bytes
+in the matrix, the same center, the same IEEE-754 distance. Likewise
 ``best_exchange`` vs its per-type loop and the worklist transfer scheduler
 vs the full O(k²) re-sweep. Over 200 seeded random cases are checked per
 configuration, including partially drained pools, the ``max_vms_per_rack``
 spread constraint, and ``stop="first"``.
 
-The tier closed form (``kernels.tier_bound``) has two oracles of its own:
-the (centers × nodes × types) tensor screen it replaced, kept here as
-``tensor_screen``, and the exact fill — plus ``solve_sd_exact``, the
-per-center transportation solver, for the sweep's winner.
+The sweep's one screen (``kernels.rack_screen``) has three oracles of its
+own: the per-node ``tier_bound``, the (centers × nodes × types) tensor
+screen the closed form replaced, kept here as ``tensor_screen``, and the
+exact fill — plus ``solve_sd_exact``, the per-center transportation
+solver, for the sweep's winner.
 """
 
 import numpy as np
@@ -37,25 +38,24 @@ from repro.core import reliability
 from repro.core.placement import kernels
 from repro.core.placement.exact import solve_sd_exact
 from repro.core.placement.global_opt import GlobalSubOptimizer
-from repro.core.placement.greedy import (
-    OnlineHeuristic,
-    _reference_fill_order,
-    _reference_greedy_fill,
-    greedy_fill,
-)
-from repro.core.placement.transfer import (
-    _reference_best_exchange,
-    _reference_transfer_pair,
-    best_exchange,
-    transfer_pair,
-)
+from repro.core.placement.greedy import OnlineHeuristic, greedy_fill
+from repro.core.placement.transfer import best_exchange, transfer_pair
 from repro.core.problem import Allocation, VirtualClusterRequest
 from repro.core.theorems import apply_theorem2_exchange
 from repro.obs.registry import MetricsRegistry
+from repro.service.shard import ShardRouter
 from repro.service.state import ClusterState
 from repro.util.errors import ValidationError
 from repro.util.rng import ensure_rng
 from tests.conftest import sparse_rack_pool
+from tests.core.oracles import (
+    ReferenceHeuristic,
+    _reference_best_exchange,
+    _reference_fill_order,
+    _reference_greedy_fill,
+    _reference_transfer_pair,
+    tier_bound,
+)
 
 CATALOG = VMTypeCatalog.ec2_default()
 
@@ -110,9 +110,9 @@ def make_dynamic_case(seed: int) -> DynamicResourcePool:
 
 
 def tensor_screen(block, demand, remaining, dist) -> np.ndarray:
-    """The screen ``tier_bound`` replaced, kept as its oracle: the per-type
-    cumulative fill for every center in *block* along its pure-distance
-    node order — a (centers × nodes × types) tensor pass."""
+    """The screen the tier closed form replaced, kept as its oracle: the
+    per-type cumulative fill for every center in *block* along its
+    pure-distance node order — a (centers × nodes × types) tensor pass."""
     k, n = block.shape[0], dist.shape[0]
     cols = dist[:, block].T
     orders = np.lexsort((np.broadcast_to(np.arange(n), (k, n)), cols), axis=-1)
@@ -155,8 +155,8 @@ def test_place_bit_identical_over_seeded_cases(config):
             request = random_request(
                 RequestSpec(low=0, high=5, min_total=1), pool.num_types, seed=rng
             )
-            fast = OnlineHeuristic(use_kernels=True, **config)
-            slow = OnlineHeuristic(use_kernels=False, **config)
+            fast = OnlineHeuristic(**config)
+            slow = ReferenceHeuristic(**config)
             a = fast.place(pool, request).allocation
             b = slow.place(pool, request).allocation
             assert_same_allocation(a, b, f"seed={seed} request={request}")
@@ -172,8 +172,8 @@ def test_place_bit_identical_on_drained_pool_sequences():
     for seed in range(20):
         pool_fast, _ = make_case(seed, drain=False)
         pool_slow = pool_fast.copy()
-        fast = OnlineHeuristic(use_kernels=True)
-        slow = OnlineHeuristic(use_kernels=False)
+        fast = OnlineHeuristic()
+        slow = ReferenceHeuristic()
         rng = ensure_rng(20_000 + seed)
         for step in range(8):
             request = random_request(
@@ -215,8 +215,8 @@ def test_place_bit_identical_on_dynamic_pools(config):
             )
             if pool.exceeds_max_capacity(request):
                 continue
-            a = OnlineHeuristic(use_kernels=True, **config).place(pool, request)
-            b = OnlineHeuristic(use_kernels=False, **config).place(pool, request)
+            a = OnlineHeuristic(**config).place(pool, request)
+            b = ReferenceHeuristic(**config).place(pool, request)
             a, b = a.allocation, b.allocation
             assert_same_allocation(a, b, f"seed={seed} request={request}")
             if a is not None:
@@ -247,8 +247,8 @@ def test_survivability_caps_walk_the_full_order(scope):
             request = VirtualClusterRequest(demand=demand, survivability=target)
             if reliability.refusal_reason(demand, pool, target) is not None:
                 continue
-            a = OnlineHeuristic(use_kernels=True).place(pool, request).allocation
-            b = OnlineHeuristic(use_kernels=False).place(pool, request).allocation
+            a = OnlineHeuristic().place(pool, request).allocation
+            b = ReferenceHeuristic().place(pool, request).allocation
             assert_same_allocation(a, b, f"seed={seed} demand={demand}")
             plain = OnlineHeuristic().place(pool, demand).allocation
             if a is None or plain is None:
@@ -291,13 +291,17 @@ def tiered_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=tiered_cases())
 def test_tier_bound_matches_tensor_screen_and_bounds_the_fill(case):
+    """The sweep's screen, ``kernels.rack_screen``, is the tensor screen up
+    to summation order and a lower bound on every center's fill, capped or
+    not, on dyadic, integer and non-dyadic models."""
     pool, demand = case
     remaining, dist = pool.remaining, pool.distance_matrix
     centers = np.arange(pool.num_nodes)
     cache = pool.topology_cache
-    bound = kernels.tier_bound(
-        cache, remaining, cache.per_rack(remaining), demand
-    ).sum(axis=1)
+    bound = kernels.rack_screen(
+        cache, cache.per_rack(remaining), demand,
+        kernels.providable(remaining, demand),
+    )
     oracle = tensor_screen(centers, demand, remaining, dist)
     # Same per-tier totals, another summation order: float64 over < 100 terms.
     np.testing.assert_allclose(bound, oracle, rtol=1e-9, atol=1e-12)
@@ -340,11 +344,11 @@ def test_rack_screen_is_the_tier_bound_sum_on_exact_tiers(case):
     pool, demand = case
     cache, remaining = pool.topology_cache, pool.remaining
     rack_free = cache.per_rack(remaining)
-    want = kernels.tier_bound(cache, remaining, rack_free, demand).sum(axis=1)
+    want = tier_bound(cache, remaining, rack_free, demand).sum(axis=1)
     got = kernels.rack_screen(
         cache, rack_free, demand, kernels.providable(remaining, demand)
     )
-    if kernels._screen_is_exact(cache, demand):
+    if cache.exact_for(int(demand.sum())):
         assert got.tobytes() == want.tobytes()
     else:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -405,7 +409,7 @@ def test_one_fill_sweep_is_the_reference_on_tie_heavy_pools(case):
         candidates, demand, remaining, dist, cache=pool.topology_cache,
         rack_free=pool.rack_free, obs=registry,
     )
-    want = OnlineHeuristic(use_kernels=False)._sweep_reference(
+    want = ReferenceHeuristic()._sweep(
         candidates, demand, remaining, dist, None, None
     )
     assert registry.get("repro_placement_exact_fallbacks_total") is None
@@ -422,7 +426,10 @@ def test_one_fill_sweep_is_the_reference_on_tie_heavy_pools(case):
 def test_sweep_at_the_exactness_bound(total, exact):
     """``Σ demand · d3`` just below 2⁴³ keeps the one-fill path; at 2⁴³ the
     sweep takes the full loop (and counts the fallback). Both return the
-    reference winner."""
+    reference winner. The same total is the same boundary for the other two
+    callers of ``TopologyCache.exact_for``: a pair holding that many VMs is
+    searched on its holder rows below it and on the full path at it, and
+    the router gives its exact estimate below it only."""
     model = DistanceModel(2.0**30, 2.0**31, 2.0**32)
     rows = [
         (rack, 3 * rack + node, name, 300 + 17 * node + 5 * rack)
@@ -434,14 +441,14 @@ def test_sweep_at_the_exactness_bound(total, exact):
         rows, CATALOG, distance_model=model, cloud_of_rack={2: 1, 3: 1}
     )
     demand = np.array([total // 3, total // 3, total - 2 * (total // 3)])
-    assert kernels._screen_is_exact(pool.topology_cache, demand) == exact
+    assert pool.topology_cache.exact_for(int(demand.sum())) == exact
     candidates = np.arange(pool.num_nodes)
     registry = MetricsRegistry()
     got = kernels.sweep_best(
         candidates, demand, pool.remaining, pool.distance_matrix,
         cache=pool.topology_cache, rack_free=pool.rack_free, obs=registry,
     )
-    want = OnlineHeuristic(use_kernels=False)._sweep_reference(
+    want = ReferenceHeuristic()._sweep(
         candidates, demand, pool.remaining, pool.distance_matrix, None, None
     )
     assert got[0].tobytes() == want.matrix.tobytes()
@@ -451,6 +458,30 @@ def test_sweep_at_the_exactness_bound(total, exact):
         assert fallbacks is None and _centers_counter(registry, "filled") == 1
     else:
         assert fallbacks.labels(kernel="sweep").value == 1
+
+    # The winner split by type into a pair that holds all `total` VMs.
+    dist = pool.distance_matrix
+    first = np.zeros_like(got[0])
+    first[:, 0] = got[0][:, 0]
+    pair = [Allocation.from_matrix(m, dist) for m in (first, got[0] - first)]
+    assert pair[0].total_vms + pair[1].total_vms == total
+    registry = MetricsRegistry()
+    ref = _reference_transfer_pair(*pair, dist)
+    got_pair = transfer_pair(
+        *pair, dist, cache=pool.topology_cache, obs=registry
+    )
+    assert_same_transfer(got_pair, ref, f"total={total}")
+    family = registry.get(_FALLBACKS)
+    assert (0 if family is None else family.labels(kernel="transfer").value) == (
+        0 if exact else 1
+    )
+
+    state = ClusterState.from_pool(pool)
+    estimate = ShardRouter([state]).exact_estimate_dc(0, state, demand)
+    if exact:
+        assert isinstance(estimate, float) and estimate <= got[2]
+    else:
+        assert estimate is None
 
 
 # ------------------------------------------------------------ fill primitives
@@ -559,7 +590,7 @@ def test_tied_centers_are_never_filled(model, one_fill):
     a cloud: on-grid tier distances let an unbudgeted sweep fill one center,
     the first minimum, which is the reference winner byte for byte. The
     non-dyadic model keeps the margin path and must agree just the same."""
-    reference = OnlineHeuristic(use_kernels=False)
+    reference = ReferenceHeuristic()
     sweeps = tied = 0
     for seed in range(12):
         rng = ensure_rng(90_000 + seed)
@@ -581,7 +612,7 @@ def test_tied_centers_are_never_filled(model, one_fill):
                 break
             candidates = np.flatnonzero(remaining.sum(axis=1) > 0)
             cache = pool.topology_cache
-            screen = kernels.tier_bound(
+            screen = tier_bound(
                 cache, remaining, cache.per_rack(remaining), demand
             )
             screen = screen.sum(axis=1)[candidates]
@@ -591,7 +622,7 @@ def test_tied_centers_are_never_filled(model, one_fill):
                 candidates, demand, remaining, dist,
                 cache=pool.topology_cache, rack_free=pool.rack_free, obs=registry,
             )
-            want = reference._sweep_reference(
+            want = reference._sweep(
                 candidates, demand, remaining, dist, None, None
             )
             assert got[0].tobytes() == want.matrix.tobytes()
@@ -616,7 +647,7 @@ def test_one_fill_falls_back_when_the_winner_misses_its_screen(monkeypatch):
     demand = remaining.max(axis=0) + 1  # no single node holds it
     candidates = np.flatnonzero(remaining.sum(axis=1) > 0)
     cache = pool.topology_cache
-    honest = kernels.tier_bound(
+    honest = tier_bound(
         cache, remaining, cache.per_rack(remaining), demand
     ).sum(axis=1)
     first_min = candidates[np.argmin(honest[candidates])]
@@ -637,7 +668,7 @@ def test_one_fill_falls_back_when_the_winner_misses_its_screen(monkeypatch):
         candidates, demand, remaining, dist, cache=pool.topology_cache,
         rack_free=pool.rack_free, obs=registry,
     )
-    want = OnlineHeuristic(use_kernels=False)._sweep_reference(
+    want = ReferenceHeuristic()._sweep(
         candidates, demand, remaining, dist, None, None
     )
     assert got[0].tobytes() == want.matrix.tobytes()
@@ -675,11 +706,14 @@ def _leased_state(pool, seed: int) -> ClusterState:
     ids=["paper", "non-dyadic", "sparse-rack-ids"],
 )
 @pytest.mark.parametrize("cap", [None, 3])
-def test_sweep_on_the_states_rack_free_is_byte_equal(make_pool, cap):
+def test_sweep_on_the_states_rack_free_is_byte_equal(monkeypatch, make_pool, cap):
     """Feeding the sweep ``ClusterState.rack_free`` (maintained through
-    commits) returns exactly what recomputing ``per_rack(remaining)`` does
-    — matrix bytes, center, ``dc`` and the screened/pruned/filled counts —
-    on the one-fill path, the margin path and sparse rack ids."""
+    commits) returns exactly what recomputing ``per_rack(remaining)`` does,
+    and so does screening with the per-node oracle ``tier_bound`` in place
+    of ``rack_screen`` — matrix bytes, center, ``dc`` and the
+    screened/pruned/filled counts — on the one-fill path, the margin path
+    and sparse rack ids."""
+    rack_screen = kernels.rack_screen
     swept = 0
     for seed in range(25):
         state = _leased_state(make_pool(seed), 95_000 + seed)
@@ -692,26 +726,37 @@ def test_sweep_on_the_states_rack_free_is_byte_equal(make_pool, cap):
                 RequestSpec(low=0, high=5, min_total=2), state.num_types, seed=rng
             )
             candidates = np.flatnonzero(remaining.sum(axis=1) > 0)
+
+            def oracle_screen(cache, rack_free, need, prov):
+                return tier_bound(cache, remaining, rack_free, need).sum(axis=1)
+
             runs = []
-            for rack_free in (state.rack_free, cache.per_rack(remaining)):
+            for rack_free, screen in (
+                (state.rack_free, rack_screen),
+                (cache.per_rack(remaining), rack_screen),
+                (state.rack_free, oracle_screen),
+            ):
                 registry = MetricsRegistry()
-                got = kernels.sweep_best(
-                    candidates, demand, remaining, state.distance_matrix,
-                    cache=cache, rack_free=rack_free, rack_ids=rack_ids,
-                    max_vms_per_rack=cap, obs=registry,
-                )
+                with monkeypatch.context() as patch:
+                    patch.setattr(kernels, "rack_screen", screen)
+                    got = kernels.sweep_best(
+                        candidates, demand, remaining, state.distance_matrix,
+                        cache=cache, rack_free=rack_free, rack_ids=rack_ids,
+                        max_vms_per_rack=cap, obs=registry,
+                    )
                 counts = [
                     _centers_counter(registry, what)
                     for what in ("screened", "pruned", "filled")
                 ]
                 runs.append((got, counts))
-            (a, a_counts), (b, b_counts) = runs
-            assert a_counts == b_counts
-            if a is None or b is None:
-                assert a is None and b is None
-                continue
-            assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
-            swept += 1
+            (a, a_counts), *others = runs
+            for b, b_counts in others:
+                assert a_counts == b_counts
+                if a is None or b is None:
+                    assert a is None and b is None
+                    continue
+                assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
+            swept += a is not None
     assert swept >= 20
 
 

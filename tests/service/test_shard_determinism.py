@@ -15,9 +15,7 @@ import pytest
 from repro.cluster import DistanceModel, PoolSpec, VMTypeCatalog, random_pool
 from repro.core import reliability
 from repro.core.placement.greedy import OnlineHeuristic
-from repro.core.placement.kernels import tier_bound
 from repro.core.problem import Allocation
-from repro.core.placement.transfer import _reference_transfer_pair
 from repro.obs import MetricsRegistry
 from repro.service import (
     ClusterState,
@@ -39,7 +37,13 @@ from repro.service.shard import (
 )
 from repro.service import server as server_module
 from repro.service.shard import fabric as fabric_module
-from repro.service.shard.router import _Ranking, estimate_dc, estimate_dc_batch
+from repro.service.shard.router import _Ranking
+from tests.core.oracles import (
+    _reference_transfer_pair,
+    estimate_dc,
+    estimate_dc_batch,
+    tier_bound,
+)
 
 CATALOG = VMTypeCatalog.ec2_default()
 
@@ -200,7 +204,7 @@ class TestBatchedRoutingDeterminism:
     """Batched admission must be *decision-identical* to sequential.
 
     The async endpoint feeds every drained batch through ``submit_batch``
-    → ``route_batch`` → ``estimate_dc_batch``; each layer claims bit-exact
+    → ``route_batch`` → ``_Layout.bounds``; each layer claims bit-exact
     agreement with its scalar twin, and these tests pin each claim down
     (including exclusion sets, the failover path's input).
     """

@@ -19,11 +19,11 @@ from repro.service.shard import (
     RackGroupPlan,
     ShardRouter,
     ShardedPlacementFabric,
-    estimate_dc,
     fabric_from_checkpoint,
 )
 from repro.service.state import ClusterState
 from repro.util.errors import ValidationError
+from tests.core.oracles import estimate_dc, estimate_dc_batch
 
 CATALOG = VMTypeCatalog.ec2_default()
 
@@ -90,7 +90,6 @@ class TestRouter:
         is a small integer, so the two agree exactly; the batch rows are the
         scalar calls bit for bit under any model."""
         from repro.cluster import DistanceModel, PoolSpec, random_pool
-        from repro.service.shard.router import estimate_dc_batch
 
         def oracle(state, demand):
             k = int(demand.sum())

@@ -2,13 +2,15 @@
 
 These meta-tests keep the library release-grade as it grows: ``__all__``
 entries must resolve, public modules/classes/functions must carry
-docstrings, and the package must not leak private names through its public
-namespaces.
+docstrings, the package must not leak private names through its public
+namespaces, and no package reaches into another's private names.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,41 @@ def test_public_methods_documented():
                         f"{module.__name__}.{cls_name}.{meth_name}"
                     )
     assert undocumented == []
+
+
+def _private_cross_package_imports(root: Path) -> "list[str]":
+    """``module:line name`` for every ``from M import _name`` under *root*
+    (the ``repro`` source tree) where ``M`` lies in another package than
+    the importing module."""
+    hits = []
+    for path in sorted(root.rglob("*.py")):
+        parts = list(path.relative_to(root.parent).with_suffix("").parts)
+        is_package = parts[-1] == "__init__"
+        if is_package:
+            parts.pop()
+        package = parts if is_package else parts[:-1]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = package[: len(package) - node.level + 1] if node.level else []
+            target = base + (node.module.split(".") if node.module else [])
+            if target[:1] != ["repro"]:
+                continue
+            target_dir = root.parent.joinpath(*target)
+            target_package = target if target_dir.is_dir() else target[:-1]
+            for alias in node.names:
+                name = alias.name
+                private = name.startswith("_") and not name.endswith("__")
+                if private and target_package != package:
+                    hits.append(f"{'.'.join(parts)}:{node.lineno} {name}")
+    return hits
+
+
+def test_no_private_names_imported_across_packages():
+    """A package's ``_``-prefixed names are its own: a module may import
+    them from a sibling module, never from a module in another package."""
+    root = Path(repro.__file__).parent
+    assert _private_cross_package_imports(root) == []
 
 
 def test_version_exposed():
