@@ -9,21 +9,36 @@ requests. Prints one JSON line of sha256 prefixes of the final
 ``checkpoint_bytes()``, the owner map and the sweep outcomes
 ``(candidates, migrations, gain)``, plus counts and the process CPU time.
 
+With ``--library`` it replays the ``alg1-960`` stream instead, on the
+library path the ledger times: 4,000 sequential ``OnlineHeuristic.place``
+calls on a 960-node ``ClusterState``, each placed lease committed with
+``allocate_lease`` and released with ``release_lease`` after its stream
+hold (counted in later decisions, as the ledger counts them). It prints a
+sha256 prefix over every decision (request id, placements, center and
+``repr(distance)``, or the wait), one over the final ``checkpoint_bytes``,
+and the counts.
+
 Two trees decide identically when their hashes match::
 
     PYTHONPATH=src:. python benchmarks/decision_identity.py
+    PYTHONPATH=src:. python benchmarks/decision_identity.py --library
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import heapq
 import json
 import time
 from collections import deque
 
+from repro.core import OnlineHeuristic
+from repro.core.problem import VirtualClusterRequest
 from repro.obs import MetricsRegistry
-from repro.service import PlaceRequest, ReleaseRequest, ServiceConfig
+from repro.service import ClusterState, PlaceRequest, ReleaseRequest, ServiceConfig
+from repro.service.api import allocation_to_placements
+from repro.service.checkpoint import checkpoint_bytes
 from repro.service.shard import FabricConfig, RackGroupPlan, ShardedPlacementFabric
 
 from benchmarks.ledger.gen import RequestStream
@@ -109,13 +124,63 @@ def replay(requests: int, seed: int, every: int) -> dict:
     }
 
 
+def replay_library(requests: int, seed: int) -> dict:
+    workload = BY_NAME["alg1-960"]
+    stream = RequestStream(workload, seed)
+    state = ClusterState.from_pool(make_pool(workload))
+    policy = OnlineHeuristic()
+    decisions = hashlib.sha256()
+    due: "list[tuple[int, int]]" = []
+    placed = 0
+    started = time.process_time()
+    for i in range(requests):
+        rid = stream.request_id(i)
+        request = VirtualClusterRequest(demand=list(stream.demand(i)), request_id=rid)
+        allocation = policy.place(state, request).allocation
+        if allocation is None:
+            record = [rid, None]
+        else:
+            state.allocate_lease(rid, allocation)
+            placed += 1
+            record = [
+                rid,
+                allocation_to_placements(allocation),
+                allocation.center,
+                repr(allocation.distance),
+            ]
+            # A lease lives hold(i) later decisions; this is decision i + 1.
+            heapq.heappush(due, (i + 1 + stream.hold(i), rid))
+        decisions.update(json.dumps(record).encode("utf-8"))
+        while due and due[0][0] <= i + 1:
+            state.release_lease(heapq.heappop(due)[1])
+    state.verify_consistency()
+    return {
+        "decisions_sha256_16": decisions.hexdigest()[:16],
+        "checkpoint_sha256_16": hashlib.sha256(
+            checkpoint_bytes(state).encode("utf-8")
+        ).hexdigest()[:16],
+        "placed": placed,
+        "waited": requests - placed,
+        "held": state.num_leases,
+        "process_cpu_s": round(time.process_time() - started, 2),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--requests", type=int, default=4000)
     parser.add_argument("--seed", type=int, default=41)
     parser.add_argument("--every", type=int, default=130)
+    parser.add_argument(
+        "--library", action="store_true",
+        help="replay the alg1-960 stream through OnlineHeuristic.place instead",
+    )
     args = parser.parse_args()
-    print(json.dumps(replay(args.requests, args.seed, args.every)))
+    if args.library:
+        result = replay_library(args.requests, args.seed)
+    else:
+        result = replay(args.requests, args.seed, args.every)
+    print(json.dumps(result))
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ class DynamicResourcePool(ResourcePool):
             cache=cache,
         )
         self._active = np.ones(self.num_nodes, dtype=bool)
-        self._reconfigured = self._max.copy()
+        self._reconfigured = self._max.copy(order="F")
 
     # ---------------------------------------------------------------- state
 
@@ -79,6 +79,12 @@ class DynamicResourcePool(ResourcePool):
         eff = self._reconfigured * self._active[:, None]
         eff.flags.writeable = False
         return eff
+
+    @property
+    def max_node_capacity(self) -> np.ndarray:
+        """Per type, the largest effective single-node capacity: a
+        reconfiguration may raise a row of ``M``."""
+        return self.max_capacity.max(axis=0)
 
     @property
     def remaining(self) -> np.ndarray:
@@ -177,5 +183,5 @@ class DynamicResourcePool(ResourcePool):
             cache=self._cache,
         )
         clone._active = self._active.copy()
-        clone._reconfigured = self._reconfigured.copy()
+        clone._reconfigured = self._reconfigured.copy(order="F")
         return clone

@@ -22,7 +22,11 @@ from repro.cluster.topocache import TopologyCache
 from repro.cluster.topology import Topology
 from repro.cluster.vmtypes import VMTypeCatalog
 from repro.util.errors import CapacityError, ValidationError
-from repro.util.validation import as_int_matrix, as_int_vector
+from repro.util.validation import (
+    as_int_matrix,
+    as_int_vector,
+    check_nonnegative,
+)
 
 
 class ResourcePool:
@@ -64,12 +68,19 @@ class ResourcePool:
         self._topology = topology
         self._catalog = catalog
         self._model = distance_model or DistanceModel()
-        self._max = topology.capacity_matrix()
+        # Pool-shaped matrices are stored type-major (column-major): the
+        # per-node reductions of Algorithm 1 (``axis=1`` over m types) then
+        # read m contiguous columns instead of n strided rows.
+        self._max = np.asfortranarray(topology.capacity_matrix())
         n, m = self._max.shape
+        # M never changes: its per-type largest node bounds every row of L.
+        self._node_max = self._max.max(axis=0)
         if allocated is None:
-            self._alloc = np.zeros((n, m), dtype=np.int64)
+            self._alloc = np.zeros((n, m), dtype=np.int64, order="F")
         else:
-            self._alloc = as_int_matrix(allocated, name="allocated", shape=(n, m))
+            self._alloc = np.asfortranarray(
+                as_int_matrix(allocated, name="allocated", shape=(n, m))
+            )
             if np.any(self._alloc > self._max):
                 raise CapacityError("initial allocation exceeds node capacities")
         if cache is not None and cache.matches(topology, self._model):
@@ -156,6 +167,15 @@ class ResourcePool:
         return v
 
     @property
+    def max_node_capacity(self) -> np.ndarray:
+        """Per type, the largest single-node capacity ``max_i M[i, j]``
+        (read-only). No row of :attr:`remaining` exceeds it, so a request
+        with ``R[j]`` above it fits on no single node."""
+        v = self._node_max.view()
+        v.flags.writeable = False
+        return v
+
+    @property
     def allocated(self) -> np.ndarray:
         """``C`` — copy of the current allocation matrix."""
         return self._alloc.copy()
@@ -211,14 +231,32 @@ class ResourcePool:
 
     # --------------------------------------------------------------- predicates
 
+    def _request(self, request) -> np.ndarray:
+        """*request* as a validated ``int64`` vector of length m.
+
+        An ``int64`` vector of the right length — what
+        :func:`~repro.core.placement.base.normalize_request` and
+        :class:`~repro.core.problem.VirtualClusterRequest` hand over — only
+        needs the sign check and is read in place; anything else goes
+        through :func:`as_int_vector`, with its errors.
+        """
+        if (
+            isinstance(request, np.ndarray)
+            and request.dtype == np.int64
+            and request.shape == (self.num_types,)
+        ):
+            check_nonnegative(request, name="request")
+            return request
+        return as_int_vector(request, name="request", length=self.num_types)
+
     def exceeds_max_capacity(self, request: np.ndarray) -> bool:
         """True if *request* can never be served (paper: refuse outright)."""
-        r = as_int_vector(request, name="request", length=self.num_types)
+        r = self._request(request)
         return bool(np.any(r > self.max_capacity.sum(axis=0)))
 
     def can_satisfy(self, request: np.ndarray) -> bool:
         """True if current availability covers *request* (``R ≤ A``)."""
-        r = as_int_vector(request, name="request", length=self.num_types)
+        r = self._request(request)
         return bool(np.all(r <= self.available))
 
     # --------------------------------------------------------------- mutation
@@ -272,7 +310,7 @@ class ResourcePool:
         )
         if np.any(s > self._max):
             raise CapacityError("snapshot exceeds node capacities")
-        self._alloc = s.copy()
+        self._alloc = np.asfortranarray(s)  # s is already a private copy
 
     def copy(self) -> "ResourcePool":
         """Deep copy sharing the immutable topology/catalog/distances."""

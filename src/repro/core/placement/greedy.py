@@ -257,7 +257,10 @@ class OnlineHeuristic(PlacementAlgorithm):
 
         # Lines 9–14: a single node that can host everything wins outright —
         # unless the spread constraint forbids that many VMs in one domain.
-        if cap is None or int(demand.sum()) <= cap:
+        # No row of L exceeds the pool's largest node per type, so a demand
+        # above it cannot fit on one node and skips the n-row scan.
+        single = cap is None or int(demand.sum()) <= cap
+        if single and np.all(demand <= pool.max_node_capacity):
             fits = np.all(remaining >= demand[None, :], axis=1)
             if fits.any():
                 i = int(np.flatnonzero(fits)[0])

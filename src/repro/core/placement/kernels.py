@@ -261,7 +261,7 @@ def fill_one(
     takes = _fill_along(order, demand, remaining)
     if takes is None:
         return None
-    alloc = np.zeros(remaining.shape, dtype=np.int64)
+    alloc = np.zeros(remaining.shape, dtype=np.int64, order="F")
     alloc[order] = takes
     return alloc
 
@@ -291,7 +291,7 @@ def fill_one_rack_limited(
     """
     require_rack_ids(rack_ids, max_vms_per_rack)
     n, m = remaining.shape
-    alloc = np.zeros((n, m), dtype=np.int64)
+    alloc = np.zeros((n, m), dtype=np.int64, order="F")
     todo = demand.astype(np.int64).copy()
     rack_budget: dict[int, int] = {}
     if orders is None:
@@ -399,7 +399,7 @@ def _filler(
                 takes = _fill_along(order, demand, remaining)
                 matrix = None
                 if takes is not None:
-                    matrix = np.zeros(remaining.shape, dtype=np.int64)
+                    matrix = np.zeros(remaining.shape, dtype=np.int64, order="F")
                     matrix[order] = takes
             else:
                 matrix = fill_one_rack_limited(

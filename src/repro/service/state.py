@@ -16,6 +16,10 @@ operations:
 * every commit, release and swap touches only the rows its allocation
   occupies (:attr:`~repro.core.problem.Allocation.rows`): O(touched rows),
   not O(n·m), per lease operation,
+* every ``(nodes × m)`` and ``(racks × m)`` matrix is kept type-major
+  (column-major, as :class:`~repro.cluster.resources.ResourcePool` stores
+  ``M`` and ``C``) on every path that rebuilds one, so the per-node
+  reductions of Algorithm 1 read m contiguous columns,
 * the distance matrix is inherited (cached) from the pool construction and
   never rebuilt,
 * every active allocation is tracked in a lease ledger keyed by request id so
@@ -47,7 +51,7 @@ from repro.cluster.topology import Topology
 from repro.cluster.vmtypes import VMTypeCatalog
 from repro.core.problem import Allocation
 from repro.util.errors import CapacityError, ValidationError
-from repro.util.validation import as_int_matrix, as_int_vector
+from repro.util.validation import as_int_matrix
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,8 @@ class ClusterState(ResourcePool):
     # ----------------------------------------------------------- aggregates
 
     def _per_rack(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros((self._num_racks, self.num_types), dtype=np.int64)
+        shape = (self._num_racks, self.num_types)
+        out = np.zeros(shape, dtype=np.int64, order="F")
         np.add.at(out, self._rack_index, values)
         return out
 
@@ -182,8 +187,10 @@ class ClusterState(ResourcePool):
         return self._version
 
     def exceeds_max_capacity(self, request: np.ndarray) -> bool:
-        r = as_int_vector(request, name="request", length=self.num_types)
-        return bool(np.any(r > self._max_total))
+        return bool(np.any(self._request(request) > self._max_total))
+
+    def can_satisfy(self, request: np.ndarray) -> bool:
+        return bool(np.all(self._request(request) <= self._avail))
 
     # ------------------------------------------------------------- mutation
 
@@ -397,7 +404,7 @@ class ClusterState(ResourcePool):
         )
         clone._leases = dict(self._leases)
         clone._lease_targets = dict(self._lease_targets)
-        clone._lease_sum = self._lease_sum.copy()
+        clone._lease_sum = self._lease_sum.copy(order="F")
         clone._version = self._version
         return clone
 

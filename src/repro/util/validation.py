@@ -33,7 +33,11 @@ def as_int_vector(value, *, name: str = "vector", length: int | None = None) -> 
 
 
 def as_int_matrix(value, *, name: str = "matrix", shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Coerce *value* to a 2-D ``int64`` array, validating shape and sign."""
+    """Coerce *value* to a 2-D ``int64`` array, validating shape and sign.
+
+    The result is a fresh copy in *value*'s memory order, so a column-major
+    pool matrix stays column-major (see :mod:`repro.cluster.resources`).
+    """
     arr = np.asarray(value)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got shape {arr.shape}")
@@ -41,7 +45,7 @@ def as_int_matrix(value, *, name: str = "matrix", shape: tuple[int, int] | None 
         raise ValidationError(f"{name} must be numeric, got dtype {arr.dtype}")
     if np.issubdtype(arr.dtype, np.floating) and not np.allclose(arr, np.round(arr)):
         raise ValidationError(f"{name} must contain integers")
-    out = arr.astype(np.int64, copy=True)
+    out = arr.astype(np.int64, order="K", copy=True)
     if shape is not None and out.shape != tuple(shape):
         raise ValidationError(f"{name} must have shape {tuple(shape)}, got {out.shape}")
     check_nonnegative(out, name=name)

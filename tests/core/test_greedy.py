@@ -3,12 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.cluster import (
+    DynamicResourcePool,
+    PhysicalNode,
+    ResourcePool,
+    Topology,
+    VMTypeCatalog,
+)
 from repro.core.placement.exact import solve_sd_exact
 from repro.core.placement.greedy import OnlineHeuristic, com, greedy_fill
 from repro.core.placement.kernels import providable
+from repro.service import ClusterState
 from repro.util.errors import InfeasibleRequestError, ValidationError
+from repro.util.timing import PhaseTimer
 
 from tests.conftest import make_pool
+from tests.core.oracles import ReferenceHeuristic
 
 
 class TestComOperator:
@@ -130,6 +140,65 @@ class TestOnlineHeuristic:
         pool = make_pool(2, 3, capacity=(3, 3, 2))
         alloc = OnlineHeuristic().place(pool, [1, 0, 0]).allocation
         assert alloc.used_nodes.tolist() == [0]
+
+
+class TestSingleNodeSkip:
+    """The shortcut scan is skipped when a demanded type exceeds the
+    pool's largest node (``max_node_capacity``); at that capacity exactly
+    it must still run."""
+
+    #: Type-0 capacities per node; the largest, c = 3, is on nodes 1 and 3.
+    TYPE0 = (1, 3, 2, 3, 0, 2)
+
+    def _pool(self, cls):
+        nodes = [
+            PhysicalNode(node_id=i, rack_id=i // 3, cloud_id=0, capacity=[c, 1, 1])
+            for i, c in enumerate(self.TYPE0)
+        ]
+        return cls(Topology(nodes), VMTypeCatalog.ec2_default())
+
+    def _place(self, pool, demand):
+        timer = PhaseTimer(enabled=True)
+        allocation = OnlineHeuristic(timer=timer).place(pool, demand).allocation
+        reference = ReferenceHeuristic().place(pool, demand).allocation
+        assert np.array_equal(allocation.matrix, reference.matrix)
+        assert allocation.center == reference.center
+        assert repr(allocation.distance) == repr(reference.distance)
+        return allocation, timer.counts().get("center_sweep", 0)
+
+    @pytest.mark.parametrize("cls", [ResourcePool, ClusterState])
+    def test_demand_at_the_largest_node_takes_the_shortcut(self, cls):
+        pool = self._pool(cls)
+        c = max(self.TYPE0)
+        assert pool.max_node_capacity.tolist() == [c, 1, 1]
+        allocation, sweeps = self._place(pool, [c, 1, 0])
+        assert (allocation.center, allocation.distance, sweeps) == (1, 0.0, 0)
+        assert allocation.matrix[1].tolist() == [c, 1, 0]
+        # With node 1 short of one VM the lowest fitting node is node 3.
+        taken = np.zeros((len(self.TYPE0), 3), dtype=np.int64)
+        taken[1, 0] = 1
+        pool.allocate(taken)
+        allocation, sweeps = self._place(pool, [c, 1, 0])
+        assert (allocation.center, allocation.distance, sweeps) == (3, 0.0, 0)
+
+    def test_a_reconfigured_node_raises_the_bound(self):
+        """A dynamic pool may grow a node past the original ``M``; the
+        bound follows the effective capacity, not the constructed one."""
+        pool = self._pool(DynamicResourcePool)
+        c = max(self.TYPE0)
+        pool.reconfigure_node(4, [c + 2, 1, 1])
+        assert pool.max_node_capacity.tolist() == [c + 2, 1, 1]
+        allocation, sweeps = self._place(pool, [c + 2, 1, 0])
+        assert (allocation.center, allocation.distance, sweeps) == (4, 0.0, 0)
+
+    @pytest.mark.parametrize("cls", [ResourcePool, ClusterState])
+    def test_demand_past_the_largest_node_goes_to_the_sweep(self, cls):
+        pool = self._pool(cls)
+        c = max(self.TYPE0)
+        allocation, sweeps = self._place(pool, [c + 1, 1, 0])
+        assert sweeps == 1
+        assert allocation.distance > 0.0
+        assert allocation.demand.tolist() == [c + 1, 1, 0]
 
 
 class TestRackSpreadConstraint:

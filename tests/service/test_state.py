@@ -1,5 +1,7 @@
 """Tests for the incremental ClusterState (aggregates, leases, snapshots)."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from repro.core import OnlineHeuristic
 from repro.core.problem import Allocation, VirtualClusterRequest
 from repro.service import ClusterState
 from repro.util.errors import CapacityError, ValidationError
+from repro.util.validation import as_int_vector
 from tests.conftest import sparse_rack_pool
 
 
@@ -372,3 +375,163 @@ def test_row_sparse_commits_match_a_dense_recomputation(sparse, seed, ops):
         assert np.array_equal(leased + sum(raw, np.zeros((n, m), np.int64)),
                               state.allocated)
         state.verify_consistency(check_leases=not raw)
+
+
+# ----------------------------------------------------------- storage order
+
+
+def _assert_type_major(state: ClusterState) -> None:
+    """``L``, ``M`` and the per-rack rows are column-major (F-contiguous):
+    a row-major copy on any path would give Algorithm 1's per-node scans
+    back their n-row stride without changing a single value."""
+    for name in ("remaining", "max_capacity", "rack_free"):
+        assert getattr(state, name).flags.f_contiguous, name
+    assert state._lease_sum.flags.f_contiguous  # copied by copy()
+
+
+class TestStorageOrder:
+    def test_construction_and_lease_traffic(self, paper_pool, state):
+        _assert_type_major(state)
+        policy = OnlineHeuristic()
+        for rid, demand in enumerate(([1, 1, 0], [9, 4, 2], [0, 2, 1])):
+            allocation = policy.place(state, demand).allocation
+            assert allocation.matrix.flags.f_contiguous, demand
+            state.allocate_lease(rid, allocation)
+        _assert_type_major(state)
+        state.release_lease(1)
+        _assert_type_major(state)
+        assert paper_pool.remaining.flags.f_contiguous
+
+    def test_restore_copy_and_checkpoint_paths(self, state):
+        from repro.service.checkpoint import checkpoint_bytes, state_from_checkpoint
+
+        state.allocate_lease(1, OnlineHeuristic().place(state, [2, 1, 1]).allocation)
+        snap = state.snapshot_state()
+        row_major = np.ascontiguousarray(state.allocated)
+        state.restore(row_major)
+        _assert_type_major(state)
+        state.restore_state(snap)
+        _assert_type_major(state)
+        _assert_type_major(state.copy())
+        _assert_type_major(ClusterState.from_pool(state))
+        restored = state_from_checkpoint(json.loads(checkpoint_bytes(state)))
+        _assert_type_major(restored)
+        assert checkpoint_bytes(restored) == checkpoint_bytes(state)
+        plain = ResourcePool(
+            state.topology, state.catalog, allocated=row_major
+        )
+        plain.restore(row_major)
+        assert plain.remaining.flags.f_contiguous
+
+    def test_fabric_shard_after_restore_shard(self):
+        from repro.obs import MetricsRegistry
+        from repro.service import PlaceRequest, ServiceConfig
+        from repro.service.checkpoint import checkpoint_bytes
+        from repro.service.shard import (
+            FabricConfig,
+            RackGroupPlan,
+            ShardedPlacementFabric,
+        )
+
+        pool = random_pool(
+            PoolSpec(racks=4, nodes_per_rack=5, capacity_high=3),
+            VMTypeCatalog.ec2_default(), seed=5,
+        )
+        fabric = ShardedPlacementFabric(
+            pool, plan=RackGroupPlan(2),
+            config=FabricConfig(service=ServiceConfig(batch_window=0.0)),
+            obs=MetricsRegistry(),
+        )
+        for rid in range(6):
+            fabric.submit(PlaceRequest(request_id=rid, demand=[1, 1, 0]))
+        for _ in range(10):
+            fabric.step_all(now=0.0)
+        for shard in fabric.shards:
+            _assert_type_major(shard.state)
+        payload = checkpoint_bytes(fabric.shards[0].state).encode("utf-8")
+        fabric.mark_shard_down(0, reason="test")
+        restored = fabric.restore_shard(0, payload)
+        _assert_type_major(restored)
+        _assert_type_major(fabric.shards[0].state)
+        fabric.verify_consistency()
+
+
+# ------------------------------------------------------- admission parity
+
+
+def _outcome(call, request):
+    try:
+        return call(request)
+    except ValidationError as err:
+        return ("ValidationError", str(err))
+
+
+def _full_validation(pool, request):
+    return as_int_vector(request, name="request", length=pool.num_types)
+
+
+def _admission_pools():
+    pool = random_pool(
+        PoolSpec(racks=2, nodes_per_rack=4, capacity_high=3),
+        VMTypeCatalog.ec2_default(), seed=17,
+    )
+    state = ClusterState.from_pool(pool)
+    policy = OnlineHeuristic()
+    for rid, demand in enumerate(([3, 1, 2], [2, 2, 0], [1, 0, 3])):
+        state.allocate_lease(rid, policy.place(state, demand).allocation)
+    plain = pool.copy()
+    plain.allocate(state.allocated)
+    return state, plain
+
+
+_ADMISSION_POOLS = _admission_pools()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(st.integers(-3, 30), min_size=1, max_size=5),
+    form=st.sampled_from(("int64", "list", "float", "fractional", "int32")),
+)
+def test_admission_predicates_match_full_validation(values, form):
+    """``exceeds_max_capacity`` / ``can_satisfy`` read an ``int64`` vector of
+    length m after the sign check only; every input must still give the
+    booleans, or the :class:`ValidationError` message, of validating it
+    through ``as_int_vector`` first."""
+    request = {
+        "int64": lambda: np.array(values, dtype=np.int64),
+        "list": lambda: list(values),
+        "float": lambda: np.array(values, dtype=np.float64),
+        "fractional": lambda: np.array(values, dtype=np.float64) + 0.5,
+        "int32": lambda: np.array(values, dtype=np.int32),
+    }[form]()
+    for pool in _ADMISSION_POOLS:
+        exceeds = _outcome(
+            lambda r: bool(np.any(
+                _full_validation(pool, r) > pool.max_capacity.sum(axis=0)
+            )),
+            request,
+        )
+        fits = _outcome(
+            lambda r: bool(np.all(
+                _full_validation(pool, r) <= pool.remaining.sum(axis=0)
+            )),
+            request,
+        )
+        assert _outcome(pool.exceeds_max_capacity, request) == exceeds
+        assert _outcome(pool.can_satisfy, request) == fits
+
+
+@pytest.mark.parametrize(
+    "request_, message",
+    [
+        (np.array([1, -2, 0], dtype=np.int64), "non-negative"),
+        (np.array([1, 2], dtype=np.int64), "length 3"),
+        (np.array([1.5, 0.0, 0.0]), "integers"),
+        ([1, -1, 0], "non-negative"),
+    ],
+)
+def test_admission_predicates_reject_what_validation_rejects(request_, message):
+    for pool in _ADMISSION_POOLS:
+        for predicate in (pool.exceeds_max_capacity, pool.can_satisfy):
+            with pytest.raises(ValidationError, match=message):
+                predicate(request_)
