@@ -55,7 +55,7 @@ Modules
     each shard's service through a :class:`ShardBackend`
     (``shard.backend``): :class:`LocalBackend` calls a service in this
     process; ``proc``'s :class:`ProcBackend` drives one in a child. A
-    backend applies decisions to the routing state in the service's commit
+    backend applies commits to the routing state in the service's commit
     order, and never serves a checkpoint from a mirror.
 ``wire``
     The one internal link, :class:`Channel`: a version-checked hello, then
@@ -70,7 +70,7 @@ Modules
 ``proc``
     The out-of-process backend: the worker child runtime
     (``proc.worker``) and :class:`ProcBackend` — process handle, mirror
-    state fed by decision events, respawn from a replicated checkpoint.
+    state replayed from the child's journal, respawn from a checkpoint.
     No fabric or supervisor of its own.
 ``supervisor``
     :class:`FabricSupervisor` — the one supervisor: heartbeat and

@@ -58,13 +58,15 @@ CHECKPOINT_VERSION = 1
 
 def lease_entry(request_id: int, allocation: Allocation, target=None) -> dict:
     """One lease in checkpoint form (also the body of an ``allocate`` delta)."""
-    matrix = allocation.matrix
+    rows = allocation.rows
+    block = allocation.matrix[rows]
+    r, j = np.nonzero(block > 0)
     entry = {
         "request_id": int(request_id),
         "center": int(allocation.center),
         "distance": float(allocation.distance),
         "placements": [
-            [int(i), int(j), int(matrix[i, j])] for i, j in np.argwhere(matrix > 0)
+            list(p) for p in zip(rows[r].tolist(), j.tolist(), block[r, j].tolist())
         ],
     }
     if target is not None:

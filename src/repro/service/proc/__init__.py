@@ -9,7 +9,7 @@ The package splits along the process boundary:
 * :mod:`repro.service.proc.backend` — the parent side:
   :class:`~repro.service.proc.backend.ProcBackend`, the
   :class:`~repro.service.shard.backend.ShardBackend` that reaches the child
-  (process handle, mirror state fed by decision events,
+  (process handle, mirror state replayed from the child's journal records,
   respawn-from-checkpoint), and :class:`~repro.service.proc.backend.
   ProcWorkerProxy`, what the supervisor watches of it.
 

@@ -3,24 +3,22 @@
 The out-of-process :class:`~repro.service.shard.backend.ShardBackend`. The
 shard's :class:`~repro.service.server.PlacementService` runs in a child
 (:mod:`repro.service.proc.worker`) and the parent keeps only a **mirror**
-:class:`~repro.service.state.ClusterState` — updated from decision events
-and releases — for the fabric's router to score. Because the mirror sees
-exactly the allocation deltas the child commits, in the child's commit
-order, routing and spillover are decision-identical to an in-process shard
-on the same trace (the backend conformance suite asserts this).
+:class:`~repro.service.state.ClusterState` for the fabric's router to
+score. The mirror changes only by :func:`~repro.service.checkpoint.replay`
+of the child's journal records (every commit, in-batch transfers included)
+and by restore, so it is byte-identical to the child's state as far as the
+records reached (the backend conformance suite asserts it).
 
 Wire discipline per worker (:class:`ProcWorkerHandle`): a **cmd** link
 driven request/reply under a lock, and an **events** link a dedicated
-thread long-polls for asynchronous decisions — both
-:class:`~repro.service.wire.Channel`s, opened by a version-checked hello
-carrying the spawn nonce. Requests, decisions and release responses cross
-as their :func:`~repro.service.api.message_to_doc` documents, checkpoints
-as ``bytes`` values. Submissions carry the fabric's attempt token; the
-child echoes it on the decision event and a decision whose token no longer
-matches is not delivered. Checkpoints are *always* fetched from the child —
-the mirror's version counter legitimately diverges (the child's in-batch
-transfer phase mutates its version), so serializing a mirror would break
-byte-identity.
+thread long-polls for decisions and the records that commit them — both
+:class:`~repro.service.wire.Channel` links, opened by a version-checked hello
+carrying the spawn nonce. A batch's records replay before its decisions are
+delivered; a release reply carries a copy of the records the stream has
+yet to send, and the version alone orders the two channels. Records that
+cannot apply latch the handle dead, as a lost link does. Submissions carry
+the fabric's attempt token; the child echoes it on the decision event and
+a decision whose token no longer matches is not delivered.
 """
 
 from __future__ import annotations
@@ -34,9 +32,6 @@ import socket
 import threading
 import time
 
-import numpy as np
-
-from repro.core.problem import Allocation
 from repro.obs.registry import ensure_registry
 from repro.service.api import (
     DecisionStatus,
@@ -45,18 +40,14 @@ from repro.service.api import (
     message_from_doc,
     message_to_doc,
 )
-from repro.service.checkpoint import checkpoint_bytes, state_from_checkpoint
+from repro.service.checkpoint import checkpoint_bytes, replay
+from repro.service.coord import LogEntry
 from repro.service.proc.worker import POLICY_REGISTRY, worker_main
 from repro.service.server import ServiceConfig
 from repro.service.state import ClusterState
 from repro.service.supervisor import SupervisorConfig
 from repro.service.wire import Channel
-from repro.util.errors import (
-    CapacityError,
-    RemoteOpError,
-    TransportError,
-    ValidationError,
-)
+from repro.util.errors import RemoteOpError, ReproError, TransportError, ValidationError
 
 _log = logging.getLogger(__name__)
 
@@ -72,19 +63,19 @@ class ProcWorkerHandle:
     """Parent-side handle for one spawned shard worker.
 
     Owns the child process, the cmd connection (request/reply under a
-    lock), and the events thread that long-polls decisions into
-    *on_event*. ``dead`` latches on the first connection failure; the
+    lock), and the events thread that long-polls batches into *on_batch*.
+    ``dead`` latches on a lost link or a batch that cannot apply; the
     supervisor turns that into a failover.
     """
 
-    def __init__(self, shard_id: int, on_event, obs=None) -> None:
+    def __init__(self, shard_id: int, on_batch, obs=None) -> None:
         self.shard_id = shard_id
         self.worker_id = f"shard-{shard_id}"
         self.token = os.urandom(12).hex()
         self.process = None
         self.pid: "int | None" = None
         self.dead = False
-        self._on_event = on_event
+        self._on_batch = on_batch
         self._cmd: "Channel | None" = None
         self._evt: "Channel | None" = None
         self._cmd_lock = threading.Lock()
@@ -213,16 +204,12 @@ class ProcWorkerHandle:
         while not self._stop_events.is_set():
             try:
                 reply = self._evt.call({"op": "poll", "timeout": 0.25}, 10.0)
-            except TransportError:
+                self._on_batch(reply)
+            except Exception as exc:  # a lost link, or records that cannot apply
+                if not isinstance(exc, TransportError):
+                    _log.exception("shard %d records failed to apply", self.shard_id)
                 self.dead = True
                 return
-            for event in reply.get("events", ()):
-                try:
-                    self._on_event(event)
-                except Exception:
-                    _log.exception(
-                        "event from shard %d failed to apply", self.shard_id
-                    )
 
     def stop_events(self) -> None:
         self._stop_events.set()
@@ -274,12 +261,12 @@ class ProcBackend:
     ) -> None:
         self.shard_id = shard_id
         self.state = state
-        #: Guards the mirror and the releases that raced ahead of it.
-        self.lock = threading.Lock()
+        #: Guards the mirror; notified whenever replayed records advance it.
+        self.lock = threading.Condition()
         self._init_doc = init_doc
         self._obs = ensure_registry(obs)
-        #: request id → (attempt, survivability target, on_decision) for
-        #: every admitted, not-yet-decided submission.
+        #: request id → (attempt, on_decision) for every admitted,
+        #: not-yet-decided submission.
         self._waiting: dict = {}
         #: Guards ``_waiting`` and ``_capture``.
         self._delivered = threading.Condition()
@@ -287,9 +274,6 @@ class ProcBackend:
         #: local decision for every event applied since it opened.
         self._capture: "dict | None" = None
         self._barrier_lock = threading.Lock()
-        #: Leases released on the wire before their decision event applied
-        #: to the mirror (client raced ahead); reconciled in the event path.
-        self._pending_releases: set = set()
         self._started = False
         label = str(shard_id)
         self._m_worker_up = self._obs.gauge(
@@ -305,7 +289,7 @@ class ProcBackend:
         self.handle = self._spawn(checkpoint_bytes(state).encode("utf-8"))
 
     def _spawn(self, payload: bytes) -> ProcWorkerHandle:
-        handle = ProcWorkerHandle(self.shard_id, self._apply_event, self._obs)
+        handle = ProcWorkerHandle(self.shard_id, self._apply_batch, self._obs)
         try:
             handle.spawn(self._init_doc, payload)
         except BaseException:
@@ -346,11 +330,10 @@ class ProcBackend:
 
     def submit(self, request, attempt, on_decision) -> bool:
         rid = request.request_id
-        target = request.survivability
         # Registered *before* the RPC: a running child can decide and the
         # events thread deliver before the submit reply is even read.
         with self._delivered:
-            self._waiting[rid] = (attempt, target, on_decision)
+            self._waiting[rid] = (attempt, on_decision)
         # A dead/dying worker is a decline.
         reply = self._ask(
             {"op": "submit", "request": message_to_doc(request), "attempt": attempt}
@@ -363,88 +346,62 @@ class ProcBackend:
                     del self._waiting[rid]
         return admitted
 
-    def _apply_event(self, event: dict) -> None:
-        """One worker event (a decision and the attempt it answers): mirror
-        the commit, then deliver the decision."""
-        local = message_from_doc(event["decision"], "decision")
-        rid = local.request_id
-        attempt = int(event.get("attempt", -1))
-        with self._delivered:
-            entry = self._waiting.get(rid)
-            if entry is not None and entry[0] == attempt:
-                del self._waiting[rid]
-            else:
-                entry = None  # fenced: nobody waits on this attempt any more
-        if local.placed:
-            # The child committed this whether or not anyone still waits.
-            allocation = Allocation(
-                matrix=local.allocation_matrix(
-                    self.state.num_nodes, self.state.num_types
-                ),
-                center=local.center,
-                distance=local.distance,
-            )
-            self._mirror_allocate(rid, allocation, entry[1] if entry else None)
-        if entry is not None:
-            entry[2](local)
-        with self._delivered:
-            if self._capture is not None:
-                self._capture[rid] = local
-                self._delivered.notify_all()
+    def _apply_batch(self, reply: dict) -> None:
+        """One events-channel batch: replay its records into the mirror,
+        then deliver its decisions. Raises when the records cannot apply."""
+        self._replay(reply)
+        for event in reply.get("events", ()):
+            local = message_from_doc(event["decision"], "decision")
+            rid, attempt = local.request_id, int(event.get("attempt", -1))
+            with self._delivered:
+                entry = self._waiting.get(rid)
+                if entry is not None and entry[0] == attempt:
+                    del self._waiting[rid]
+                else:
+                    entry = None  # fenced: nobody waits on this attempt any more
+            if entry is not None:
+                try:
+                    entry[1](local)
+                except Exception:
+                    _log.exception("shard %d decision callback failed", self.shard_id)
+            with self._delivered:
+                if self._capture is not None:
+                    self._capture[rid] = local
+                    self._delivered.notify_all()
 
-    def _mirror_allocate(self, rid: int, allocation: Allocation, target) -> None:
-        """Apply one committed placement to the mirror.
-
-        Decision events apply in the child's commit order, but a release
-        the child committed *before* this batch may still have its RPC
-        reply in flight — the mirror then briefly lacks the freed capacity
-        this allocation consumed. Releases only ever free capacity, so a
-        short retry converges; a persistent gap means the mirror truly
-        diverged and is rebuilt wholesale from the child's checkpoint.
-        """
-        deadline = time.monotonic() + 5.0
-        while True:
-            try:
-                with self.lock:
-                    self.state.allocate_lease(rid, allocation, survivability=target)
-                    if rid in self._pending_releases:
-                        # The client released before this event reached us.
-                        self._pending_releases.discard(rid)
-                        self.state.release_lease(rid)
-                return
-            except CapacityError:
-                if time.monotonic() >= deadline:
-                    _log.warning(
-                        "shard %d mirror stuck behind a release; rebuilding "
-                        "from the worker's checkpoint", self.shard_id,
-                    )
-                    self._load_mirror(self._authoritative_state())
-                    return
-                time.sleep(0.005)
-
-    def _load_mirror(self, state: ClusterState) -> None:
-        """Overwrite the mirror, in place, with *state*'s ledger."""
+    def _replay(self, reply: dict, handle=None) -> None:
+        """Replay a reply's records, skipping those the mirror holds. A
+        release's copy (*handle* given) first waits for what the events
+        stream sent before it; a dead worker's copy is dropped."""
+        deadline = time.monotonic() + DEFAULT_RPC_TIMEOUT
         with self.lock:
-            self._pending_releases.clear()
-            self.state.restore_state(state.snapshot_state())
+            if handle is not None:
+                while (
+                    self.state.version < reply["since"]
+                    and not handle.dead
+                    and time.monotonic() < deadline
+                ):
+                    self.lock.wait(0.25)
+                if handle.dead:
+                    return
+            if "delta" in reply:
+                replay(self.state, [LogEntry(reply["version"], reply["delta"])])
+                self.lock.notify_all()
 
     def release(self, request) -> ReleaseResponse:
         rid = request.request_id
+        handle = self.handle
         reply = self._ask({"op": "release", "request_id": rid})
         if reply is None:
             return ReleaseResponse(
                 request_id=rid, status=DecisionStatus.SHARD_UNAVAILABLE
             )
-        response = message_from_doc(reply["response"], "release_response")
-        if response.released:
-            with self.lock:
-                if self.state.has_lease(rid):
-                    self.state.release_lease(rid)
-                else:
-                    # Released before its decision event reached the mirror;
-                    # the event path settles the score.
-                    self._pending_releases.add(rid)
-        return response
+        if "since" in reply:
+            try:
+                self._replay(reply, handle)
+            except ReproError:
+                handle.dead = True  # the mirror cannot follow the worker
+        return message_from_doc(reply["response"], "release_response")
 
     def cancel(self, request_id: int) -> bool:
         reply = self._ask({"op": "cancel", "request_id": request_id})
@@ -503,21 +460,13 @@ class ProcBackend:
     def checkpoint_doc(self) -> dict:
         return json.loads(self.handle.call({"op": "checkpoint"})["payload"])
 
-    def _authoritative_state(self) -> ClusterState:
-        return state_from_checkpoint(self.checkpoint_doc())
-
     def verify_state(self) -> None:
         self.state.verify_consistency()
-        worker_state = self._authoritative_state()
-        if not np.array_equal(worker_state.allocated, self.state.allocated):
+        payload = self.handle.call({"op": "checkpoint"})["payload"]
+        if checkpoint_bytes(self.state).encode("utf-8") != payload:
             raise ValidationError(
-                f"shard {self.shard_id} mirror allocation diverged from "
-                "the worker's authoritative state"
-            )
-        if set(worker_state.leases) != set(self.state.leases):
-            raise ValidationError(
-                f"shard {self.shard_id} mirror lease set diverged from "
-                "the worker's authoritative state"
+                f"shard {self.shard_id} mirror is not byte-identical to "
+                "the worker's state"
             )
 
     def quarantine(self) -> None:
@@ -527,6 +476,9 @@ class ProcBackend:
 
     def restore(self, payload: bytes, state: ClusterState) -> None:
         self.handle.close(join_timeout=2.0)
+        # The mirror first: the new child's records follow *payload*.
+        with self.lock:
+            self.state.restore_state(state.snapshot_state())
         handle = self._spawn(payload)
         if handle.call({"op": "checkpoint"})["payload"] != payload:
             handle.close()
@@ -536,7 +488,6 @@ class ProcBackend:
             )
         with self._delivered:
             self._waiting.clear()
-        self._load_mirror(state)
         self.handle = handle
         self._m_respawns.inc()
 
@@ -556,9 +507,8 @@ class ProcBackend:
                 )
                 # Whatever the drain resolved comes back inline — nobody
                 # polls the events channel any more.
-                for event in reply.get("events", ()):
-                    self._apply_event(event)
-            except TransportError:
+                self._apply_batch(reply)
+            except ReproError:  # a lost link, or records that cannot apply
                 pass
         handle.close(join_timeout=timeout)
         return handle.exitcode

@@ -19,7 +19,9 @@ decision — tagged with the attempt token the parent supplied on the wire —
 into the outbox for the events channel. The attempt token is the failover
 fence: the parent delivers no event whose token no longer matches what it
 is waiting for, and the fabric fences a dying shard's late decisions by
-the same token whichever backend the shard runs on.
+the same token whichever backend the shard runs on. Each poll reply also
+carries the journal records since the last one, taken *after* its
+decisions, as one :func:`~repro.service.checkpoint.delta_bytes` log entry.
 
 When a coordination backend is configured, the child reuses the existing
 :class:`~repro.service.supervisor.ShardWorker` wrapper over a
@@ -47,7 +49,9 @@ import time
 from repro.core.placement.greedy import OnlineHeuristic
 from repro.obs import MetricsRegistry
 from repro.service.api import ReleaseRequest, message_from_doc, message_to_doc
-from repro.service.checkpoint import checkpoint_bytes, state_from_checkpoint
+from repro.service.checkpoint import (
+    checkpoint_bytes, delta_bytes, state_from_checkpoint,
+)
 from repro.service.coord.net import NetworkedCoordinationBackend
 from repro.service.server import PlacementService, ServiceConfig
 from repro.service.supervisor import ShardWorker, SupervisorConfig
@@ -64,6 +68,10 @@ POLICY_REGISTRY = {
 }
 
 
+#: Past this many records, a release's copy also nudges the events stream,
+#: so decision-free release bursts do not re-encode ever longer copies.
+COPY_NUDGE = 8
+
 #: Every op the cmd channel answers (the events channel answers ``poll``);
 #: all but the first two need the service ``init`` builds.
 CMD_OPS = (
@@ -78,18 +86,21 @@ class _Outbox:
     def __init__(self) -> None:
         self._cv = threading.Condition()
         self._items: list[dict] = []
+        self._nudged = False
 
-    def push(self, event: dict) -> None:
+    def push(self, *events: dict) -> None:
+        """Queue *events*; with none, only end the current poll."""
         with self._cv:
-            self._items.append(event)
+            self._items.extend(events)
+            self._nudged = True
             self._cv.notify_all()
 
     def drain(self, timeout: float) -> list[dict]:
-        """Wait up to *timeout* for events; returns (and clears) the batch."""
+        """Wait up to *timeout* for a push; returns (and clears) the batch."""
         with self._cv:
-            if not self._items:
+            if not self._nudged:
                 self._cv.wait(timeout)
-            items, self._items = self._items, []
+            items, self._items, self._nudged = self._items, [], False
             return items
 
 
@@ -104,6 +115,7 @@ class WorkerProcess:
         self.obs = MetricsRegistry()
         self.outbox = _Outbox()
         self.service: "PlacementService | None" = None
+        self._journal: list = []  # the events stream's journal reader
         self.backend: "NetworkedCoordinationBackend | None" = None
         self.worker: "ShardWorker | None" = None
         self._attempts: dict[int, int] = {}
@@ -149,7 +161,26 @@ class WorkerProcess:
 
     def _op_poll(self, doc: dict) -> dict:
         timeout = min(5.0, max(0.0, float(doc.get("timeout", 0.25))))
-        return {"events": self.outbox.drain(timeout)}
+        events = self.outbox.drain(timeout)  # then the records that commit them
+        return {"events": events, **self._records(sent=True)}
+
+    def _records(self, *, sent: bool) -> dict:
+        """The records the events stream has yet to send, as one log entry
+        from ``since`` to ``version`` (a ``delta`` when there are any);
+        *sent* marks them sent. A non-ledger record raises."""
+        if self.service is None:
+            return {}
+        with self.service._lock:
+            records, version = self._journal[:], self.service.state.version
+            if sent:
+                self._journal.clear()
+        if not records:
+            return {"since": version, "version": version}
+        since = records[0].version - 1
+        delta = delta_bytes(records, since, version)
+        if delta is None:
+            raise ValidationError("the journal holds a non-ledger mutation")
+        return {"since": since, "version": version, "delta": delta}
 
     def _op_ping(self, doc: dict) -> dict:
         return {"pid": os.getpid()}
@@ -173,6 +204,7 @@ class WorkerProcess:
                 "worker init state does not round-trip to the supplied payload"
             )
         config = ServiceConfig(**doc.get("service", {}))
+        self._journal = state.subscribe()
         self.service = PlacementService(
             state, policy=factory(), config=config, obs=self.obs
         )
@@ -222,7 +254,14 @@ class WorkerProcess:
         response = self.service.release(
             ReleaseRequest(request_id=int(doc["request_id"]))
         )
-        return {"response": message_to_doc(response)}
+        reply = {"response": message_to_doc(response)}
+        if response.released:
+            # A copy of what the events stream has yet to send, so the
+            # mirror need not wait for the stream (nudged once copies grow).
+            reply.update(self._records(sent=False))
+            if reply["version"] - reply["since"] > COPY_NUDGE:
+                self.outbox.push()
+        return reply
 
     def _op_cancel(self, doc: dict) -> dict:
         return {"cancelled": self.service.cancel(int(doc["request_id"]))}
@@ -255,9 +294,10 @@ class WorkerProcess:
         else:
             self.service.stop()
         self._cmd.stop()
-        # Whatever the drain resolved is handed back inline — the parent
-        # has already stopped polling the events channel by now.
-        return {"events": self.outbox.drain(0.0)}
+        # Whatever the drain resolved, and its records, are handed back
+        # inline — the parent has already stopped polling the events channel.
+        events = self.outbox.drain(0.0)
+        return {"events": events, **self._records(sent=True)}
 
     # ----------------------------------------------------------------- run
 

@@ -10,15 +10,15 @@ two implementations exist:
   and every call is a direct call;
 * :class:`~repro.service.proc.backend.ProcBackend` — the service runs in a
   spawned child, calls are framed RPCs, and the parent keeps a **mirror**
-  :class:`~repro.service.state.ClusterState` for routing.
+  :class:`~repro.service.state.ClusterState` for routing, replayed from its journal.
 
 What every backend must guarantee, because the fabric relies on it:
 
-* ``state`` reflects each committed placement *before* ``on_decision`` for
-  that placement is called, and placements are applied in the order the
-  service committed them;
+* ``state`` reflects each commit (a transfer's too) in the service's commit
+  order, a placement *before* its ``on_decision`` is called, and a release
+  before ``release`` returns;
 * ``checkpoint_doc()`` is the *service's own* state, never a routing copy of
-  it (a mirror's version counter legitimately differs from the service's);
+  it (a mirror may not have been sent the latest commits yet);
 * ``quarantine()`` takes no lock a dead or wedged worker might hold.
 """
 

@@ -1479,9 +1479,9 @@ class ShardedPlacementFabric:
         Checks: the shard node sets partition the pool, every live shard's
         capacity matrix is the global one restricted to its nodes, every
         live shard state passes its backend's verification (incremental
-        aggregates; for an out-of-process shard also mirror ≡ the worker's
-        authoritative state, so call this at quiescent points — a mirror is
-        allowed to lag while decisions are in flight), the union allocation
+        aggregates; for an out-of-process shard also mirror bytes ≡ the
+        worker's state, so call this at quiescent points — a mirror is
+        allowed to lag while records are in flight), the union allocation
         respects global capacity, no lease owner points at an unregistered
         or dead shard, and the owner map and shard ledgers agree
         bidirectionally.
@@ -1567,8 +1567,8 @@ class ShardedPlacementFabric:
             )
         started = time.perf_counter()
         with self._rebalance_lock, self._shard_locks(*range(len(self._shards))):
-            # The services' own documents, never a mirror's (its version
-            # counter legitimately diverges, which would break byte-identity).
+            # The services' own documents, never a mirror's (a mirror may
+            # lag the records still in flight).
             shard_docs = [s.backend.checkpoint_doc() for s in self._shards]
         # Read off the same documents: manifest and ledgers cannot disagree.
         owners = sorted(

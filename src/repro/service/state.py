@@ -29,7 +29,7 @@ operations:
   captured),
 * an optional change journal records every ledger mutation by the version
   it produced, so a supervisor can replicate what changed rather than the
-  whole state.
+  whole state, and a proc worker can stream it to the parent's mirror.
 
 ``ClusterState`` *is a* ``ResourcePool``, so every placement algorithm in
 :mod:`repro.core.placement` runs against it unchanged — the differential
@@ -99,9 +99,9 @@ class ClusterState(ResourcePool):
     paths keep the cached free-capacity matrix, availability vector, and
     per-rack aggregates exact and bump :attr:`version`.
 
-    :attr:`journal` is ``None`` (off, zero cost) unless a supervisor sets it
-    to a list; then every mutation appends one :class:`JournalRecord`, and
-    the consumer trims what it has acknowledged.
+    The journal is off (zero cost) until a reader calls :meth:`subscribe`;
+    then every mutation appends one :class:`JournalRecord` to each reader's
+    list, and each reader trims only what it has consumed.
     """
 
     def __init__(
@@ -130,7 +130,7 @@ class ClusterState(ResourcePool):
         self._lease_targets: dict[int, object] = {}
         self._lease_sum = np.zeros_like(self._alloc)
         self._version = 0
-        self.journal: "list[JournalRecord] | None" = None
+        self._journals: "list[list[JournalRecord]]" = []
         self._rebuild_aggregates()
 
     @classmethod
@@ -258,11 +258,16 @@ class ClusterState(ResourcePool):
         np.subtract.at(self._rack_free, self._rack_index[rows], delta)
         self._version += 1
 
+    def subscribe(self) -> "list[JournalRecord]":
+        """A new journal reader's own list of every later mutation."""
+        self._journals.append([])
+        return self._journals[-1]
+
     def _record(self, request_id, allocation=None, target=None) -> None:
-        if self.journal is not None:
-            self.journal.append(
-                JournalRecord(self._version, request_id, allocation, target)
-            )
+        if self._journals:
+            record = JournalRecord(self._version, request_id, allocation, target)
+            for records in self._journals:
+                records.append(record)
 
     # ---------------------------------------------------------------- leases
 

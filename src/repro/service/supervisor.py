@@ -106,7 +106,7 @@ class ShardWorker:
     submissions, never steps, never releases — while the wrapper object
     survives to be rebound to the restored service.
 
-    It turns the state's change journal on, so a commit costs what it
+    It subscribes to the state's change journal, so a commit costs what it
     changed: the records past the last acknowledged version are appended to
     the backend's log as one delta, and only their lease ids are mirrored.
     A full snapshot (which resets the log) is written instead on ``force``,
@@ -154,7 +154,7 @@ class ShardWorker:
         self._snapshot_bytes = self._log_bytes = 0
         #: Lease ids changed since the last mirror; ``None`` → full resync.
         self._dirty: "set | None" = None
-        service.state.journal = []
+        self._journal = service.state.subscribe()
         self._install_hooks(service)
 
     # ---------------------------------------------------------------- hooks
@@ -251,7 +251,7 @@ class ShardWorker:
         with self._wlock:
             with self.service._lock:
                 state = self.service.state
-                version, pending = state.version, list(state.journal)
+                version, pending = state.version, list(self._journal)
                 if not (force or pending) and version == self._replicated_version:
                     return False
                 delta = None if force else delta_bytes(
@@ -283,7 +283,7 @@ class ShardWorker:
                 )
                 return False
             with self.service._lock:
-                del state.journal[: len(pending)]
+                del self._journal[: len(pending)]
             if delta is None:
                 self._snapshot_bytes = len(payload)
             self._replicated_version = version

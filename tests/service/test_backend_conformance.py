@@ -7,8 +7,9 @@ spill, duplicate id, release, cancel, ``submit_batch``, survivability
 targets, kill → re-route → restore, checkpoint → ``fabric_from_checkpoint``
 — run through ``build_fabric(workers=...)`` once per backend. Every backend
 must pass the scenario's own invariants, and the *records* the scenario
-returns (decisions, owner map, per-shard summaries, fabric stats and
-checkpoint bytes) must be identical across backends. Latency is the only
+returns (decisions, owner map, per-shard summaries, fabric stats,
+checkpoint bytes and the bytes of every shard's routing state — a proc
+shard's mirror) must be identical across backends. Latency is the only
 field a process boundary may change, so it is the only one left out.
 
 The trace scenario is the parity trace ``test_proc_fabric.py`` used to run
@@ -36,6 +37,7 @@ from repro.service import (
     ServiceConfig,
     build_fabric,
 )
+from repro.service.checkpoint import checkpoint_bytes
 from repro.service.shard import (
     FabricConfig,
     RackGroupPlan,
@@ -49,6 +51,10 @@ SMOKE = bool(os.environ.get("PROC_SMOKE"))
 TRACE_LEN = 24 if SMOKE else 60
 CATALOG = VMTypeCatalog.ec2_default()
 RACK_K1 = SurvivabilityTarget(kind="rack", k=1)
+#: Submitted together after trace request 20 (smoke mode included), these
+#: two land in one batch on shard 1, and an Algorithm-2 transfer improves
+#: their sequential placements: commits a proc mirror sees only as records.
+TRANSFER_PAIR = {1001: (2, 4, 3), 1002: (3, 2, 4)}
 
 
 def make_pool(seed, nodes_per_rack=4, capacity_high=3):
@@ -124,6 +130,9 @@ def end_state(fabric):
         "shards": fabric.describe_shards(),
         "stats": stats,
         "checkpoint": blob,
+        # What the router scores, version included: a proc shard's mirror
+        # must be byte-identical to the in-process shard's own state.
+        "shard_states": [checkpoint_bytes(s.state) for s in fabric.shards],
     }
 
 
@@ -135,6 +144,7 @@ def trace_scenario(built):
     fabric = built.service
     pool = fabric.pool
     demands = trace_demands(pool, TRACE_LEN, seed=21)
+    demand_of = {**dict(enumerate(demands)), **TRANSFER_PAIR}
     tickets, released = {}, []
     live = np.zeros((pool.num_nodes, pool.num_types), dtype=np.int64)
     for i, demand in enumerate(demands):
@@ -151,6 +161,12 @@ def trace_scenario(built):
                 if fabric.owner_of(r) is not None:
                     assert fabric.release(ReleaseRequest(request_id=r)).released
                     released.append(r)
+        if i == 20:
+            gain = fabric.stats.batch_transfer_gain
+            for r, demand in TRANSFER_PAIR.items():
+                tickets[r] = fabric.submit(PlaceRequest(demand=demand, request_id=r))
+            pump(fabric)
+            assert fabric.stats.batch_transfer_gain > gain
     pump(fabric)
     duplicate = fabric.submit(PlaceRequest(demand=demands[0], request_id=1))
     assert duplicate.result(5.0).status == DecisionStatus.REJECTED
@@ -166,7 +182,7 @@ def trace_scenario(built):
         if verdict.placed:
             matrix = verdict.allocation_matrix(pool.num_nodes, pool.num_types)
             # R_j met exactly, L_ij respected, in global node ids.
-            np.testing.assert_array_equal(matrix.sum(axis=0), demands[r])
+            np.testing.assert_array_equal(matrix.sum(axis=0), demand_of[r])
             assert np.all(matrix <= pool.max_capacity)
             if r not in released:
                 live += matrix

@@ -166,7 +166,7 @@ def test_replayed_log_is_the_acknowledged_state(data):
     worker.sync()
     assert worker._replicated_version == state.version
     assert supervisor.replicated_payload(0) == checkpoint_bytes(state).encode("utf-8")
-    assert state.journal == []
+    assert worker._journal == []
 
 
 def first_fit(state):

@@ -1,8 +1,10 @@
-"""Out-of-process shard workers: construction, client surface, SIGKILL restore.
+"""Out-of-process shard workers: construction, client surface, the mirror's
+record stream, SIGKILL restore.
 
 What only a real child process can show — option validation that must not
-leave children behind, exit codes, a SIGKILLed worker detected and respawned
-byte-identically from its replicated checkpoint. Decision parity with
+leave children behind, exit codes, a decision that overtakes a release
+reply, a record the mirror cannot apply, a SIGKILLed worker detected and
+respawned byte-identically from its replicated checkpoint. Decision parity with
 in-process shards lives in ``test_backend_conformance.py``, which runs one
 trace over both backends.
 """
@@ -23,7 +25,9 @@ from repro.service import (
     ServiceConfig,
     build_fabric,
 )
+from repro.service.checkpoint import checkpoint_bytes
 from repro.service.coord.net import CoordinationServer
+from repro.service.proc.worker import COPY_NUDGE
 from repro.service.shard import FabricConfig, RackGroupPlan
 from repro.service.supervisor import SupervisorConfig
 from repro.util.errors import ValidationError
@@ -177,6 +181,97 @@ class TestLifecycle:
                 for _, _, count in lease["placements"]
             )
             assert total == from_leases
+        finally:
+            built.shutdown()
+
+
+class TestMirrorStream:
+    """The parent's mirror follows the worker's journal records alone."""
+
+    def test_decision_overtaking_a_release_reply_is_delivered(self):
+        """The child releases, places a queued request in the freed room and
+        sends that decision while the parent still holds the release's
+        reply: the decision is delivered without waiting for the reply, and
+        the mirror ends byte-identical to the worker's state."""
+        pool = make_pool(seed=7)
+        built = make_proc_fabric(pool, shards=1)
+        fabric = built.service
+        backend = fabric.shards[0].backend
+        call = backend.handle.call
+        try:
+            fabric.start()
+            whole = tuple(int(x) for x in pool.available)
+            assert fabric.submit(
+                PlaceRequest(demand=whole, request_id=1)
+            ).result(10.0).placed
+            queued = fabric.submit(PlaceRequest(demand=(1, 0, 0), request_id=2))
+            assert queued.result(0.2) is None  # no room until 1 is released
+            overtaking = []
+
+            def held_release(doc, timeout=30.0):
+                reply = call(doc, timeout)
+                if doc["op"] == "release":
+                    overtaking.append(queued.result(3.0))
+                return reply
+
+            backend.handle.call = held_release
+            assert fabric.release(ReleaseRequest(request_id=1)).released
+            assert overtaking[0] is not None and overtaking[0].placed
+            assert (
+                checkpoint_bytes(backend.state).encode("utf-8")
+                == call({"op": "checkpoint"})["payload"]
+            )
+            fabric.verify_consistency()
+        finally:
+            assert built.shutdown() == 0
+
+    def test_each_release_in_a_burst_is_in_the_mirror_when_it_returns(self):
+        """Releases with no decision between them: every reply's copy of the
+        unsent records lands in the mirror before ``release`` returns, also
+        once the copies grow past the point where they nudge the stream."""
+        pool = make_pool(seed=7)
+        built = make_proc_fabric(pool, shards=1)
+        fabric = built.service
+        state = fabric.shards[0].backend.state
+        try:
+            tickets = [
+                fabric.submit(PlaceRequest(demand=(1, 0, 0), request_id=i))
+                for i in range(2 * COPY_NUDGE)
+            ]
+            pump(fabric)
+            assert all(t.result(5.0).placed for t in tickets)
+            for ticket in tickets:
+                rid = ticket.request_id
+                assert fabric.release(ReleaseRequest(request_id=rid)).released
+                assert not state.has_lease(rid)
+            assert state.num_leases == 0
+            fabric.verify_consistency()
+        finally:
+            assert built.shutdown() == 0
+
+    def test_a_gapped_record_latches_the_worker_dead(self):
+        """Records that skip a version cannot apply: the handle goes dead, as
+        on a lost link, and neither the mirror nor the ticket moves."""
+        pool = make_pool(seed=7)
+        built = make_proc_fabric(pool, shards=1)
+        fabric = built.service
+        backend = fabric.shards[0].backend
+        handle = backend.handle
+        apply = handle._on_batch
+
+        def gapped(reply):
+            if "delta" in reply:
+                reply = {**reply, "version": reply["version"] + 1}
+            apply(reply)
+
+        handle._on_batch = gapped
+        try:
+            before = checkpoint_bytes(backend.state)
+            ticket = fabric.submit(PlaceRequest(demand=(1, 0, 0), request_id=1))
+            fabric.step_all(now=0.0)
+            assert handle.dead and not handle.alive
+            assert checkpoint_bytes(backend.state) == before
+            assert ticket.result(0.1) is None
         finally:
             built.shutdown()
 

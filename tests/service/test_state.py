@@ -156,6 +156,24 @@ class TestLeaseLedger:
         restored.verify_consistency()
 
 
+class TestJournal:
+    def test_each_reader_trims_only_its_own_records(self, state):
+        """A coordinator acknowledging (trimming) its records never drops
+        one another reader — a proc worker's events stream — has not sent."""
+        node = int(np.argmax(state.remaining.sum(axis=1)))
+        vm_type = int(np.argmax(state.remaining[node]))
+        coord, stream = state.subscribe(), state.subscribe()
+        state.allocate_lease(1, alloc_one(state, node, vm_type))
+        state.release_lease(1)
+        del coord[:]
+        state.allocate_lease(2, alloc_one(state, node, vm_type))
+        assert [(r.version, r.request_id) for r in coord] == [(3, 2)]
+        assert [(r.version, r.request_id) for r in stream] == [
+            (1, 1), (2, 1), (3, 2)
+        ]
+        assert coord[0] is stream[2]
+
+
 class TestSnapshots:
     def test_snapshot_restore_round_trip(self, state):
         node = int(np.argmax(state.remaining.sum(axis=1)))
@@ -272,11 +290,11 @@ def _random_matrix(rng, free: np.ndarray, rows: int = 3) -> np.ndarray:
     return matrix
 
 
-def _aggregates(state: ClusterState) -> tuple:
+def _aggregates(state: ClusterState, journal: list) -> tuple:
     return (
         state.remaining.copy(), state.available, state.rack_free.copy(),
         state.allocated, state.leases, state.lease_targets,
-        list(state.journal), state.version,
+        list(journal), state.version,
     )
 
 
@@ -306,7 +324,7 @@ def test_row_sparse_commits_match_a_dense_recomputation(sparse, seed, ops):
             VMTypeCatalog.ec2_default(), seed=seed,
         )
     state = ClusterState.from_pool(pool)
-    state.journal = []
+    journal = state.subscribe()
     oracle = TopologyCache.build(pool.topology, pool.distance_model)
     n, m = state.num_nodes, state.num_types
     dist = state.distance_matrix
@@ -315,17 +333,17 @@ def test_row_sparse_commits_match_a_dense_recomputation(sparse, seed, ops):
     next_id = 0
     for op, draw in ops:
         rng = np.random.default_rng(draw)
-        before = _aggregates(state)
+        before = _aggregates(state, journal)
         if op == "lease" and state.available.any():
             matrix = _random_matrix(rng, state.remaining)
             state.allocate_lease(next_id, Allocation.from_matrix(matrix, dist))
-            assert state.journal[-1].version == state.version
-            assert state.journal[-1].request_id == next_id
+            assert journal[-1].version == state.version
+            assert journal[-1].request_id == next_id
             next_id += 1
         elif op == "release" and state.num_leases:
             victim = int(rng.choice(sorted(state.leases)))
             state.release_lease(victim)
-            assert state.journal[-1] == (state.version, victim, None, None)
+            assert journal[-1] == (state.version, victim, None, None)
         elif op == "swap" and state.num_leases:
             victim = int(rng.choice(sorted(state.leases)))
             free = state.remaining + state.leases[victim].matrix
@@ -339,7 +357,7 @@ def test_row_sparse_commits_match_a_dense_recomputation(sparse, seed, ops):
                 matrix = _random_matrix(rng, state.remaining)
                 state.allocate(matrix)
                 raw.append(matrix)
-            assert state.journal[-1] == (state.version, None, None, None)
+            assert journal[-1] == (state.version, None, None, None)
         elif op == "snapshot":
             saved = (state.snapshot_state(), list(raw))
         elif op == "restore" and saved is not None:
@@ -354,7 +372,7 @@ def test_row_sparse_commits_match_a_dense_recomputation(sparse, seed, ops):
             over = Allocation.from_matrix(matrix, dist)
             with pytest.raises(CapacityError):
                 state.allocate_lease(next_id, over)
-            assert _same(before, _aggregates(state))
+            assert _same(before, _aggregates(state, journal))
         elif op == "bad_shape":
             shape = (n + 1, m) if rng.random() < 0.5 else (n, m + 1)
             bad = Allocation(matrix=np.ones(shape, dtype=np.int64), center=0,
@@ -363,7 +381,7 @@ def test_row_sparse_commits_match_a_dense_recomputation(sparse, seed, ops):
                 state.allocate_lease(next_id, bad)
             with pytest.raises(ValidationError, match="shape"):
                 state.allocate(bad.matrix)
-            assert _same(before, _aggregates(state))
+            assert _same(before, _aggregates(state, journal))
         # The dense oracle: everything from C and M alone.
         free = state.max_capacity - state.allocated
         assert np.array_equal(state.remaining, free)
