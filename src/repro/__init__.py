@@ -19,38 +19,7 @@ Quickstart::
     print(result.distance, result.center)
 """
 
-from repro.cluster import (
-    EC2_LARGE,
-    EC2_MEDIUM,
-    EC2_SMALL,
-    DistanceModel,
-    PhysicalNode,
-    PoolSpec,
-    RequestSpec,
-    ResourcePool,
-    Topology,
-    VMType,
-    VMTypeCatalog,
-    build_distance_matrix,
-    random_pool,
-    random_requests,
-)
-from repro.core import (
-    Allocation,
-    BestFitPlacement,
-    ExactPlacement,
-    FirstFitPlacement,
-    GlobalSubOptimizer,
-    MilpPlacement,
-    OnlineHeuristic,
-    RandomPlacement,
-    StripedPlacement,
-    VirtualClusterRequest,
-    cluster_distance,
-    solve_gsd_milp,
-    solve_sd_exact,
-    solve_sd_milp,
-)
+from repro.util.lazy import lazy_exports as _lazy_exports
 
 __version__ = "1.0.0"
 
@@ -84,3 +53,22 @@ __all__ = [
     "solve_sd_exact",
     "solve_sd_milp",
 ]
+
+
+_EXPORTS = {
+    "repro.cluster": (
+        "EC2_LARGE", "EC2_MEDIUM", "EC2_SMALL", "DistanceModel",
+        "PhysicalNode", "PoolSpec", "RequestSpec", "ResourcePool", "Topology",
+        "VMType", "VMTypeCatalog", "build_distance_matrix", "random_pool",
+        "random_requests",
+    ),
+    "repro.core": (
+        "Allocation", "BestFitPlacement", "ExactPlacement",
+        "FirstFitPlacement", "GlobalSubOptimizer", "MilpPlacement",
+        "OnlineHeuristic", "RandomPlacement", "StripedPlacement",
+        "VirtualClusterRequest", "cluster_distance", "solve_gsd_milp",
+        "solve_sd_exact", "solve_sd_milp",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -1,13 +1,6 @@
 """Analysis helpers: summary statistics and table rendering."""
 
-from repro.analysis.stats import Summary, geometric_mean, percent_change, percentiles
-from repro.analysis.tables import format_series, format_table
-from repro.analysis.charts import bar_chart, grouped_series, sparkline
-from repro.analysis.bootstrap import (
-    ConfidenceInterval,
-    bootstrap_improvement_pct,
-    bootstrap_mean,
-)
+from repro.util.lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "ConfidenceInterval",
@@ -23,3 +16,17 @@ __all__ = [
     "grouped_series",
     "sparkline",
 ]
+
+
+_EXPORTS = {
+    "repro.analysis.stats": (
+        "Summary", "geometric_mean", "percent_change", "percentiles",
+    ),
+    "repro.analysis.tables": ("format_series", "format_table"),
+    "repro.analysis.charts": ("bar_chart", "grouped_series", "sparkline"),
+    "repro.analysis.bootstrap": (
+        "ConfidenceInterval", "bootstrap_improvement_pct", "bootstrap_mean",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -1,47 +1,6 @@
 """Cloud-service substrate: request queue, leases, event-driven provider."""
 
-from repro.cloud.request import TimedRequest, poisson_workload
-from repro.cloud.queue import QueueDiscipline, RequestQueue
-from repro.cloud.lease import Lease
-from repro.util.events import Event, EventQueue
-from repro.cloud.provider import CloudProvider, ProviderStats
-from repro.cloud.simulator import (
-    ARRIVAL,
-    DEPARTURE,
-    CloudSimulator,
-    SimulationResult,
-    UtilizationSample,
-)
-from repro.cloud.pricing import (
-    DEFAULT_HOURLY_PRICES,
-    BillingReport,
-    PriceSheet,
-    lease_cost,
-    max_affordable_duration,
-    within_budget,
-)
-from repro.cloud.traces import load_trace, save_trace
-from repro.cloud.capacity import (
-    SLO,
-    CandidateResult,
-    CapacityPlan,
-    plan_capacity,
-)
-from repro.cloud.reservations import (
-    BackfillPlanner,
-    PlannedStart,
-    ReservingCloudProvider,
-    ResourceTimeline,
-)
-from repro.cloud.failures import (
-    NODE_FAILURE,
-    NODE_RECOVERY,
-    FailureEvent,
-    FailureInjector,
-    FailureSimulator,
-    RepairStats,
-    ResilientCloudProvider,
-)
+from repro.util.lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "TimedRequest",
@@ -82,3 +41,34 @@ __all__ = [
     "RepairStats",
     "ResilientCloudProvider",
 ]
+
+
+_EXPORTS = {
+    "repro.cloud.request": ("TimedRequest", "poisson_workload"),
+    "repro.cloud.queue": ("QueueDiscipline", "RequestQueue"),
+    "repro.cloud.lease": ("Lease",),
+    "repro.util.events": ("Event", "EventQueue"),
+    "repro.cloud.provider": ("CloudProvider", "ProviderStats"),
+    "repro.cloud.simulator": (
+        "ARRIVAL", "DEPARTURE", "CloudSimulator", "SimulationResult",
+        "UtilizationSample",
+    ),
+    "repro.cloud.pricing": (
+        "DEFAULT_HOURLY_PRICES", "BillingReport", "PriceSheet", "lease_cost",
+        "max_affordable_duration", "within_budget",
+    ),
+    "repro.cloud.traces": ("load_trace", "save_trace"),
+    "repro.cloud.capacity": (
+        "SLO", "CandidateResult", "CapacityPlan", "plan_capacity",
+    ),
+    "repro.cloud.reservations": (
+        "BackfillPlanner", "PlannedStart", "ReservingCloudProvider",
+        "ResourceTimeline",
+    ),
+    "repro.cloud.failures": (
+        "NODE_FAILURE", "NODE_RECOVERY", "FailureEvent", "FailureInjector",
+        "FailureSimulator", "RepairStats", "ResilientCloudProvider",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

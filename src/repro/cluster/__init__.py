@@ -6,50 +6,7 @@ capacity/allocation matrices ``M``, ``C``, ``L``, ``A``; and the hierarchical
 distance matrix ``D``.
 """
 
-from repro.cluster.vmtypes import (
-    VMType,
-    VMTypeCatalog,
-    EC2_SMALL,
-    EC2_MEDIUM,
-    EC2_LARGE,
-)
-from repro.cluster.node import PhysicalNode, NodeResources, capacity_from_resources
-from repro.cluster.topology import Topology, Rack, Cloud
-from repro.cluster.distance import (
-    DistanceModel,
-    PAPER_EXPERIMENT_DISTANCES,
-    build_distance_matrix,
-    validate_distance_matrix,
-    satisfies_triangle_inequality,
-    hop_distance_matrix,
-)
-from repro.cluster.resources import ResourcePool
-from repro.cluster.topocache import TopologyCache
-from repro.cluster.dynamics import DynamicResourcePool
-from repro.cluster.measurement import (
-    LatencyProber,
-    ProbeConfig,
-    aggregate_probes,
-    infer_distance_matrix,
-    quantize_to_tiers,
-    tier_recovery_accuracy,
-)
-from repro.cluster.visualize import (
-    render_allocation,
-    render_topology,
-    render_vm_counts,
-)
-from repro.cluster.generators import (
-    PoolSpec,
-    RequestSpec,
-    LARGE_REQUESTS,
-    SMALL_REQUESTS,
-    random_topology,
-    random_pool,
-    random_request,
-    random_requests,
-    feasible_random_requests,
-)
+from repro.util.lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "VMType",
@@ -91,3 +48,37 @@ __all__ = [
     "random_requests",
     "feasible_random_requests",
 ]
+
+
+_EXPORTS = {
+    "repro.cluster.vmtypes": (
+        "VMType", "VMTypeCatalog", "EC2_SMALL", "EC2_MEDIUM", "EC2_LARGE",
+    ),
+    "repro.cluster.node": (
+        "PhysicalNode", "NodeResources", "capacity_from_resources",
+    ),
+    "repro.cluster.topology": ("Topology", "Rack", "Cloud"),
+    "repro.cluster.distance": (
+        "DistanceModel", "PAPER_EXPERIMENT_DISTANCES",
+        "build_distance_matrix", "validate_distance_matrix",
+        "satisfies_triangle_inequality", "hop_distance_matrix",
+    ),
+    "repro.cluster.resources": ("ResourcePool",),
+    "repro.cluster.topocache": ("TopologyCache",),
+    "repro.cluster.dynamics": ("DynamicResourcePool",),
+    "repro.cluster.measurement": (
+        "LatencyProber", "ProbeConfig", "aggregate_probes",
+        "infer_distance_matrix", "quantize_to_tiers",
+        "tier_recovery_accuracy",
+    ),
+    "repro.cluster.visualize": (
+        "render_allocation", "render_topology", "render_vm_counts",
+    ),
+    "repro.cluster.generators": (
+        "PoolSpec", "RequestSpec", "LARGE_REQUESTS", "SMALL_REQUESTS",
+        "random_topology", "random_pool", "random_request", "random_requests",
+        "feasible_random_requests",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

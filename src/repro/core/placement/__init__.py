@@ -1,50 +1,6 @@
 """Placement algorithms: the paper's heuristics, exact solvers, baselines."""
 
-from repro.core.placement.base import (
-    PlacementAlgorithm,
-    PlacementResult,
-    BatchPlacementAlgorithm,
-    check_admissible,
-    normalize_request,
-)
-from repro.core.placement.exact import ExactPlacement, fill_from_center, solve_sd_exact
-from repro.core.placement.bruteforce import (
-    BruteForcePlacement,
-    enumerate_allocations,
-    solve_sd_bruteforce,
-)
-from repro.core.placement.ilp import (
-    MilpOptions,
-    MilpPlacement,
-    solve_gsd_milp,
-    solve_sd_milp,
-)
-from repro.core.placement.greedy import OnlineHeuristic, com, greedy_fill
-from repro.core.placement.transfer import (
-    TransferResult,
-    best_exchange,
-    transfer_pair,
-    transfer_pair_paper,
-)
-from repro.core.placement.global_opt import (
-    GlobalOptimizationStats,
-    GlobalSubOptimizer,
-    total_distance,
-)
-from repro.core.placement.annealing import AnnealingConfig, AnnealingGsdSolver
-from repro.core.placement.jobaware import (
-    JobAwarePlacement,
-    RuntimePrediction,
-    predict_runtime,
-    spread_fill,
-)
-from repro.core.placement.baselines import (
-    BestFitPlacement,
-    FirstFitPlacement,
-    RandomPlacement,
-    StripedPlacement,
-    random_center_distance,
-)
+from repro.util.lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "PlacementAlgorithm",
@@ -84,3 +40,41 @@ __all__ = [
     "StripedPlacement",
     "random_center_distance",
 ]
+
+
+_EXPORTS = {
+    "repro.core.placement.base": (
+        "PlacementAlgorithm", "PlacementResult", "BatchPlacementAlgorithm",
+        "check_admissible", "normalize_request",
+    ),
+    "repro.core.placement.exact": (
+        "ExactPlacement", "fill_from_center", "solve_sd_exact",
+    ),
+    "repro.core.placement.bruteforce": (
+        "BruteForcePlacement", "enumerate_allocations", "solve_sd_bruteforce",
+    ),
+    "repro.core.placement.ilp": (
+        "MilpOptions", "MilpPlacement", "solve_gsd_milp", "solve_sd_milp",
+    ),
+    "repro.core.placement.greedy": ("OnlineHeuristic", "com", "greedy_fill"),
+    "repro.core.placement.transfer": (
+        "TransferResult", "best_exchange", "transfer_pair",
+        "transfer_pair_paper",
+    ),
+    "repro.core.placement.global_opt": (
+        "GlobalOptimizationStats", "GlobalSubOptimizer", "total_distance",
+    ),
+    "repro.core.placement.annealing": (
+        "AnnealingConfig", "AnnealingGsdSolver",
+    ),
+    "repro.core.placement.jobaware": (
+        "JobAwarePlacement", "RuntimePrediction", "predict_runtime",
+        "spread_fill",
+    ),
+    "repro.core.placement.baselines": (
+        "BestFitPlacement", "FirstFitPlacement", "RandomPlacement",
+        "StripedPlacement", "random_center_distance",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -105,7 +105,9 @@ class Allocation:
     distance: float
 
     def __post_init__(self) -> None:
-        m = as_int_matrix(self.matrix, name="allocation matrix")
+        self._adopt(as_int_matrix(self.matrix, name="allocation matrix"))
+
+    def _adopt(self, m: np.ndarray) -> None:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         if not (0 <= self.center < m.shape[0]):
@@ -123,6 +125,22 @@ class Allocation:
         m = as_int_matrix(matrix, name="allocation matrix")
         dc, center = cluster_distance(m, dist)
         return cls(matrix=m, center=center, distance=dc)
+
+    @classmethod
+    def from_rows(
+        cls, matrix: np.ndarray, rows: np.ndarray, center: int, distance: float
+    ) -> "Allocation":
+        """Adopt a fresh ``int64`` *matrix* whose entries the caller already
+        checked (non-negative, not shared) with its ascending nonzero
+        *rows*: no dense re-validation, no row scan. For decoders that
+        check each sparse entry as they write it."""
+        allocation = object.__new__(cls)
+        object.__setattr__(allocation, "center", center)
+        object.__setattr__(allocation, "distance", distance)
+        allocation._adopt(matrix)
+        rows.flags.writeable = False
+        allocation.__dict__["rows"] = rows  # what the cached property holds
+        return allocation
 
     @classmethod
     def with_center(

@@ -6,37 +6,7 @@ the cluster distance matrix, and the runtime / data-locality /
 shuffle-locality metrics of Figs. 7–8.
 """
 
-from repro.mapreduce.network import DistanceBand, NetworkModel, classify_band
-from repro.mapreduce.vmcluster import VMInstance, VirtualCluster
-from repro.mapreduce.hdfs import Block, HDFSModel
-from repro.mapreduce.job import GB, MB, MapReduceJob
-from repro.mapreduce.tasks import (
-    MapTaskRecord,
-    ReduceTaskRecord,
-    ShuffleFlow,
-    TaskState,
-)
-from repro.mapreduce.scheduler import (
-    DelayScheduler,
-    FifoScheduler,
-    LocalityAwareScheduler,
-    MapScheduler,
-    RandomScheduler,
-    place_reducers,
-)
-from repro.mapreduce.metrics import JobResult, LocalityReport, RecoveryReport
-from repro.mapreduce.stragglers import NO_STRAGGLERS, StragglerModel
-from repro.mapreduce.faults import NO_FAULTS, TaskFaultModel, VMDeath
-from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.jobflow import FlowResult, JobFlow, compare_flows_across_clusters
-from repro.mapreduce.workloads import (
-    WORKLOADS,
-    grep,
-    join,
-    sort,
-    terasort,
-    wordcount,
-)
+from repro.util.lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "DistanceBand",
@@ -78,3 +48,34 @@ __all__ = [
     "terasort",
     "wordcount",
 ]
+
+
+_EXPORTS = {
+    "repro.mapreduce.network": (
+        "DistanceBand", "NetworkModel", "classify_band",
+    ),
+    "repro.mapreduce.vmcluster": ("VMInstance", "VirtualCluster"),
+    "repro.mapreduce.hdfs": ("Block", "HDFSModel"),
+    "repro.mapreduce.job": ("GB", "MB", "MapReduceJob"),
+    "repro.mapreduce.tasks": (
+        "MapTaskRecord", "ReduceTaskRecord", "ShuffleFlow", "TaskState",
+    ),
+    "repro.mapreduce.scheduler": (
+        "DelayScheduler", "FifoScheduler", "LocalityAwareScheduler",
+        "MapScheduler", "RandomScheduler", "place_reducers",
+    ),
+    "repro.mapreduce.metrics": (
+        "JobResult", "LocalityReport", "RecoveryReport",
+    ),
+    "repro.mapreduce.stragglers": ("NO_STRAGGLERS", "StragglerModel"),
+    "repro.mapreduce.faults": ("NO_FAULTS", "TaskFaultModel", "VMDeath"),
+    "repro.mapreduce.engine": ("MapReduceEngine",),
+    "repro.mapreduce.jobflow": (
+        "FlowResult", "JobFlow", "compare_flows_across_clusters",
+    ),
+    "repro.mapreduce.workloads": (
+        "WORKLOADS", "grep", "join", "sort", "terasort", "wordcount",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

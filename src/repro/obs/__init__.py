@@ -14,27 +14,7 @@ Instrumented components take ``obs: MetricsRegistry | None = None``;
 nothing — placement outputs are bit-identical either way).
 """
 
-from repro.obs.export import (
-    flatten_sorted,
-    parse_json_lines,
-    parse_prometheus,
-    render,
-    to_json_lines,
-    to_prometheus,
-)
-from repro.obs.registry import (
-    BYTES_BUCKETS,
-    COUNT_BUCKETS,
-    DISTANCE_BUCKETS,
-    LATENCY_BUCKETS,
-    MetricsRegistry,
-    NULL_INSTRUMENT,
-    NULL_REGISTRY,
-    NullRegistry,
-    ensure_registry,
-    exponential_buckets,
-)
-from repro.obs.spans import Span, SpanRecorder
+from repro.util.lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "BYTES_BUCKETS",
@@ -56,3 +36,20 @@ __all__ = [
     "to_json_lines",
     "to_prometheus",
 ]
+
+
+_EXPORTS = {
+    "repro.obs.export": (
+        "flatten_sorted", "parse_json_lines", "parse_prometheus", "render",
+        "to_json_lines", "to_prometheus",
+    ),
+    "repro.obs.registry": (
+        "BYTES_BUCKETS", "COUNT_BUCKETS", "DISTANCE_BUCKETS",
+        "LATENCY_BUCKETS", "MetricsRegistry", "NULL_INSTRUMENT",
+        "NULL_REGISTRY", "NullRegistry", "ensure_registry",
+        "exponential_buckets",
+    ),
+    "repro.obs.spans": ("Span", "SpanRecorder"),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -79,90 +79,13 @@ Modules
 ``chaos``
     :class:`FabricChaosInjector` — seeded worker kills, heartbeat delays,
     and checkpoint write faults for chaos testing the supervised fabric.
+
+The names below load their modules on first use (:mod:`repro.util.lazy`),
+so a proc worker importing its entrypoint — or anyone importing one
+module — pays for that module's own imports only.
 """
 
-from repro.service.api import (
-    DecisionStatus,
-    PlaceRequest,
-    PlacementDecision,
-    ReleaseRequest,
-    ReleaseResponse,
-    decode_message,
-    encode_message,
-    message_from_doc,
-    message_to_doc,
-)
-from repro.service.state import ClusterState, StateSnapshot
-from repro.service.server import (
-    PlacementService,
-    ServiceConfig,
-    ServiceStats,
-    Ticket,
-)
-from repro.service.checkpoint import (
-    CHECKPOINT_VERSION,
-    checkpoint_bytes,
-    checkpoint_to_dict,
-    load_checkpoint,
-    save_checkpoint,
-    state_from_checkpoint,
-)
-from repro.service.transport import ServiceClient, ServiceEndpoint, ServingSession
-from repro.service.transports import TRANSPORTS, Transport, resolve_transport
-from repro.service.codec import (
-    CODECS,
-    SUPPORTED_CODECS,
-    BinaryCodec,
-    JsonLineCodec,
-    choose_codec,
-    resolve_codec,
-)
-from repro.service.factory import BuiltFabric, build_fabric
-from repro.service.loadgen import (
-    LoadGenConfig,
-    LoadReport,
-    WireLoadClient,
-    run_loadgen,
-)
-from repro.service.coord import (
-    CoordinationBackend,
-    InMemoryCoordinationBackend,
-    LeaseRecord,
-    LogEntry,
-    WorkerRecord,
-)
-from repro.service.coord.net import (
-    CoordinationServer,
-    NetworkedCoordinationBackend,
-    parse_coord_url,
-)
-from repro.service.proc import (
-    ProcBackend,
-    ProcWorkerHandle,
-    ProcWorkerProxy,
-)
-from repro.service.supervisor import (
-    FabricSupervisor,
-    FailoverEvent,
-    ShardWorker,
-    SupervisorConfig,
-)
-from repro.service.chaos import FabricChaosInjector
-from repro.service.shard import (
-    ByRackPlan,
-    CapacityBalancedPlan,
-    FabricConfig,
-    FabricStats,
-    LocalBackend,
-    RackGroupPlan,
-    ShardBackend,
-    ShardedPlacementFabric,
-    ShardPlan,
-    ShardRouter,
-    fabric_from_checkpoint,
-    load_fabric_checkpoint,
-    save_fabric_checkpoint,
-)
+from repro.util.lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "DecisionStatus",
@@ -237,11 +160,58 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # The asyncio endpoint loads on first use, so importing the package does
-    # not import asyncio for callers that never serve over it.
-    if name == "AioServiceEndpoint":
-        from repro.service.aio import AioServiceEndpoint
+_EXPORTS = {
+    "repro.service.api": (
+        "DecisionStatus", "PlaceRequest", "PlacementDecision",
+        "ReleaseRequest", "ReleaseResponse", "decode_message",
+        "encode_message", "message_from_doc", "message_to_doc",
+    ),
+    "repro.service.state": ("ClusterState", "StateSnapshot"),
+    "repro.service.server": (
+        "PlacementService", "ServiceConfig", "ServiceStats", "Ticket",
+    ),
+    "repro.service.checkpoint": (
+        "CHECKPOINT_VERSION", "checkpoint_bytes", "checkpoint_to_dict",
+        "load_checkpoint", "save_checkpoint", "state_from_checkpoint",
+    ),
+    "repro.service.transport": (
+        "ServiceClient", "ServiceEndpoint", "ServingSession",
+    ),
+    "repro.service.transports": (
+        "TRANSPORTS", "Transport", "resolve_transport",
+    ),
+    "repro.service.codec": (
+        "CODECS", "SUPPORTED_CODECS", "BinaryCodec", "JsonLineCodec",
+        "choose_codec", "resolve_codec",
+    ),
+    "repro.service.factory": ("BuiltFabric", "build_fabric"),
+    "repro.service.loadgen": (
+        "LoadGenConfig", "LoadReport", "WireLoadClient", "run_loadgen",
+    ),
+    "repro.service.coord": (
+        "CoordinationBackend", "InMemoryCoordinationBackend", "LeaseRecord",
+        "LogEntry", "WorkerRecord",
+    ),
+    "repro.service.coord.net": (
+        "CoordinationServer", "NetworkedCoordinationBackend",
+        "parse_coord_url",
+    ),
+    "repro.service.proc": (
+        "ProcBackend", "ProcWorkerHandle", "ProcWorkerProxy",
+    ),
+    "repro.service.supervisor": (
+        "FabricSupervisor", "FailoverEvent", "ShardWorker",
+        "SupervisorConfig",
+    ),
+    "repro.service.chaos": ("FabricChaosInjector",),
+    "repro.service.shard": (
+        "ByRackPlan", "CapacityBalancedPlan", "FabricConfig", "FabricStats",
+        "LocalBackend", "RackGroupPlan", "ShardBackend",
+        "ShardedPlacementFabric", "ShardPlan", "ShardRouter",
+        "fabric_from_checkpoint", "load_fabric_checkpoint",
+        "save_fabric_checkpoint",
+    ),
+    "repro.service.aio": ("AioServiceEndpoint",),
+}
 
-        return AioServiceEndpoint
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

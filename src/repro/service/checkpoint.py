@@ -75,13 +75,26 @@ def lease_entry(request_id: int, allocation: Allocation, target=None) -> dict:
 
 
 def lease_from_entry(entry: dict, shape: "tuple[int, int]"):
-    """Inverse of :func:`lease_entry`: ``(allocation, target or None)``."""
+    """Inverse of :func:`lease_entry`: ``(allocation, target or None)``.
+
+    Each placement is checked as it is written (node and type in range,
+    count positive), so the matrix is built once and its touched rows come
+    with it."""
+    nodes, types = shape
     matrix = np.zeros(shape, dtype=np.int64)
+    touched = set()
     for node, vm_type, count in entry["placements"]:
+        if not (0 <= node < nodes and 0 <= vm_type < types and count > 0):
+            raise ValidationError(
+                f"lease {entry['request_id']} placement {[node, vm_type, count]} "
+                f"is out of range for {nodes} nodes x {types} types"
+            )
         matrix[node, vm_type] += count
+        touched.add(node)
+    rows = np.array(sorted(touched), dtype=np.int64)
     target = entry.get("survivability")
     return (
-        Allocation(matrix=matrix, center=entry["center"], distance=entry["distance"]),
+        Allocation.from_rows(matrix, rows, entry["center"], entry["distance"]),
         None if target is None else SurvivabilityTarget.from_dict(target),
     )
 
@@ -148,9 +161,12 @@ def replay(state: ClusterState, log) -> ClusterState:
     """Apply logged deltas (oldest first) to *state*, restored from the
     snapshot they follow. A delta logged at version ``v`` with ``k`` ops
     covers ``v-k+1 … v``: ops the state already reflects (an append re-sent
-    after a lost reply) are skipped, and a gap is refused."""
+    after a lost reply) are skipped — a delta the state holds entirely
+    without being parsed — and a gap is refused."""
     shape = (state.num_nodes, state.num_types)
     for entry in log:
+        if entry.version <= state.version:
+            continue
         ops = json.loads(entry.record)
         first = entry.version - len(ops) + 1
         if first > state.version + 1:

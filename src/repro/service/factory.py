@@ -22,9 +22,24 @@ supervisor, coordination server — and tears it down in the right order in
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from repro.cluster.resources import ResourcePool
+from repro.core.placement.greedy import OnlineHeuristic
+from repro.obs import MetricsRegistry
+from repro.service.coord.net import CoordinationServer, NetworkedCoordinationBackend
+from repro.service.proc.backend import proc_backend_factory
+from repro.service.proc.worker import POLICY_REGISTRY
+from repro.service.server import PlacementService, ServiceConfig
+from repro.service.shard import FabricConfig, RackGroupPlan, ShardedPlacementFabric
+from repro.service.shard.plan import ShardAssignment, ShardPlan
+from repro.service.state import ClusterState
+from repro.service.supervisor import FabricSupervisor
+# Every transport dials with this module's client, and ``serve()`` binds
+# its endpoint by default: it loads with the factory, not in a first build.
+from repro.service.transport import ServiceClient  # noqa: F401
+from repro.service.transports import resolve_transport
 from repro.util.errors import ValidationError
 
 __all__ = ["WORKER_KINDS", "BuiltFabric", "build_fabric"]
@@ -66,8 +81,6 @@ class BuiltFabric:
         **options,
     ):
         """Bind a serving endpoint around the fabric (not yet started)."""
-        from repro.service.transports import resolve_transport
-
         return resolve_transport(transport).serve(
             self.service, host=host, port=port, **options
         )
@@ -145,11 +158,6 @@ def build_fabric(
         only — arbitrary code never crosses the proc boundary); ``None``
         picks each path's default.
     """
-    from repro.obs import MetricsRegistry
-    from repro.service.server import ServiceConfig
-    from repro.service.shard import FabricConfig, RackGroupPlan
-    from repro.service.shard.plan import ShardAssignment, ShardPlan
-
     if workers not in WORKER_KINDS:
         raise ValidationError(
             f"unknown workers kind {workers!r}; expected one of {WORKER_KINDS}"
@@ -182,10 +190,6 @@ def build_fabric(
                 raise ValidationError(
                     "supervise requires a sharded fabric (pass a plan)"
                 )
-            from repro.core import OnlineHeuristic
-            from repro.service.server import PlacementService
-            from repro.service.state import ClusterState
-
             factory = _resolve_policy_factory(policy) or OnlineHeuristic
             service = PlacementService(
                 ClusterState.from_pool(pool),
@@ -200,23 +204,12 @@ def build_fabric(
             "crosses the process boundary)"
         )
 
-    import time
-
-    from repro.service.shard import ShardedPlacementFabric
-    from repro.service.supervisor import FabricSupervisor
-
     # One fabric, one supervisor; the worker kind only picks the backend
     # each shard is reached through (and, with it, whose clock beats).
     coord_server = coord_backend = fabric = supervisor = None
     clock = time.monotonic
     try:
         if workers == "proc":
-            from repro.service.coord.net import (
-                CoordinationServer,
-                NetworkedCoordinationBackend,
-            )
-            from repro.service.proc import proc_backend_factory
-
             if coord == "auto":
                 coord_server = CoordinationServer()
                 coord_server.start()
@@ -262,8 +255,6 @@ def _resolve_policy_factory(policy):
     """A zero-arg policy factory from *policy* (name, factory, or ``None``)."""
     if policy is None or callable(policy):
         return policy
-    from repro.service.proc.worker import POLICY_REGISTRY
-
     factory = POLICY_REGISTRY.get(policy)
     if factory is None:
         raise ValidationError(

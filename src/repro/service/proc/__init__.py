@@ -17,13 +17,7 @@ The fabric and the supervisor are the ordinary ones, running over this
 backend; ``build_fabric(workers="proc")`` assembles them.
 """
 
-from repro.service.proc.backend import (
-    ProcBackend,
-    ProcWorkerHandle,
-    ProcWorkerProxy,
-    proc_backend_factory,
-)
-from repro.service.proc.worker import worker_main
+from repro.util.lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "ProcBackend",
@@ -32,3 +26,14 @@ __all__ = [
     "proc_backend_factory",
     "worker_main",
 ]
+
+
+_EXPORTS = {
+    "repro.service.proc.backend": (
+        "ProcBackend", "ProcWorkerHandle", "ProcWorkerProxy",
+        "proc_backend_factory",
+    ),
+    "repro.service.proc.worker": ("worker_main",),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

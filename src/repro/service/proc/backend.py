@@ -19,6 +19,14 @@ yet to send, and the version alone orders the two channels. Records that
 cannot apply latch the handle dead, as a lost link does. Submissions carry
 the fabric's attempt token; the child echoes it on the decision event and
 a decision whose token no longer matches is not delivered.
+
+Start-up and shutdown are side by side: a backend *launches* its child when
+constructed (listener plus ``process.start()``) and *connects* to it
+(both channels, ``init``, the events thread) only in :meth:`ProcBackend.
+connect`, which the fabric calls once every shard's child is launched, so
+the children import at the same time. The fabric closes every backend at
+once too. A child launched but never connected is killed and reaped by
+``close``.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from repro.util.errors import RemoteOpError, ReproError, TransportError, Validat
 
 _log = logging.getLogger(__name__)
 
-#: How long a spawn waits for the child to dial back both channels.
+#: How long connecting waits for a launched child to dial back both channels.
 SPAWN_TIMEOUT = 30.0
 #: Default cmd-channel RPC deadline.
 DEFAULT_RPC_TIMEOUT = 30.0
@@ -76,6 +84,8 @@ class ProcWorkerHandle:
         self.pid: "int | None" = None
         self.dead = False
         self._on_batch = on_batch
+        #: Open from :meth:`launch` until :meth:`connect` (or :meth:`close`).
+        self._listener: "socket.socket | None" = None
         self._cmd: "Channel | None" = None
         self._evt: "Channel | None" = None
         self._cmd_lock = threading.Lock()
@@ -114,9 +124,11 @@ class ProcWorkerHandle:
 
     # ------------------------------------------------------------ lifecycle
 
-    def spawn(self, init_doc: dict, payload: bytes) -> None:
-        """Start the child, wait for its channels, initialize its state."""
-        with socket.create_server(("127.0.0.1", 0), backlog=4) as listener:
+    def launch(self) -> None:
+        """Start the child; it dials back to a listener kept for
+        :meth:`connect`, so other children can start while it imports."""
+        listener = socket.create_server(("127.0.0.1", 0), backlog=4)
+        try:
             host, port = listener.getsockname()[:2]
             spec = {
                 "host": host,
@@ -132,6 +144,16 @@ class ProcWorkerHandle:
                 daemon=True,
             )
             self.process.start()
+        except BaseException:
+            listener.close()
+            raise
+        self._listener = listener
+
+    def connect(self, init_doc: dict, payload: bytes) -> None:
+        """Wait for the launched child's channels, initialize its state and
+        start the events thread."""
+        listener, self._listener = self._listener, None
+        with listener:
             channels = self._accept_channels(listener)
         self._cmd = channels["worker-cmd"]
         self._evt = channels["worker-events"]
@@ -225,7 +247,13 @@ class ProcWorkerHandle:
             self.process.kill()
 
     def close(self, join_timeout: float = 5.0) -> None:
-        """Tear down connections and reap the child (escalating to kill)."""
+        """Tear down connections and reap the child (escalating to kill).
+        A child launched but never connected has nothing to finish: it is
+        killed at once."""
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
+            self.kill()
         self.stop_events()
         for channel in (self._cmd, self._evt):
             if channel is not None:
@@ -286,18 +314,27 @@ class ProcBackend:
             "Worker child processes respawned from a replicated checkpoint.",
             labels=("shard",),
         ).labels(shard=label)
-        self.handle = self._spawn(checkpoint_bytes(state).encode("utf-8"))
+        self.handle = self._launch()
 
-    def _spawn(self, payload: bytes) -> ProcWorkerHandle:
+    def _launch(self) -> ProcWorkerHandle:
         handle = ProcWorkerHandle(self.shard_id, self._apply_batch, self._obs)
+        handle.launch()
+        return handle
+
+    def _connect(self, handle: ProcWorkerHandle, payload: bytes) -> None:
         try:
-            handle.spawn(self._init_doc, payload)
+            handle.connect(self._init_doc, payload)
         except BaseException:
             handle.kill()
             handle.close(join_timeout=2.0)
             raise
         self._m_worker_up.set(1)
-        return handle
+
+    def connect(self) -> None:
+        """Wait for the child :meth:`__init__` launched and hand it the
+        pristine state. The fabric launches every shard's child before it
+        connects to any, so the children import side by side."""
+        self._connect(self.handle, checkpoint_bytes(self.state).encode("utf-8"))
 
     # ------------------------------------------------------------- routing view
 
@@ -479,7 +516,8 @@ class ProcBackend:
         # The mirror first: the new child's records follow *payload*.
         with self.lock:
             self.state.restore_state(state.snapshot_state())
-        handle = self._spawn(payload)
+        handle = self._launch()
+        self._connect(handle, payload)
         if handle.call({"op": "checkpoint"})["payload"] != payload:
             handle.close()
             raise ValidationError(
@@ -499,7 +537,7 @@ class ProcBackend:
     def close(self, timeout: float) -> "int | None":
         handle = self.handle
         handle.stop_events()
-        if handle.alive:
+        if handle.alive and handle._cmd is not None:
             try:
                 reply = handle.call(
                     {"op": "shutdown", "drain": True, "timeout": timeout},

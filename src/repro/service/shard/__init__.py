@@ -7,30 +7,7 @@ See :mod:`repro.service.shard.plan` (how the pool is cut),
 :class:`~repro.service.server.PlacementService` workers together).
 """
 
-from repro.service.shard.backend import LocalBackend, ShardBackend
-from repro.service.shard.fabric import (
-    FABRIC_CHECKPOINT_VERSION,
-    FabricConfig,
-    FabricStats,
-    RebalanceReport,
-    Shard,
-    ShardedPlacementFabric,
-    fabric_from_checkpoint,
-    load_fabric_checkpoint,
-    save_fabric_checkpoint,
-)
-from repro.service.shard.plan import (
-    ByRackPlan,
-    CapacityBalancedPlan,
-    ExplicitPlan,
-    RackGroupPlan,
-    ShardAssignment,
-    ShardPlan,
-    assignment_from_racks,
-    resolve_plan,
-    shard_topology,
-)
-from repro.service.shard.router import RouteResult, ShardRouter
+from repro.util.lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "FABRIC_CHECKPOINT_VERSION",
@@ -56,3 +33,22 @@ __all__ = [
     "save_fabric_checkpoint",
     "shard_topology",
 ]
+
+
+_EXPORTS = {
+    "repro.service.shard.backend": ("LocalBackend", "ShardBackend"),
+    "repro.service.shard.fabric": (
+        "FABRIC_CHECKPOINT_VERSION", "FabricConfig", "FabricStats",
+        "RebalanceReport", "Shard", "ShardedPlacementFabric",
+        "fabric_from_checkpoint", "load_fabric_checkpoint",
+        "save_fabric_checkpoint",
+    ),
+    "repro.service.shard.plan": (
+        "ByRackPlan", "CapacityBalancedPlan", "ExplicitPlan", "RackGroupPlan",
+        "ShardAssignment", "ShardPlan", "assignment_from_racks",
+        "resolve_plan", "shard_topology",
+    ),
+    "repro.service.shard.router": ("RouteResult", "ShardRouter"),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

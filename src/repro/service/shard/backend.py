@@ -73,6 +73,11 @@ class ShardBackend(Protocol):
         """One scheduler cycle; returns once every decision it produced has
         been applied to ``state`` and delivered."""
 
+    def connect(self) -> None:
+        """Finish coming up. The fabric constructs every backend before it
+        connects any, so out-of-process shards launch their children
+        together and then wait for each."""
+
     def start(self) -> None: ...
 
     def stop(self) -> None: ...
@@ -156,6 +161,9 @@ class LocalBackend:
 
     def step(self, now):
         return self.service.step(now)
+
+    def connect(self):
+        pass  # the service is already here
 
     def start(self):
         self.service.start()

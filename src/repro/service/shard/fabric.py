@@ -200,6 +200,34 @@ class RebalanceReport:
     gain: float
 
 
+def _on_every_shard(shards, call) -> dict:
+    """``{shard_id: call(shard)}``, the calls run side by side (a thread
+    each), so child processes start or stop together. Raises the first
+    failure once every call has returned."""
+    results: dict = {}
+    failures: list = []
+
+    def run(shard) -> None:
+        try:
+            results[shard.shard_id] = call(shard)
+        except BaseException as exc:
+            failures.append(exc)
+
+    threads = [
+        threading.Thread(
+            target=run, args=(shard,), name=f"fabric-shard-{shard.shard_id}"
+        )
+        for shard in shards
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return {shard.shard_id: results[shard.shard_id] for shard in shards}
+
+
 class Shard:
     """One rack-aligned partition: id maps plus the backend serving it.
 
@@ -360,10 +388,12 @@ class ShardedPlacementFabric:
                     "cross-shard rebalancing is not supported out-of-process; "
                     "use rebalance_interval=None"
                 )
+            # Every child process is already launched: they start up side
+            # by side rather than one after another.
+            _on_every_shard(self._shards, lambda shard: shard.backend.connect())
         except BaseException:
-            # Whatever did come up (children already spawned) is not stranded.
-            for shard in self._shards:
-                shard.backend.close(5.0)
+            # Whatever did come up (children already launched) is not stranded.
+            _on_every_shard(self._shards, lambda shard: shard.backend.close(5.0))
             raise
         self._router = ShardRouter([s.state for s in self._shards])
         self._stats = FabricStats()
@@ -1206,7 +1236,8 @@ class ShardedPlacementFabric:
     def shutdown(self, timeout: float = 5.0) -> "dict[int, int | None]":
         """Stop for good: the scheduler, then every shard's backend.
 
-        An out-of-process shard is drained and its child reaped. Returns
+        The backends close side by side: out-of-process shards are drained
+        and their children reaped together. Returns
         the child exit code of every such shard (``None`` for one that could
         not be reaped; nothing for shards that run in this process), for the
         CLI's exit-code propagation. Idempotent.
@@ -1214,12 +1245,14 @@ class ShardedPlacementFabric:
         self._stop_scheduler()
         with self._flock:
             self._started = False
-        codes = {}
-        for shard in self._shards:
-            code = shard.backend.close(timeout)
-            if shard.backend.handle is not None:
-                codes[shard.shard_id] = code
-        return codes
+        codes = _on_every_shard(
+            self._shards, lambda shard: shard.backend.close(timeout)
+        )
+        return {
+            shard_id: code
+            for shard_id, code in codes.items()
+            if self._shards[shard_id].backend.handle is not None
+        }
 
     # ----------------------------------------------------------- rebalance
 

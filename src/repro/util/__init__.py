@@ -1,25 +1,7 @@
-"""Shared utilities: error types, RNG handling, validation helpers."""
+"""Shared utilities: error types, RNG handling, validation helpers, and the
+lazy re-exports every package ``__init__`` uses (:mod:`repro.util.lazy`)."""
 
-from repro.util.errors import (
-    ReproError,
-    ValidationError,
-    CapacityError,
-    InfeasibleRequestError,
-    JobFailedError,
-    SolverError,
-)
-from repro.util.retry import FETCH_RETRY, TASK_RETRY, RetryPolicy
-from repro.util.rng import ensure_rng, spawn_rngs
-from repro.util.timing import PhaseTimer
-from repro.util.validation import (
-    as_int_vector,
-    as_int_matrix,
-    check_nonnegative,
-    check_shape,
-    check_square,
-    check_symmetric,
-    check_zero_diagonal,
-)
+from repro.util.lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "ReproError",
@@ -42,3 +24,20 @@ __all__ = [
     "check_symmetric",
     "check_zero_diagonal",
 ]
+
+
+_EXPORTS = {
+    "repro.util.errors": (
+        "ReproError", "ValidationError", "CapacityError",
+        "InfeasibleRequestError", "JobFailedError", "SolverError",
+    ),
+    "repro.util.retry": ("FETCH_RETRY", "TASK_RETRY", "RetryPolicy"),
+    "repro.util.rng": ("ensure_rng", "spawn_rngs"),
+    "repro.util.timing": ("PhaseTimer",),
+    "repro.util.validation": (
+        "as_int_vector", "as_int_matrix", "check_nonnegative", "check_shape",
+        "check_square", "check_symmetric", "check_zero_diagonal",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

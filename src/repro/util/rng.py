@@ -8,12 +8,14 @@ experiments can pin seeds end to end and regenerate identical figures.
 
 from __future__ import annotations
 
-import numpy as np
+# Imported here, not on the first draw: numpy loads ``numpy.random`` on
+# first attribute access, which would land in a caller's first timed call.
+from numpy.random import Generator, SeedSequence, default_rng
 
-SeedLike = "int | np.random.Generator | np.random.SeedSequence | None"
+SeedLike = "int | Generator | SeedSequence | None"
 
 
-def ensure_rng(seed=None) -> np.random.Generator:
+def ensure_rng(seed=None) -> Generator:
     """Return a :class:`numpy.random.Generator` for *seed*.
 
     Parameters
@@ -23,12 +25,12 @@ def ensure_rng(seed=None) -> np.random.Generator:
         an existing ``Generator`` (returned unchanged so callers can thread a
         single stream through a pipeline).
     """
-    if isinstance(seed, np.random.Generator):
+    if isinstance(seed, Generator):
         return seed
-    return np.random.default_rng(seed)
+    return default_rng(seed)
 
 
-def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
+def spawn_rngs(seed, n: int) -> list[Generator]:
     """Split *seed* into *n* independent generators.
 
     Used by batch experiments that run *n* trials in a loop but must keep the
@@ -36,9 +38,9 @@ def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
     """
     if n < 0:
         raise ValueError(f"cannot spawn a negative number of rngs: {n}")
-    if isinstance(seed, np.random.Generator):
+    if isinstance(seed, Generator):
         # Derive children from the generator's own stream.
         seeds = seed.integers(0, 2**63 - 1, size=n)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
+        return [default_rng(int(s)) for s in seeds]
+    ss = SeedSequence(seed)
+    return [default_rng(child) for child in ss.spawn(n)]

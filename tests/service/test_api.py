@@ -120,6 +120,42 @@ def test_importing_the_service_package_leaves_asyncio_out():
     assert done.returncode == 0, done.stderr
 
 
+#: What a shard worker child never runs: the simulators and experiments,
+#: the exact and job-aware solvers, and the parent's serving machinery.
+WORKER_NEVER_LOADS = (
+    "repro.mapreduce",
+    "repro.experiments",
+    "repro.analysis",
+    "repro.cloud.simulator",
+    "repro.core.placement.ilp",
+    "repro.core.placement.annealing",
+    "repro.core.placement.jobaware",
+    "repro.service.loadgen",
+    "repro.service.shard",
+    "repro.service.aio",
+    "repro.service.proc.backend",
+    "asyncio",
+)
+
+
+def test_a_proc_worker_imports_only_what_it_runs():
+    """Every proc worker spawn imports the worker entrypoint in a fresh
+    interpreter; package re-exports load on first use, so that import pulls
+    in the worker's own closure and nothing on this list."""
+    code = (
+        "import sys\n"
+        "import repro.service.proc.worker\n"
+        f"print(sorted(set({WORKER_NEVER_LOADS!r}) & set(sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 class TestReleaseResponse:
     def test_status_validation(self):
         ok = ReleaseResponse(request_id=1, status=DecisionStatus.RELEASED)

@@ -18,7 +18,9 @@ from repro.service import (
     save_checkpoint,
     state_from_checkpoint,
 )
-from repro.util.errors import ValidationError
+from repro.service.checkpoint import delta_bytes, replay
+from repro.service.coord import LogEntry
+from repro.util.errors import CapacityError, ValidationError
 
 
 @pytest.fixture
@@ -108,3 +110,77 @@ class TestValidation:
         doc["leases"][0]["placements"][0][2] += 1
         with pytest.raises(ValidationError):
             state_from_checkpoint(doc)
+
+
+def emptied(state: ClusterState) -> ClusterState:
+    """A copy of *state* with every lease released."""
+    copy = state_from_checkpoint(checkpoint_to_dict(state))
+    for rid in list(copy.leases):
+        copy.release_lease(rid)
+    return copy
+
+
+class TestReplay:
+    """``replay`` of journal deltas into a mirror, the proc fabric's one
+    way of following its worker."""
+
+    def test_replayed_leases_equal_the_dense_decode(self, busy_state):
+        source = emptied(busy_state)
+        mirror = state_from_checkpoint(checkpoint_to_dict(source))
+        journal, base = source.subscribe(), source.version
+        for rid, allocation in sorted(busy_state.leases.items()):
+            source.allocate_lease(rid, allocation)
+        delta = delta_bytes(journal, base, source.version)
+        replay(mirror, [LogEntry(source.version, delta)])
+        assert checkpoint_bytes(mirror) == checkpoint_bytes(source)
+        for rid, allocation in busy_state.leases.items():
+            got = mirror.lease(rid)
+            np.testing.assert_array_equal(got.matrix, allocation.matrix)
+            np.testing.assert_array_equal(got.rows, allocation.rows)
+            assert not got.matrix.flags.writeable and not got.rows.flags.writeable
+            assert (got.center, got.distance) == (allocation.center, allocation.distance)
+        mirror.verify_consistency()
+
+    def test_a_held_delta_is_skipped_unparsed(self, busy_state):
+        state = state_from_checkpoint(checkpoint_to_dict(busy_state))
+        before = checkpoint_bytes(state)
+        replay(state, [LogEntry(state.version, b"not json")])
+        assert checkpoint_bytes(state) == before
+
+    @pytest.mark.parametrize(
+        "placement",
+        [(-1, 0, 1), ("nodes", 0, 1), (0, -1, 1), (0, "types", 1), (0, 0, 0), (0, 0, -2)],
+        ids=["node<0", "node>=n", "type<0", "type>=m", "count=0", "count<0"],
+    )
+    def test_an_out_of_range_placement_is_refused(self, busy_state, placement):
+        state = emptied(busy_state)
+        n, m = state.num_nodes, state.num_types
+        node, vm_type, count = (
+            {"nodes": n, "types": m}.get(v, v) for v in placement
+        )
+        op = {"op": "allocate", "request_id": 1, "center": 0, "distance": 0.0,
+              "placements": [[node, vm_type, count]]}
+        before = checkpoint_bytes(state)
+        with pytest.raises(ValidationError, match="out of range"):
+            replay(state, [LogEntry(state.version + 1, json.dumps([op]).encode())])
+        assert checkpoint_bytes(state) == before
+
+    def test_gap_duplicate_and_over_capacity_are_refused(self, busy_state):
+        state = state_from_checkpoint(checkpoint_to_dict(busy_state))
+        rid = min(state.leases)
+        held = checkpoint_to_dict(state)["leases"][0]
+        before = checkpoint_bytes(state)
+
+        def entry(version, *ops):
+            return LogEntry(version, json.dumps(list(ops)).encode())
+
+        with pytest.raises(ValidationError, match="skips"):
+            replay(state, [entry(state.version + 2, {"op": "release", "request_id": rid})])
+        with pytest.raises(ValidationError, match="already holds"):
+            replay(state, [entry(state.version + 1, {"op": "allocate", **held})])
+        node, vm_type = (int(x) for x in np.argwhere(state.remaining == 0)[0])
+        too_big = {"op": "allocate", "request_id": 10**6, "center": node,
+                   "distance": 0.0, "placements": [[node, vm_type, 1]]}
+        with pytest.raises(CapacityError):
+            replay(state, [entry(state.version + 1, too_big)])
+        assert checkpoint_bytes(state) == before

@@ -1,5 +1,5 @@
 """Out-of-process shard workers: construction, client surface, the mirror's
-record stream, SIGKILL restore.
+record stream, concurrent start, SIGKILL restore.
 
 What only a real child process can show — option validation that must not
 leave children behind, exit codes, a decision that overtakes a release
@@ -9,6 +9,8 @@ in-process shards lives in ``test_backend_conformance.py``, which runs one
 trace over both backends.
 """
 
+import json
+import multiprocessing
 import os
 import signal
 import time
@@ -25,12 +27,14 @@ from repro.service import (
     ServiceConfig,
     build_fabric,
 )
-from repro.service.checkpoint import checkpoint_bytes
+from repro.service.checkpoint import checkpoint_bytes, state_from_checkpoint
 from repro.service.coord.net import CoordinationServer
+from repro.service.proc import backend as proc_backend
+from repro.service.proc.backend import ProcWorkerHandle
 from repro.service.proc.worker import COPY_NUDGE
 from repro.service.shard import FabricConfig, RackGroupPlan
 from repro.service.supervisor import SupervisorConfig
-from repro.util.errors import ValidationError
+from repro.util.errors import RemoteOpError, TransportError, ValidationError
 
 CATALOG = VMTypeCatalog.ec2_default()
 
@@ -274,6 +278,86 @@ class TestMirrorStream:
             assert ticket.result(0.1) is None
         finally:
             built.shutdown()
+
+
+def live_children() -> set:
+    """Pids of this process's children not yet reaped."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+class TestConcurrentStart:
+    """Every shard's child is launched before any is connected; whatever
+    fails on the way leaves no process behind."""
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_every_child_runs_before_the_first_connect_returns(
+        self, monkeypatch, shards
+    ):
+        launched, at_first_return = [], []
+        launch, connect = ProcWorkerHandle.launch, ProcWorkerHandle.connect
+
+        def recording_launch(handle):
+            launch(handle)
+            launched.append(handle)
+
+        def recording_connect(handle, *args):
+            connect(handle, *args)
+            if not at_first_return:
+                at_first_return.append([h.process.pid for h in launched])
+
+        monkeypatch.setattr(ProcWorkerHandle, "launch", recording_launch)
+        monkeypatch.setattr(ProcWorkerHandle, "connect", recording_connect)
+        built = make_proc_fabric(make_pool(), shards=shards)
+        try:
+            pids = at_first_return[0]
+            assert len(pids) == shards and all(pids)
+            assert sorted(pids) == sorted(h.pid for h in built.service.handles)
+        finally:
+            assert built.shutdown() == 0
+
+    def test_a_child_that_never_dials_back_leaves_no_process(self, monkeypatch):
+        # No child imports its way to a dial-back within a millisecond.
+        monkeypatch.setattr(proc_backend, "SPAWN_TIMEOUT", 0.001)
+        before = live_children()
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="never connected"):
+            make_proc_fabric(make_pool(), shards=2)
+        assert live_children() == before
+        # Killed at once, not waited out for the graceful join timeout.
+        assert time.monotonic() - started < 5.0
+
+    def test_restore_byte_checks_the_respawned_worker(self, monkeypatch):
+        built = make_proc_fabric(make_pool(seed=7))
+        backend = built.service.shards[0].backend
+        old = backend.handle
+        call = ProcWorkerHandle.call
+
+        def forged(handle, doc, *args, **kwargs):
+            reply = call(handle, doc, *args, **kwargs)
+            if doc["op"] == "checkpoint" and handle is not old:
+                reply = {**reply, "payload": reply["payload"] + b" "}
+            return reply
+
+        try:
+            payload = old.call({"op": "checkpoint"})["payload"]
+            state = state_from_checkpoint(json.loads(payload))
+            others = live_children() - {old.pid}
+            # Bytes the child's init does not reproduce never get that far.
+            compact = json.dumps(json.loads(payload)).encode("utf-8")
+            with pytest.raises(RemoteOpError, match="round-trip"):
+                backend.restore(compact, state)
+            assert live_children() == others
+            # A respawned worker serving other bytes than it was handed.
+            monkeypatch.setattr(ProcWorkerHandle, "call", forged)
+            with pytest.raises(ValidationError, match="byte-identical"):
+                backend.restore(payload, state)
+            assert backend.handle is old and live_children() == others
+            monkeypatch.undo()
+            backend.restore(payload, state)
+            assert backend.handle.call({"op": "checkpoint"})["payload"] == payload
+            assert checkpoint_bytes(backend.state).encode("utf-8") == payload
+        finally:
+            assert built.shutdown() == 0
 
 
 class TestKillRestore:

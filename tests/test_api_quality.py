@@ -9,7 +9,10 @@ namespaces, and no package reaches into another's private names.
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,12 +45,64 @@ def iter_all_modules():
                 yield importlib.import_module(info.name)
 
 
-@pytest.mark.parametrize("pkg_name", PACKAGES)
+#: Every package whose ``__init__`` re-exports its modules' names (on first
+#: use: each keeps a PEP 562 ``__getattr__`` table).
+REEXPORTING = PACKAGES + [
+    "repro.obs",
+    "repro.service",
+    "repro.service.proc",
+    "repro.service.shard",
+]
+
+
+def _held_by_defining_module(pkg_name: str, name: str, obj) -> bool:
+    if inspect.ismodule(obj):
+        return obj.__name__ == f"{pkg_name}.{name}"
+    if inspect.isclass(obj) or inspect.isfunction(obj):
+        home = sys.modules[obj.__module__]
+        return getattr(home, obj.__qualname__, None) is obj
+    # A constant: some (non-package) module binds it under the same name.
+    return any(
+        vars(module).get(name) is obj
+        for module_name, module in list(sys.modules.items())
+        if module_name.startswith("repro.") and not hasattr(module, "__path__")
+    )
+
+
+@pytest.mark.parametrize("pkg_name", REEXPORTING)
 def test_all_exports_resolve(pkg_name):
+    """Every ``__all__`` name resolves — by attribute, ``dir()`` and
+    ``import *`` alike — to the very object its defining module holds."""
     pkg = importlib.import_module(pkg_name)
-    exported = getattr(pkg, "__all__", [])
-    for name in exported:
+    star: dict = {}
+    exec(f"from {pkg_name} import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(pkg.__all__)
+    assert set(pkg.__all__) <= set(dir(pkg))
+    for name in pkg.__all__:
         assert hasattr(pkg, name), f"{pkg_name}.__all__ lists missing {name!r}"
+        obj = getattr(pkg, name)
+        assert star[name] is obj, name
+        assert _held_by_defining_module(pkg_name, name, obj), name
+
+
+def test_subpackages_resolve_as_package_attributes():
+    """As under eager ``__init__``s, ``import repro`` reaches every module
+    through attributes, each loaded on first use."""
+    code = (
+        "import sys\n"
+        "import repro\n"
+        "assert 'repro.service' not in sys.modules\n"
+        "assert repro.service.proc.backend.ProcBackend.__module__ == "
+        "'repro.service.proc.backend'\n"
+        "assert not hasattr(repro.service, 'no_such_module')\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("pkg_name", PACKAGES)
