@@ -22,6 +22,11 @@ Two trees decide identically when their hashes match::
 
     PYTHONPATH=src:. python benchmarks/decision_identity.py
     PYTHONPATH=src:. python benchmarks/decision_identity.py --library
+
+``benchmarks/results/decision_identity.json`` holds this tree's hashes and
+counts for both modes (the CPU times left out). ``--check FILE`` exits 1
+when the replay's differ from the file's; ``--record FILE`` rewrites the
+mode's entry, which only a change that means to alter decisions does.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ import argparse
 import hashlib
 import heapq
 import json
+import sys
 import time
 from collections import deque
+from pathlib import Path
 
 from repro.core import OnlineHeuristic
 from repro.core.problem import VirtualClusterRequest
@@ -47,6 +54,9 @@ from benchmarks.ledger.targets import make_pool
 
 IN_FLIGHT = 8
 MAX_LIVE = 200
+
+#: What a replay prints that is not a decision: process CPU times.
+CPU_FIELDS = ("process_cpu_s", "rebalance_cpu_s")
 
 
 def _digest(value) -> str:
@@ -175,12 +185,45 @@ def main() -> None:
         "--library", action="store_true",
         help="replay the alg1-960 stream through OnlineHeuristic.place instead",
     )
+    files = parser.add_mutually_exclusive_group()
+    files.add_argument(
+        "--check", metavar="FILE",
+        help="exit 1 unless the hashes and counts match FILE's for this mode",
+    )
+    files.add_argument(
+        "--record", metavar="FILE",
+        help="write this mode's hashes and counts into FILE",
+    )
     args = parser.parse_args()
     if args.library:
         result = replay_library(args.requests, args.seed)
     else:
         result = replay(args.requests, args.seed, args.every)
     print(json.dumps(result))
+    mode = "library" if args.library else "fabric"
+    entry = {"requests": args.requests, "seed": args.seed}
+    if not args.library:
+        entry["every"] = args.every
+    entry.update((k, v) for k, v in result.items() if k not in CPU_FIELDS)
+    if args.record:
+        path = Path(args.record)
+        doc = json.loads(path.read_text()) if path.exists() else {}
+        doc[mode] = entry
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    if args.check:
+        recorded = json.loads(Path(args.check).read_text())[mode]
+        differ = sorted(
+            k for k in recorded.keys() | entry.keys()
+            if recorded.get(k) != entry.get(k)
+        )
+        for key in differ:
+            print(
+                f"{mode} {key}: recorded {recorded.get(key)!r}, "
+                f"replayed {entry.get(key)!r}",
+                file=sys.stderr,
+            )
+        if differ:
+            sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -365,16 +365,18 @@ class ProcBackend:
         except TransportError:
             return None
 
-    def submit(self, request, attempt, on_decision) -> bool:
+    def submit(self, request, attempt, on_decision, *, arrival=None) -> bool:
         rid = request.request_id
         # Registered *before* the RPC: a running child can decide and the
         # events thread deliver before the submit reply is even read.
         with self._delivered:
             self._waiting[rid] = (attempt, on_decision)
+        doc = {"op": "submit", "request": message_to_doc(request), "attempt": attempt}
+        if arrival is not None:
+            # Monotonic clocks are per process: the child gets the age.
+            doc["waited"] = max(0.0, time.monotonic() - arrival)
         # A dead/dying worker is a decline.
-        reply = self._ask(
-            {"op": "submit", "request": message_to_doc(request), "attempt": attempt}
-        )
+        reply = self._ask(doc)
         admitted = bool(reply and reply.get("admitted"))
         if not admitted:
             with self._delivered:

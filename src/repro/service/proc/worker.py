@@ -242,8 +242,16 @@ class WorkerProcess:
         attempt = int(doc["attempt"])
         with self._alock:
             self._attempts[request.request_id] = attempt
-        ticket = self.service.submit(request)
-        if ticket.done:
+        waited = doc.get("waited")
+        ticket = self.service.submit(
+            request,
+            arrival=None if waited is None else time.monotonic() - float(waited),
+        )
+        decision = ticket.decision
+        if ticket.done and decision is not None and not decision.placed:
+            # Declined at the door. A placement is no decline: the loop may
+            # step the request before this line, and its lease must reach
+            # the parent as a decision.
             with self._alock:
                 self._attempts.pop(request.request_id, None)
             return {"admitted": False}

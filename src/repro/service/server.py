@@ -7,13 +7,16 @@ behind the serving loop the paper's online setting implies:
   are refused outright (the paper's "refuse" outcome); when the bounded wait
   queue is full, arrivals are rejected with backpressure instead of queueing
   unboundedly.
-* **Batching window** — the scheduler loop sleeps ``batch_window`` seconds
-  after traffic appears so concurrent arrivals coalesce, then runs one
-  :meth:`PlacementService.step`: the jointly satisfiable batch (the paper's
-  ``getRequests``) is placed sequentially with Algorithm 1, and batches of
-  two or more allocations go through Algorithm 2's pairwise Theorem-2
-  transfer phase. Transfers are applied only when they strictly shrink the
-  summed distance, so batching never does worse than per-request placement.
+* **Batching window** — the scheduler loop lets concurrent arrivals
+  coalesce for ``batch_window`` seconds, then runs one
+  :meth:`PlacementService.step`. The window runs from the earliest arrival
+  no step has taken; a turn without one (a release woke the loop, or only
+  requests an earlier step left queued wait) waits the full window. The
+  step places the jointly satisfiable batch (the paper's ``getRequests``)
+  sequentially with Algorithm 1, and batches of two or more allocations
+  go through Algorithm 2's pairwise Theorem-2 transfer phase. Transfers are
+  applied only when they strictly shrink the summed distance, so batching
+  never does worse than per-request placement.
 * **Graceful drain** — :meth:`drain` stops admission, keeps stepping until
   the queue empties or a deadline passes, and resolves whatever remains as
   ``dropped`` so no caller is left hanging.
@@ -73,10 +76,12 @@ _UNKNOWN_DURATION = 1.0
 class ServiceConfig:
     """Tunables for one :class:`PlacementService`.
 
-    ``batch_window`` only affects the background loop (how long it waits for
-    concurrent arrivals to coalesce); ``max_batch`` caps how many requests a
-    single :meth:`~PlacementService.step` may place — ``max_batch=1``
-    degenerates to pure per-request Algorithm-1 serving.
+    ``batch_window`` only affects the background loop: how long it lets
+    concurrent arrivals coalesce. The window runs from the earliest arrival
+    no step has taken; a turn without one waits the full window.
+    ``max_batch`` caps how many requests a single
+    :meth:`~PlacementService.step` may place — ``max_batch=1`` degenerates
+    to pure per-request Algorithm-1 serving.
     """
 
     queue_capacity: int = 256
@@ -317,6 +322,12 @@ class PlacementService:
             discipline=self.config.discipline,
         )
         self._pending: dict[int, tuple[Ticket, float]] = {}
+        #: Arrival time of each queued request no step has read yet.
+        self._unread: dict[int, float] = {}
+        #: The earliest of those arrivals, ``None`` when there is none: where
+        #: the scheduler loop's batching window starts. Written under the
+        #: lock, read without it.
+        self.earliest_arrival: "float | None" = None
         self._accepting = True
         #: The loop that steps this service in the background: its own,
         #: made by :meth:`start`, or a sharded fabric's shared one.
@@ -336,12 +347,18 @@ class PlacementService:
 
     # ------------------------------------------------------------ submission
 
-    def submit(self, request: PlaceRequest) -> Ticket:
+    def submit(
+        self, request: PlaceRequest, *, arrival: "float | None" = None
+    ) -> Ticket:
         """Admit, refuse, or reject *request*; returns its ticket.
 
         Refusals (demand can never fit) and rejections (queue full, or the
         service is draining) resolve the ticket immediately; admitted
-        requests resolve on a later :meth:`step`.
+        requests resolve on a later :meth:`step`. *arrival* is the
+        ``time.monotonic()`` at which the request first arrived, when it
+        comes from another queue (a sharded fabric's hand-back): its
+        ``max_wait``, its reported latency and the batching window then
+        count from there. By default the request arrives now.
         """
         ticket = Ticket(request.request_id)
         if self.fence is not None and not self.fence():
@@ -355,7 +372,7 @@ class PlacementService:
                 )
             )
             return ticket
-        now = time.monotonic()
+        now = time.monotonic() if arrival is None else arrival
         with self._lock:
             self.stats.submitted += 1
             core = request.to_core()
@@ -424,6 +441,9 @@ class PlacementService:
                 )
                 return ticket
             self._pending[request.request_id] = (ticket, now)
+            self._unread[request.request_id] = now
+            if self.earliest_arrival is None or now < self.earliest_arrival:
+                self.earliest_arrival = now
             self._mc_admissions["admitted"].inc()
             self._m_queue_depth.set(len(self._queue))
         self.wake()
@@ -517,6 +537,9 @@ class PlacementService:
         # work. Placements stay ahead of failures in the resolution order.
         resolutions: "list[tuple[Ticket, PlacementDecision]]" = []
         with self._lock, self.timer.phase("step"):
+            # This step reads every queued request: none is unread any more.
+            self._unread.clear()
+            self.earliest_arrival = None
             decisions.extend(self._expire(now))
             batch = self._queue.peek_admissible(self.state.available)
             if len(batch) > self.config.max_batch:
@@ -633,6 +656,7 @@ class PlacementService:
             if entry is None:
                 return False
             self._queue.cancel(request_id)
+            self._forget(request_id)
             self.stats.cancelled += 1
             self._mc_decisions[DecisionStatus.CANCELLED].inc()
             self._m_queue_depth.set(len(self._queue))
@@ -657,17 +681,27 @@ class PlacementService:
                 if (timed.demand > available).any()
             ]
 
-    def withdraw(self, request_id: int) -> bool:
+    def withdraw(self, request_id: int) -> "float | None":
         """Take a still-queued request back *undecided*: it leaves the
         queue and its ticket never resolves (the caller owns its outcome
         now, as the fabric does when it re-routes the request). Returns
-        ``False`` when the request is not pending."""
+        the request's arrival time, for :meth:`submit` on the queue that
+        takes it over, or ``None`` when the request is not pending."""
         with self._lock:
-            if self._pending.pop(request_id, None) is None:
-                return False
+            entry = self._pending.pop(request_id, None)
+            if entry is None:
+                return None
             self._queue.cancel(request_id)
+            self._forget(request_id)
             self._m_queue_depth.set(len(self._queue))
-            return True
+            return entry[1]
+
+    def _forget(self, request_id: int) -> None:
+        """Drop a request that leaves the queue unread from the batching
+        window's start (under the lock), so no stale arrival shortens the
+        window of a later one."""
+        if self._unread.pop(request_id, None) == self.earliest_arrival:
+            self.earliest_arrival = min(self._unread.values(), default=None)
 
     def _expire(self, now: float) -> list[PlacementDecision]:
         """Resolve queued requests that outwaited ``max_wait`` as timeouts."""
@@ -902,6 +936,8 @@ class PlacementService:
                 if entry is not None:
                     entry[0]._resolve(decision)
                 decisions.append(decision)
+            self._unread.clear()
+            self.earliest_arrival = None
             self._m_queue_depth.set(len(self._queue))
         return decisions
 
@@ -918,8 +954,15 @@ class SchedulerLoop:
     A turn runs every service's ``on_tick`` hook, parks while nothing is
     queued — and, after a turn that decided nothing, until :meth:`wake`
     (only a release or an arrival can unblock waiters that stayed queued;
-    re-stepping at once would busy-spin) — sleeps the batching window once,
+    re-stepping at once would busy-spin) — waits out the batching window,
     steps every service with queued work, then calls *after_steps*.
+
+    The window runs from the earliest arrival no step has taken
+    (:attr:`PlacementService.earliest_arrival`, over every service), so a
+    request that arrived while the previous turn stepped has already spent
+    part of it — or all of it, and is stepped at once. A turn without such
+    an arrival (a release woke the loop, or only requests an earlier step
+    left queued wait) waits the full window.
 
     ``services()`` returns the services to drive, read once per turn.
     ``after_steps(now)``, when given, does at most one bounded slice of
@@ -1014,7 +1057,9 @@ class SchedulerLoop:
             if any(s.backlog_hint for s in services):
                 if self._batch_window > 0:
                     # The batching window: let concurrent arrivals coalesce.
-                    time.sleep(self._batch_window)
+                    wait = self._window_left(services)
+                    if wait > 0:
+                        time.sleep(wait)
                 made_progress = False
                 for service in services:
                     if self._stop.is_set():
@@ -1039,3 +1084,12 @@ class SchedulerLoop:
                     _log.exception("scheduler turn-end work failed")
                     after_in = _PARK_S
         self._turn_started = None
+
+    def _window_left(self, services) -> float:
+        """Seconds of the batching window still to wait: the full window
+        unless some service holds an arrival no step has read."""
+        stamps = [s.earliest_arrival for s in services]
+        first = min((t for t in stamps if t is not None), default=None)
+        if first is None:
+            return self._batch_window
+        return first + self._batch_window - time.monotonic()

@@ -59,11 +59,20 @@ class ShardBackend(Protocol):
     transfer_gain: float
     running: bool
 
-    def submit(self, request: PlaceRequest, attempt: int, on_decision) -> bool:
+    def submit(
+        self,
+        request: PlaceRequest,
+        attempt: int,
+        on_decision,
+        *,
+        arrival: "float | None" = None,
+    ) -> bool:
         """Hand *request* to the service; ``False`` when it declined at the
         door. An admitted request's shard-local decision goes to
         ``on_decision`` exactly once. *attempt* is the fabric's fencing
-        token for this try (it rides the wire out of process)."""
+        token for this try (it rides the wire out of process). *arrival*,
+        this process's ``time.monotonic()`` when the request first arrived,
+        is where its wait counts from (default: now)."""
 
     def release(self, request: ReleaseRequest) -> ReleaseResponse: ...
 
@@ -145,8 +154,8 @@ class LocalBackend:
     def running(self) -> bool:
         return self.service.running
 
-    def submit(self, request, attempt, on_decision) -> bool:
-        inner = self.service.submit(request)
+    def submit(self, request, attempt, on_decision, *, arrival=None) -> bool:
+        inner = self.service.submit(request, arrival=arrival)
         decision = inner.decision
         if inner.done and decision is not None and not decision.placed:
             return False  # queue full, draining, duplicate, dead-worker fence

@@ -657,6 +657,7 @@ class ShardedPlacementFabric:
         *,
         failover: bool,
         route: "RouteResult | None" = None,
+        arrival: "float | None" = None,
     ) -> None:
         """Route *request* over the live shards and resolve *ticket*.
 
@@ -665,7 +666,8 @@ class ShardedPlacementFabric:
         the full ranked spillover order (a dead shard's victims must reach
         *any* surviving shard, even with ``spillover=False``).
         :meth:`submit_batch` passes a pre-computed *route* from its
-        vectorized screening pass.
+        vectorized screening pass; a hand-back passes the request's
+        original *arrival* (see :meth:`_admit`).
         """
         demand = np.asarray(request.demand, dtype=np.int64)
         target = request.survivability
@@ -701,7 +703,7 @@ class ShardedPlacementFabric:
             # Immediately-placeable traffic never speculates, so its
             # placements are identical with speculation on or off.
             copies = self.config.speculation
-        if self._admit(request, ticket, candidates, copies):
+        if self._admit(request, ticket, candidates, copies, arrival):
             return
         # No shard admitted: refuse when nobody could *ever* serve it,
         # reject when live shards exist but all declined right now, and
@@ -746,7 +748,12 @@ class ShardedPlacementFabric:
         )
 
     def _admit(
-        self, request: PlaceRequest, ticket: Ticket, candidates, copies: int
+        self,
+        request: PlaceRequest,
+        ticket: Ticket,
+        candidates,
+        copies: int,
+        arrival: "float | None" = None,
     ) -> bool:
         """Admit *request* on up to *copies* of *candidates*, best first.
 
@@ -758,7 +765,9 @@ class ShardedPlacementFabric:
         map points at the first admitted copy until a winner commits.
         Returns ``True`` when a copy was admitted (or a concurrent failover
         took the request over), ``False`` when every candidate declined at
-        the door — the caller resolves the terminal outcome.
+        the door — the caller resolves the terminal outcome. *arrival*
+        (``time.monotonic()``), when given, is when the request first
+        arrived at the fabric: a shard queues it from then, not from now.
         """
         rid = request.request_id
         attempt = None
@@ -790,7 +799,10 @@ class ShardedPlacementFabric:
                 if not admitted:
                     self._owners[rid] = shard_id
             if not shard.backend.submit(
-                request, attempt, self._decision_callback(shard, rid, ticket, attempt)
+                request,
+                attempt,
+                self._decision_callback(shard, rid, ticket, attempt),
+                arrival=arrival,
             ):
                 # Declined at the door (queue full, draining, duplicate,
                 # dead worker) — drop this copy from the group and try the
@@ -1301,7 +1313,9 @@ class ShardedPlacementFabric:
         shard can hold now is withdrawn from its shard, undecided, and
         admitted by the best of those shards (their free capacity counted
         down as the pass hands requests to them); its ticket, owner entry
-        and a fresh attempt token go with it, as on failover. Speculating
+        and a fresh attempt token go with it, as on failover, and it keeps
+        its arrival time, so its ``max_wait``, its reported latency and
+        the batching window still count from then. Speculating
         requests are left to their copies. The pass runs again only after
         some live shard's state changed, since nothing else can free room.
         """
@@ -1337,11 +1351,10 @@ class ShardedPlacementFabric:
                     exclude=everyone - fits - {sid},
                     target=request.survivability,
                 )
-                if (
-                    not route.ranked
-                    or route.ranked[0] == sid
-                    or not source.service.withdraw(rid)
-                ):
+                if not route.ranked or route.ranked[0] == sid:
+                    continue
+                arrival = source.service.withdraw(rid)
+                if arrival is None:
                     continue
                 with self._flock:
                     if self._inflight.get(rid) is not entry:
@@ -1350,8 +1363,10 @@ class ShardedPlacementFabric:
                     self._owners[rid] = _ROUTING
                     self._stats.handbacks += 1
                 room[route.ranked[0]] = room[route.ranked[0]] - demand
-                if not self._admit(request, ticket, route.ranked, 1):
-                    self._dispatch(request, ticket, failover=True)
+                if not self._admit(request, ticket, route.ranked, 1, arrival):
+                    self._dispatch(
+                        request, ticket, failover=True, arrival=arrival
+                    )
 
     def _sweep_turn(self, now: float) -> float:
         """The rebalance sweep's turn: start a due sweep, advance it by one

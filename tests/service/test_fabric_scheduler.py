@@ -11,6 +11,11 @@ Two more cases follow from having one loop: a burst from one caller outruns
 it (what a full shard cannot place is handed back to shards with room), and
 one shard's step that blocks stalls every shard (the supervisor fails the
 loop over to a fresh one).
+
+The batching window's rule is checked on a bare service's loop and on a
+fabric's: the window runs from the earliest arrival no step has taken, and
+a turn without one waits the full window. A handed-back request keeps its
+arrival time.
 """
 
 import os
@@ -25,10 +30,14 @@ import pytest
 
 from repro.cluster import PoolSpec, VMTypeCatalog, random_pool
 from repro.core.placement.greedy import OnlineHeuristic
+from repro.core.problem import VirtualClusterRequest
 from repro.obs import MetricsRegistry
 from repro.service import (
+    ClusterState,
+    DecisionStatus,
     FabricSupervisor,
     PlaceRequest,
+    PlacementService,
     ReleaseRequest,
     ServiceConfig,
     SupervisorConfig,
@@ -322,3 +331,299 @@ def test_a_step_that_blocks_is_failed_over_to_a_fresh_scheduler_loop():
     assert holders[STUCK_REQUEST] == 1
     assert fabric.stats.placed == STUCK_REQUEST + 2
     assert fabric.stats.spec_released == 0
+
+
+# ------------------------------------------------------------ batching window
+#
+# The window runs from the earliest arrival no step has taken; a turn
+# without one waits the full window. Each case runs on a bare service's own
+# loop and on an in-process fabric's loop; the loop's ``time.sleep`` calls
+# and every step are recorded with their times.
+
+WINDOW = 0.1
+BLOCKING_REQUEST = 900
+
+
+class _Recorder:
+    """Records the loop thread's sleeps and its steps of the driven
+    services: ``("sleep", started, seconds)`` and ``("step", started,
+    ended, earliest arrival at entry, decided request ids)``."""
+
+    def __init__(self, monkeypatch, thread_name, services):
+        self.events = []
+        self._lock = threading.Lock()
+        real_sleep = time.sleep
+
+        def sleep(seconds):
+            if threading.current_thread().name == thread_name:
+                self._add(("sleep", time.monotonic(), seconds))
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        for service in services:
+            self._wrap(service, thread_name)
+
+    def _add(self, event):
+        with self._lock:
+            self.events.append(event)
+
+    def _wrap(self, service, thread_name):
+        step = service.step
+
+        def recorded(now=None):
+            if threading.current_thread().name != thread_name:
+                return step(now)
+            stamp = service.earliest_arrival
+            started = time.monotonic()
+            decisions = step(now)
+            self._add((
+                "step", started, time.monotonic(), stamp,
+                [d.request_id for d in decisions],
+            ))
+            return decisions
+
+        service.step = recorded
+
+    def steps(self):
+        with self._lock:
+            return [e for e in self.events if e[0] == "step"]
+
+    def step_deciding(self, rid):
+        for event in self.steps():
+            if rid in event[4]:
+                return event
+        raise AssertionError(f"no recorded step decided request {rid}")
+
+    def sleeps_between(self, start, end):
+        with self._lock:
+            return [e for e in self.events if e[0] == "sleep" and start <= e[1] <= end]
+
+    def sleep_before(self, step_event):
+        """The last sleep the loop began before *step_event* began."""
+        with self._lock:
+            sleeps = [
+                e for e in self.events if e[0] == "sleep" and e[1] <= step_event[1]
+            ]
+        assert sleeps, "the loop stepped without any window sleep"
+        return sleeps[-1]
+
+
+class _Target:
+    """One scheduler loop over one or more services, driven alike."""
+
+    def __init__(self, kind, policy_factory=OnlineHeuristic):
+        config = ServiceConfig(batch_window=WINDOW)
+        pool = random_pool(
+            PoolSpec(racks=4, nodes_per_rack=4, clouds=2, capacity_low=1, capacity_high=3),
+            CATALOG,
+            seed=61,
+        )
+        if kind == "service":
+            self.front = PlacementService(
+                ClusterState.from_pool(pool), policy=policy_factory(), config=config
+            )
+            self.services = [self.front]
+            self.thread_name = "placement-service"
+        else:
+            self.front = ShardedPlacementFabric(
+                pool,
+                plan=RackGroupPlan(2),
+                policy_factory=policy_factory,
+                config=FabricConfig(service=config),
+                obs=MetricsRegistry(),
+            )
+            self.services = [shard.service for shard in self.front.shards]
+            self.thread_name = "fabric-scheduler"
+
+    def submit(self, rid, demand):
+        return self.front.submit(PlaceRequest(request_id=rid, demand=demand))
+
+    def step_by_hand(self):
+        if isinstance(self.front, ShardedPlacementFabric):
+            return self.front.step_all()
+        return self.front.step()
+
+    def loop(self):
+        return self.services[0].scheduler
+
+    def hog_type0(self, first_rid):
+        """Take every service's whole type-0 supply with leases placed by
+        hand, bypassing any router; returns ``{rid: service}``."""
+        hogs = {}
+        for i, service in enumerate(self.services):
+            rid = first_rid + i
+            supply = int(service.state.available[0])
+            assert service.submit(PlaceRequest(request_id=rid, demand=(supply, 0, 0)))
+            assert service.step()[0].placed
+            hogs[rid] = service
+        return hogs
+
+
+def _wait_until(predicate, what):
+    deadline = time.monotonic() + TIMEOUT_S
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.001)
+
+
+KINDS = ["service", "fabric"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_lone_arrival_waits_one_window_from_its_submit(kind, monkeypatch):
+    target = _Target(kind)
+    recorder = _Recorder(monkeypatch, target.thread_name, target.services)
+    target.front.start()
+    try:
+        _wait_until(lambda: target.loop()._turn_started is None, "the loop to park")
+        submitted = time.monotonic()
+        ticket = target.submit(1, (1, 0, 0))
+        assert ticket.result(TIMEOUT_S).placed
+    finally:
+        target.front.stop()
+    step = recorder.step_deciding(1)
+    stamp = step[3]
+    assert stamp is not None and stamp >= submitted
+    assert step[1] >= stamp + WINDOW
+    sleep = recorder.sleep_before(step)
+    assert 0 < sleep[2] <= WINDOW
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_arrival_that_waited_out_a_slow_step_is_stepped_at_once(
+    kind, monkeypatch
+):
+    """A request that arrives while a step blocks has spent the window by
+    the time the step returns: the loop steps it with no further sleep."""
+    gate, blocked = threading.Event(), threading.Event()
+
+    class BlockingHeuristic(OnlineHeuristic):
+        def place(self, pool, request=None, **kwargs):
+            if request.request_id == BLOCKING_REQUEST and not blocked.is_set():
+                blocked.set()
+                gate.wait(TIMEOUT_S)
+            return super().place(pool, request, **kwargs)
+
+    target = _Target(kind, policy_factory=BlockingHeuristic)
+    recorder = _Recorder(monkeypatch, target.thread_name, target.services)
+    late = []
+    target.front.start()
+    try:
+        slow = target.submit(BLOCKING_REQUEST, (1, 0, 0))
+        assert blocked.wait(TIMEOUT_S)
+        # The submit may block on the stepping service's lock: submit from
+        # a thread of its own, and give it the whole window to wait out.
+        submitter = threading.Thread(
+            target=lambda: late.append(target.submit(2, (1, 0, 0)))
+        )
+        submitter.start()
+        time.sleep(1.5 * WINDOW)
+        gate.set()
+        submitter.join(TIMEOUT_S)
+        assert slow.result(TIMEOUT_S).placed
+        assert late[0].result(TIMEOUT_S).placed
+    finally:
+        gate.set()
+        target.front.stop()
+    slow_step, late_step = (
+        recorder.step_deciding(BLOCKING_REQUEST), recorder.step_deciding(2)
+    )
+    assert late_step[1] >= slow_step[2]
+    assert recorder.sleeps_between(slow_step[2], late_step[1]) == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_release_wake_without_an_arrival_sleeps_the_full_window(
+    kind, monkeypatch
+):
+    target = _Target(kind)
+    hogs = target.hog_type0(first_rid=100)
+    recorder = _Recorder(monkeypatch, target.thread_name, target.services)
+    waiter = target.submit(1, (1, 0, 0))
+    assert target.step_by_hand() == []  # capacity-blocked: stays queued
+    target.front.start()
+    try:
+        # The loop steps the waiter once without progress, then parks.
+        _wait_until(recorder.steps, "the loop's first step")
+        _wait_until(lambda: target.loop()._turn_started is None, "the loop to park")
+        for rid, service in hogs.items():
+            assert service.release(ReleaseRequest(request_id=rid)).released
+        assert waiter.result(TIMEOUT_S).placed
+    finally:
+        target.front.stop()
+    step = recorder.step_deciding(1)
+    assert step[3] is None  # no arrival stamped this turn
+    assert recorder.sleep_before(step)[2] == WINDOW
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_hand_driven_step_clears_the_window_start(kind, monkeypatch):
+    """A step by hand reads the queue, so a loop started later does not
+    count its window from the arrival that step took."""
+    target = _Target(kind)
+    target.hog_type0(first_rid=100)
+    recorder = _Recorder(monkeypatch, target.thread_name, target.services)
+    target.submit(1, (1, 0, 0))
+    assert any(s.earliest_arrival is not None for s in target.services)
+    assert target.step_by_hand() == []
+    assert all(s.earliest_arrival is None for s in target.services)
+    time.sleep(1.5 * WINDOW)  # an inherited stamp would leave no window
+    target.front.start()
+    try:
+        _wait_until(recorder.steps, "the loop's first step")
+    finally:
+        target.front.stop()
+    first = recorder.steps()[0]
+    assert first[3] is None
+    assert recorder.sleep_before(first)[2] == WINDOW
+
+
+# --------------------------------------------------------------- hand-back
+
+MAX_WAIT = 5.0
+HELD_BEFORE_HAND_BACK = 0.2
+
+
+@pytest.mark.parametrize("outcome", ["timeout", "placed"])
+def test_a_handed_back_request_keeps_its_arrival_time(outcome):
+    """A request handed back to another shard keeps the time it first
+    arrived: it times out at its original ``max_wait`` deadline, and its
+    decision reports the whole wait, its first shard's queue included."""
+    pool = random_pool(
+        PoolSpec(racks=4, nodes_per_rack=4, clouds=2, capacity_low=1, capacity_high=3),
+        CATALOG,
+        seed=61,
+    )
+    fabric = ShardedPlacementFabric(
+        pool,
+        plan=RackGroupPlan(2),
+        config=FabricConfig(service=ServiceConfig(max_wait=MAX_WAIT)),
+        obs=MetricsRegistry(),
+    )
+    before = time.monotonic()
+    ticket = fabric.submit(PlaceRequest(request_id=1, demand=(1, 0, 0)))
+    after = time.monotonic()
+    first = fabric.owner_of(1)
+    # Strand it: its shard's whole type-0 supply goes to a lease committed
+    # outside the queue, while the other shard keeps room.
+    state = fabric.shards[first].state
+    supply = VirtualClusterRequest(demand=[int(state.available[0]), 0, 0])
+    state.allocate_lease(99, OnlineHeuristic().place(state, supply).allocation)
+    time.sleep(HELD_BEFORE_HAND_BACK)
+    fabric._hand_back()
+    assert fabric.stats.handbacks == 1
+    assert fabric.owner_of(1) not in (None, first)
+    if outcome == "timeout":
+        # Past the original deadline, though not yet max_wait after the
+        # hand-back (which came HELD_BEFORE_HAND_BACK later).
+        now = after + MAX_WAIT + HELD_BEFORE_HAND_BACK / 4
+        fabric.step_all(now=now)
+        decision = ticket.result(0)
+        assert decision.status == DecisionStatus.TIMEOUT
+        assert fabric.stats.timed_out == 1
+    else:
+        now = time.monotonic()
+        fabric.step_all(now=now)
+        decision = ticket.result(0)
+        assert decision.placed
+    assert now - after <= decision.latency <= now - before

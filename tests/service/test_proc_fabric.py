@@ -21,8 +21,10 @@ import pytest
 from repro.cluster import PoolSpec, VMTypeCatalog, random_pool
 from repro.obs import MetricsRegistry
 from repro.service import (
+    ClusterState,
     DecisionStatus,
     PlaceRequest,
+    PlacementService,
     ReleaseRequest,
     ServiceConfig,
     build_fabric,
@@ -31,7 +33,8 @@ from repro.service.checkpoint import checkpoint_bytes, state_from_checkpoint
 from repro.service.coord.net import CoordinationServer
 from repro.service.proc import backend as proc_backend
 from repro.service.proc.backend import ProcWorkerHandle
-from repro.service.proc.worker import COPY_NUDGE
+from repro.service.api import message_to_doc
+from repro.service.proc.worker import COPY_NUDGE, WorkerProcess
 from repro.service.shard import FabricConfig, RackGroupPlan
 from repro.service.supervisor import SupervisorConfig
 from repro.util.errors import RemoteOpError, TransportError, ValidationError
@@ -167,6 +170,60 @@ class TestLifecycle:
             assert built.shutdown() == 0
         codes = built.worker_exit_codes
         assert codes and all(code == 0 for code in codes.values()), codes
+
+    def test_a_queued_arrival_time_crosses_the_process_boundary(self):
+        """A request handed to a worker with an earlier arrival (as a
+        hand-back does) counts ``max_wait`` and its latency from then:
+        the age rides the wire, since monotonic clocks are per process."""
+        pool = make_pool(seed=7)
+        built = make_proc_fabric(
+            pool,
+            config=FabricConfig(
+                service=ServiceConfig(batch_window=0.0, max_wait=5.0)
+            ),
+        )
+        backend = built.service.shards[0].backend
+        got = []
+        try:
+            arrived = time.monotonic() - 10.0
+            assert backend.submit(
+                PlaceRequest(demand=(1, 0, 0), request_id=1),
+                1,
+                got.append,
+                arrival=arrived,
+            )
+            backend.step(None)
+            assert [d.status for d in got] == [DecisionStatus.TIMEOUT]
+            assert 10.0 <= got[0].latency <= time.monotonic() - arrived
+        finally:
+            assert built.shutdown() == 0
+
+    def test_a_request_the_loop_places_during_submit_is_admitted(self):
+        """The child's loop may step a request between ``submit`` and the
+        submit handler's look at the ticket (a request that waited out a
+        step gets no window). That placement is no decline at the door: the
+        handler admits it and sends its decision, or the parent would route
+        it elsewhere while this worker holds its lease."""
+        worker = WorkerProcess(
+            {"shard_id": 0, "worker_id": "w0", "token": "t", "host": "", "port": 0}
+        )
+        service = PlacementService(ClusterState.from_pool(make_pool()))
+        submit = service.submit
+
+        def submit_then_step(request, **kwargs):
+            ticket = submit(request, **kwargs)
+            service.step()  # the scheduler thread wins the race
+            return ticket
+
+        service.submit = submit_then_step
+        worker.service = service
+        request = PlaceRequest(demand=(1, 0, 0), request_id=5)
+        reply = worker._op_submit({"request": message_to_doc(request), "attempt": 3})
+        assert reply == {"admitted": True}
+        [event] = worker.outbox.drain(0.0)
+        assert event["attempt"] == 3
+        assert event["decision"]["status"] == DecisionStatus.PLACED
+        assert service.state.has_lease(5)
 
     def test_global_allocated_matches_leases(self):
         pool = make_pool(seed=5)

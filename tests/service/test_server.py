@@ -273,6 +273,57 @@ class TestDuplicatesAndCancel:
         assert not service.cancel(5)  # placed; the lease stays
 
 
+class TestWindowStart:
+    """``earliest_arrival`` — where the loop's batching window starts — is
+    the earliest arrival of a queued request no step has read yet."""
+
+    def saturated(self):
+        state = make_state()
+        service = make_service(state)
+        state.allocate(state.remaining.copy())
+        return service
+
+    def test_a_step_reads_every_arrival(self):
+        service = self.saturated()
+        assert service.earliest_arrival is None
+        before = time.monotonic()
+        service.submit(PlaceRequest(demand=(1, 0, 0), request_id=1))
+        service.submit(PlaceRequest(demand=(1, 0, 0), request_id=2))
+        assert before <= service.earliest_arrival <= time.monotonic()
+        assert service.step() == []
+        assert service.earliest_arrival is None
+        assert service.queued == 2  # still queued, but read
+
+    def test_leaving_the_queue_unread_takes_the_arrival_along(self):
+        service = self.saturated()
+        service.submit(PlaceRequest(demand=(1, 0, 0), request_id=1))
+        first = service.earliest_arrival
+        service.submit(PlaceRequest(demand=(1, 0, 0), request_id=2))
+        service.submit(PlaceRequest(demand=(1, 0, 0), request_id=3))
+        assert service.cancel(2)
+        assert service.earliest_arrival == first
+        assert service.withdraw(1) == first
+        second = service.earliest_arrival
+        assert second is not None and second >= first
+        assert service.cancel(3)
+        assert service.earliest_arrival is None
+        assert service.withdraw(3) is None  # no longer pending
+
+    def test_an_earlier_arrival_moves_the_start_back(self):
+        service = self.saturated()
+        service.submit(PlaceRequest(demand=(1, 0, 0), request_id=1))
+        earlier = service.earliest_arrival - 1.0
+        service.submit(PlaceRequest(demand=(1, 0, 0), request_id=2), arrival=earlier)
+        assert service.earliest_arrival == earlier
+        assert service.withdraw(2) == earlier
+
+    def test_a_drain_forgets_the_arrivals_it_drops(self):
+        service = self.saturated()
+        service.submit(PlaceRequest(demand=(1, 0, 0), request_id=1))
+        service.drain(timeout=0.0)
+        assert service.earliest_arrival is None
+
+
 class TestLifecycle:
     def test_background_loop_serves_submissions(self):
         service = make_service(batch_window=0.001)
