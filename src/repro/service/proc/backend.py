@@ -365,18 +365,27 @@ class ProcBackend:
         except TransportError:
             return None
 
-    def submit(self, request, attempt, on_decision, *, arrival=None) -> bool:
+    def submit(self, request, attempt, on_decision, *, arrival) -> bool:
+        """Send *request* to the child (see :meth:`ShardBackend.submit`).
+
+        *arrival* is when the fabric first received the request, in this
+        process's ``time.monotonic()``. Monotonic clocks are per process, so
+        the child is sent the request's age as ``waited`` and rebuilds the
+        arrival on its own clock: routing and this RPC count in the request's
+        wait and in the child's batching window instead of adding to them.
+        """
         rid = request.request_id
         # Registered *before* the RPC: a running child can decide and the
         # events thread deliver before the submit reply is even read.
         with self._delivered:
             self._waiting[rid] = (attempt, on_decision)
-        doc = {"op": "submit", "request": message_to_doc(request), "attempt": attempt}
-        if arrival is not None:
-            # Monotonic clocks are per process: the child gets the age.
-            doc["waited"] = max(0.0, time.monotonic() - arrival)
         # A dead/dying worker is a decline.
-        reply = self._ask(doc)
+        reply = self._ask({
+            "op": "submit",
+            "request": message_to_doc(request),
+            "attempt": attempt,
+            "waited": max(0.0, time.monotonic() - arrival),
+        })
         admitted = bool(reply and reply.get("admitted"))
         if not admitted:
             with self._delivered:

@@ -355,10 +355,12 @@ class PlacementService:
         Refusals (demand can never fit) and rejections (queue full, or the
         service is draining) resolve the ticket immediately; admitted
         requests resolve on a later :meth:`step`. *arrival* is the
-        ``time.monotonic()`` at which the request first arrived, when it
-        comes from another queue (a sharded fabric's hand-back): its
-        ``max_wait``, its reported latency and the batching window then
-        count from there. By default the request arrives now.
+        ``time.monotonic()`` at which the request first arrived, when that
+        was before this call: a sharded fabric passes the moment the fabric
+        received the request, so the routing, an RPC to a child process and
+        any earlier shard's queue (hand-back, failover) count in its
+        ``max_wait``, its reported latency and the batching window. By
+        default the request arrives now.
         """
         ticket = Ticket(request.request_id)
         if self.fence is not None and not self.fence():

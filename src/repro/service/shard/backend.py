@@ -65,14 +65,16 @@ class ShardBackend(Protocol):
         attempt: int,
         on_decision,
         *,
-        arrival: "float | None" = None,
+        arrival: float,
     ) -> bool:
         """Hand *request* to the service; ``False`` when it declined at the
         door. An admitted request's shard-local decision goes to
         ``on_decision`` exactly once. *attempt* is the fabric's fencing
-        token for this try (it rides the wire out of process). *arrival*,
-        this process's ``time.monotonic()`` when the request first arrived,
-        is where its wait counts from (default: now)."""
+        token for this try (it rides the wire out of process). *arrival* is
+        this process's ``time.monotonic()`` when the fabric first received
+        the request: its ``max_wait``, its reported latency and the shard's
+        batching window count from then, so routing, the RPC and any earlier
+        shard's queue (failover, hand-back) are part of its wait."""
 
     def release(self, request: ReleaseRequest) -> ReleaseResponse: ...
 
@@ -154,7 +156,7 @@ class LocalBackend:
     def running(self) -> bool:
         return self.service.running
 
-    def submit(self, request, attempt, on_decision, *, arrival=None) -> bool:
+    def submit(self, request, attempt, on_decision, *, arrival) -> bool:
         inner = self.service.submit(request, arrival=arrival)
         decision = inner.decision
         if inner.done and decision is not None and not decision.placed:

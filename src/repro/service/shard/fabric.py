@@ -401,16 +401,18 @@ class ShardedPlacementFabric:
         self._owners: dict[int, int] = {}
         #: Shards quarantined by :meth:`mark_shard_down` (dead workers).
         self._down: set[int] = set()
-        #: request id → (request, outer ticket, attempt token, copy shards)
-        #: for every not-yet-decided request, so shard death can re-route the
-        #: victims without touching the dead worker. The attempt token fences
-        #: stale decisions: a dying shard's late callback loses to the
-        #: re-route. ``copy shards`` holds every shard still racing for the
-        #: request — a singleton normally, several under speculation; one
-        #: attempt token is shared by all copies of a speculation group so
-        #: the first committed placement wins and fences the rest.
+        #: request id → (request, outer ticket, attempt token, copy shards,
+        #: arrival) for every not-yet-decided request, so shard death can
+        #: re-route the victims without touching the dead worker, from their
+        #: arrival (``time.monotonic()`` when the fabric received them). The
+        #: attempt token fences stale decisions: a dying shard's late
+        #: callback loses to the re-route. ``copy shards`` holds every shard
+        #: still racing for the request — a singleton normally, several
+        #: under speculation; one attempt token is shared by all copies of a
+        #: speculation group so the first committed placement wins and
+        #: fences the rest.
         self._inflight: dict[
-            int, tuple[PlaceRequest, Ticket, int, frozenset[int]]
+            int, tuple[PlaceRequest, Ticket, int, frozenset[int], float]
         ] = {}
         self._attempts = 0
         self._started = False
@@ -568,10 +570,14 @@ class ShardedPlacementFabric:
         ``refused`` when every shard's maximum capacity is exceeded,
         ``shard_unavailable`` when only a dead shard could have served it,
         ``rejected`` otherwise.
+
+        The request arrives now: its ``max_wait``, its reported latency and
+        its shard's batching window count from this call, routing included.
         """
+        arrival = time.monotonic()
         tickets, fresh, _ = self._screen((request,))
         for request, ticket in fresh:
-            self._dispatch(request, ticket, failover=False)
+            self._dispatch(request, ticket, failover=False, arrival=arrival)
         return tickets[0]
 
     def _screen(self, requests):
@@ -618,8 +624,10 @@ class ShardedPlacementFabric:
         The win is the per-arrival routing overhead: one supply matmul and
         one fill-bound kernel per shard for the whole batch instead of one
         python scoring walk per request. The async endpoint feeds every
-        batch it drains from its connections through here.
+        batch it drains from its connections through here. The whole batch
+        arrives at this call, as each request would at its :meth:`submit`.
         """
+        arrival = time.monotonic()
         tickets, fresh, down = self._screen(requests)
         if not fresh:
             return tickets
@@ -644,10 +652,11 @@ class ShardedPlacementFabric:
         for request, ticket in fresh:
             if request.survivability is None:
                 self._dispatch(
-                    request, ticket, failover=False, route=next(routes)
+                    request, ticket, failover=False, arrival=arrival,
+                    route=next(routes),
                 )
             else:
-                self._dispatch(request, ticket, failover=False)
+                self._dispatch(request, ticket, failover=False, arrival=arrival)
         return tickets
 
     def _dispatch(
@@ -656,8 +665,8 @@ class ShardedPlacementFabric:
         ticket: Ticket,
         *,
         failover: bool,
+        arrival: float,
         route: "RouteResult | None" = None,
-        arrival: "float | None" = None,
     ) -> None:
         """Route *request* over the live shards and resolve *ticket*.
 
@@ -666,8 +675,9 @@ class ShardedPlacementFabric:
         the full ranked spillover order (a dead shard's victims must reach
         *any* surviving shard, even with ``spillover=False``).
         :meth:`submit_batch` passes a pre-computed *route* from its
-        vectorized screening pass; a hand-back passes the request's
-        original *arrival* (see :meth:`_admit`).
+        vectorized screening pass. *arrival* is when the request first
+        arrived at the fabric, kept across failover and hand-back (see
+        :meth:`_admit`).
         """
         demand = np.asarray(request.demand, dtype=np.int64)
         target = request.survivability
@@ -753,7 +763,7 @@ class ShardedPlacementFabric:
         ticket: Ticket,
         candidates,
         copies: int,
-        arrival: "float | None" = None,
+        arrival: float,
     ) -> bool:
         """Admit *request* on up to *copies* of *candidates*, best first.
 
@@ -766,8 +776,8 @@ class ShardedPlacementFabric:
         Returns ``True`` when a copy was admitted (or a concurrent failover
         took the request over), ``False`` when every candidate declined at
         the door — the caller resolves the terminal outcome. *arrival*
-        (``time.monotonic()``), when given, is when the request first
-        arrived at the fabric: a shard queues it from then, not from now.
+        (``time.monotonic()``) is when the request first arrived at the
+        fabric: a shard queues it from then, not from now.
         """
         rid = request.request_id
         attempt = None
@@ -794,7 +804,7 @@ class ShardedPlacementFabric:
                     return True  # concurrent failover took the request over
                 self._inflight[rid] = (
                     request, ticket, attempt,
-                    frozenset((*admitted, shard_id)),
+                    frozenset((*admitted, shard_id)), arrival,
                 )
                 if not admitted:
                     self._owners[rid] = shard_id
@@ -814,7 +824,9 @@ class ShardedPlacementFabric:
                         return True
                     members = frozenset(s for s in entry[3] if s != shard_id)
                     if members:
-                        self._inflight[rid] = (request, ticket, attempt, members)
+                        self._inflight[rid] = (
+                            request, ticket, attempt, members, arrival,
+                        )
                     else:
                         del self._inflight[rid]
                         self._owners[rid] = _ROUTING
@@ -861,7 +873,7 @@ class ShardedPlacementFabric:
                         stale_release = True
                         self._stats.spec_released += 1
                 else:
-                    request, ticket, _token, members = entry
+                    request, ticket, _token, members, arrival = entry
                     if translated.placed:
                         del self._inflight[request_id]
                         self._owners[request_id] = shard.shard_id
@@ -880,7 +892,7 @@ class ShardedPlacementFabric:
                             # Other speculative copies are still racing —
                             # absorb this copy's non-placement and wait.
                             self._inflight[request_id] = (
-                                request, ticket, attempt, members,
+                                request, ticket, attempt, members, arrival,
                             )
                             if self._owners.get(request_id) == shard.shard_id:
                                 self._owners[request_id] = min(members)
@@ -982,9 +994,12 @@ class ShardedPlacementFabric:
         further state, or restore-from-checkpoint would fork the ledger),
         removes the shard from routing, and re-dispatches every in-flight
         request that was waiting on it through the surviving shards'
-        spillover path. Leases the dead shard *holds* stay in the owner map
-        (answering ``shard_unavailable``) until :meth:`restore_shard`
-        re-adopts them from the replicated checkpoint.
+        spillover path; each keeps its arrival, so its ``max_wait``
+        deadline, its reported latency and its new shard's batching window
+        count from when the fabric first received it. Leases the dead shard
+        *holds* stay in the owner map (answering ``shard_unavailable``)
+        until :meth:`restore_shard` re-adopts them from the replicated
+        checkpoint.
 
         Deliberately takes no dead-worker lock: a crashed or wedged worker
         thread may hold its service lock forever. Returns the re-routed
@@ -1014,9 +1029,9 @@ class ShardedPlacementFabric:
             for rid, _ in victims:
                 del self._inflight[rid]
                 self._owners[rid] = _ROUTING
-            for rid, (request, ticket, attempt, members) in orphaned:
+            for rid, (request, ticket, attempt, members, arrival) in orphaned:
                 self._inflight[rid] = (
-                    request, ticket, attempt, members - {shard_id},
+                    request, ticket, attempt, members - {shard_id}, arrival,
                 )
             self._stats.failovers += len(victims)
             down = frozenset(self._down)
@@ -1025,7 +1040,7 @@ class ShardedPlacementFabric:
             "shard %d marked down (%s): re-routing %d in-flight request(s)",
             shard_id, reason or "unspecified", len(victims),
         )
-        for rid, (_request, _ticket, _attempt, members) in victims:
+        for rid, (_request, _ticket, _attempt, members, _arrival) in victims:
             # Withdraw the victims' still-queued speculative copies on live
             # shards before re-routing: the re-route carries a new attempt
             # token, so any copy that outruns the cancel resolves as stale
@@ -1033,8 +1048,10 @@ class ShardedPlacementFabric:
             for sid in members:
                 if sid != shard_id and sid not in down:
                     self._shards[sid].backend.cancel(rid)
-        for rid, (request, ticket, _attempt, _members) in sorted(victims):
-            self._dispatch(request, ticket, failover=True)
+        for rid, (request, ticket, _attempt, _members, arrival) in sorted(
+            victims
+        ):
+            self._dispatch(request, ticket, failover=True, arrival=arrival)
         return [rid for rid, _ in sorted(victims)]
 
     def restore_shard(self, shard_id: int, payload: bytes) -> ClusterState:

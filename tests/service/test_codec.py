@@ -7,12 +7,15 @@ that never sends a hello — all must interoperate through the negotiated
 envelope protocol with no per-combination code.
 """
 
+import enum
 import io
 import json
 import socket
 import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import PoolSpec, VMTypeCatalog, random_pool
 from repro.service import (
@@ -21,6 +24,7 @@ from repro.service import (
     PlacementService,
     ServiceConfig,
 )
+from repro.service import codec as codec_module
 from repro.service.codec import (
     BINARY_MAGIC,
     MAX_OP_BYTES,
@@ -35,6 +39,7 @@ from repro.service.codec import (
 )
 from repro.service.transports import resolve_transport
 from repro.util.errors import TransportError, ValidationError
+from tests.service import codec_oracle as oracle
 
 
 # ------------------------------------------------------------ binary packing
@@ -90,6 +95,85 @@ class TestPackUnpack:
     def test_unknown_tag_rejected(self):
         with pytest.raises(TransportError, match="unknown binary tag"):
             unpack(b"\xc1")
+
+    def test_the_key_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(codec_module, "_KEY_CACHE", {})
+        cap = codec_module._KEY_CACHE_MAX
+        long_key = "k" * (codec_module._KEY_CHARS + 1)
+        doc = {f"key-{i}": i for i in range(cap + 10)}
+        doc[long_key] = 0
+        assert pack(doc) == oracle.pack(doc)
+        assert len(codec_module._KEY_CACHE) == cap
+        assert long_key not in codec_module._KEY_CACHE
+        assert pack(doc) == oracle.pack(doc)  # hits and misses alike
+
+
+# ------------------------------------------------ byte identity with the oracle
+#
+# The codec was rewritten for speed against ``codec_oracle``, its first,
+# plain implementation: it must write the oracle's bytes for every value and
+# read every payload, however cut or corrupted, to the oracle's value or
+# the oracle's error.
+
+
+class _Priority(enum.IntEnum):
+    HIGH = 7
+
+
+class _Tag(str, enum.Enum):
+    BATCH = "batch-α"
+
+
+#: Each value the shipped codec writes in line (a dict's or a list's member)
+#: sits at a 64-bit edge in some position of the examples below.
+_INT64_EDGES = (2**63 - 1, -(2**63), 2**63, -(2**63) - 1)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()  # unbounded: 64-bit and big ints alike
+    | st.sampled_from(_INT64_EDGES)
+    | st.floats()
+    | st.text(max_size=12)
+    | st.binary(max_size=12)
+    | st.sampled_from([_Priority.HIGH, _Tag.BATCH])
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestOracleIdentity:
+    @pytest.mark.parametrize("name", sorted(oracle.GOLDEN_FRAMES))
+    def test_golden_frames(self, name):
+        value, frame = oracle.GOLDEN_FRAMES[name]
+        assert BinaryCodec().encode_op(value).hex() == frame
+        raw = bytes.fromhex(frame)
+        decoder = BinaryCodec().decoder()
+        decoder.feed(raw)
+        assert decoder.next_op() == oracle.unpack(raw[5:])
+
+    @given(value=_VALUES)
+    @example(value=_INT64_EDGES)
+    @example(value=list(_INT64_EDGES))
+    @example(value={str(v): v for v in _INT64_EDGES})
+    def test_pack_writes_the_oracle_bytes(self, value):
+        assert oracle.outcome(pack, value) == oracle.outcome(oracle.pack, value)
+
+    @settings(max_examples=60)
+    @given(value=_VALUES, byte=st.integers(0, 255))
+    def test_unpack_reads_every_cut_and_mutation_as_the_oracle(self, value, byte):
+        payload = oracle.pack(value)
+        variants = [payload] + [payload[:cut] for cut in range(len(payload))]
+        for at in range(len(payload)):
+            for new in (byte, payload[at] ^ (byte or 1)):
+                variants.append(payload[:at] + bytes((new,)) + payload[at + 1:])
+        for variant in variants:
+            got = oracle.outcome(unpack, variant)
+            assert got == oracle.outcome(oracle.unpack, variant)
 
 
 def read_one(codec, raw: bytes):

@@ -14,8 +14,9 @@ loop over to a fresh one).
 
 The batching window's rule is checked on a bare service's loop and on a
 fabric's: the window runs from the earliest arrival no step has taken, and
-a turn without one waits the full window. A handed-back request keeps its
-arrival time.
+a turn without one waits the full window. On a fabric a request arrives
+when the fabric receives it, so routing counts in its window, and a
+request handed back or failed over to another shard keeps its arrival time.
 """
 
 import os
@@ -578,28 +579,82 @@ def test_a_hand_driven_step_clears_the_window_start(kind, monkeypatch):
     assert recorder.sleep_before(first)[2] == WINDOW
 
 
-# --------------------------------------------------------------- hand-back
+def test_routing_time_counts_in_the_window_and_the_latency(monkeypatch):
+    """A fabric request arrives when the fabric receives it: a router that
+    takes ``d`` leaves the loop ``WINDOW - d`` to sleep, and the decision's
+    latency counts the routing."""
+    delay = WINDOW / 2
+    target = _Target("fabric")
+    recorder = _Recorder(monkeypatch, target.thread_name, target.services)
+    router = target.front._router
+    route = router.route
+    entered = []
+
+    def slow_route(*args, **kwargs):
+        if threading.current_thread().name != target.thread_name:
+            entered.append(time.monotonic())
+            time.sleep(delay)
+        return route(*args, **kwargs)
+
+    monkeypatch.setattr(router, "route", slow_route)
+    target.front.start()
+    try:
+        _wait_until(lambda: target.loop()._turn_started is None, "the loop to park")
+        decision = target.submit(1, (1, 0, 0)).result(TIMEOUT_S)
+        assert decision.placed
+    finally:
+        target.front.stop()
+    step = recorder.step_deciding(1)
+    sleep = recorder.sleep_before(step)
+    assert sleep[1] >= entered[0] + delay
+    assert 0 < sleep[2] <= WINDOW - delay
+    assert decision.latency >= step[1] - entered[0] >= delay
+
+
+# -------------------------------------------------- hand-back and failover
 
 MAX_WAIT = 5.0
 HELD_BEFORE_HAND_BACK = 0.2
 
 
-@pytest.mark.parametrize("outcome", ["timeout", "placed"])
-def test_a_handed_back_request_keeps_its_arrival_time(outcome):
-    """A request handed back to another shard keeps the time it first
-    arrived: it times out at its original ``max_wait`` deadline, and its
-    decision reports the whole wait, its first shard's queue included."""
+def _two_shard_fabric():
     pool = random_pool(
         PoolSpec(racks=4, nodes_per_rack=4, clouds=2, capacity_low=1, capacity_high=3),
         CATALOG,
         seed=61,
     )
-    fabric = ShardedPlacementFabric(
+    return ShardedPlacementFabric(
         pool,
         plan=RackGroupPlan(2),
         config=FabricConfig(service=ServiceConfig(max_wait=MAX_WAIT)),
         obs=MetricsRegistry(),
     )
+
+
+def _assert_kept_its_arrival(fabric, ticket, outcome, before, after):
+    """Step the request's new shard past its original deadline (though not
+    yet ``max_wait`` after the move, which came ``HELD_BEFORE_HAND_BACK``
+    later), or now: it times out, or it is placed, and its decision reports
+    the whole wait, its first shard's queue included."""
+    if outcome == "timeout":
+        now = after + MAX_WAIT + HELD_BEFORE_HAND_BACK / 4
+        fabric.step_all(now=now)
+        decision = ticket.result(0)
+        assert decision.status == DecisionStatus.TIMEOUT
+        assert fabric.stats.timed_out == 1
+    else:
+        now = time.monotonic()
+        fabric.step_all(now=now)
+        decision = ticket.result(0)
+        assert decision.placed
+    assert now - after <= decision.latency <= now - before
+
+
+@pytest.mark.parametrize("outcome", ["timeout", "placed"])
+def test_a_handed_back_request_keeps_its_arrival_time(outcome):
+    """A request handed back to another shard keeps the time it first
+    arrived."""
+    fabric = _two_shard_fabric()
     before = time.monotonic()
     ticket = fabric.submit(PlaceRequest(request_id=1, demand=(1, 0, 0)))
     after = time.monotonic()
@@ -613,17 +668,19 @@ def test_a_handed_back_request_keeps_its_arrival_time(outcome):
     fabric._hand_back()
     assert fabric.stats.handbacks == 1
     assert fabric.owner_of(1) not in (None, first)
-    if outcome == "timeout":
-        # Past the original deadline, though not yet max_wait after the
-        # hand-back (which came HELD_BEFORE_HAND_BACK later).
-        now = after + MAX_WAIT + HELD_BEFORE_HAND_BACK / 4
-        fabric.step_all(now=now)
-        decision = ticket.result(0)
-        assert decision.status == DecisionStatus.TIMEOUT
-        assert fabric.stats.timed_out == 1
-    else:
-        now = time.monotonic()
-        fabric.step_all(now=now)
-        decision = ticket.result(0)
-        assert decision.placed
-    assert now - after <= decision.latency <= now - before
+    _assert_kept_its_arrival(fabric, ticket, outcome, before, after)
+
+
+@pytest.mark.parametrize("outcome", ["timeout", "placed"])
+def test_a_failed_over_request_keeps_its_arrival_time(outcome):
+    """A queued request a mark-down re-routes to a surviving shard keeps
+    the time it first arrived, as a handed-back one does."""
+    fabric = _two_shard_fabric()
+    before = time.monotonic()
+    ticket = fabric.submit(PlaceRequest(request_id=1, demand=(1, 0, 0)))
+    after = time.monotonic()
+    first = fabric.owner_of(1)
+    time.sleep(HELD_BEFORE_HAND_BACK)
+    assert fabric.mark_shard_down(first, reason="test") == [1]
+    assert fabric.owner_of(1) not in (None, first)
+    _assert_kept_its_arrival(fabric, ticket, outcome, before, after)

@@ -198,6 +198,33 @@ class TestLifecycle:
         finally:
             assert built.shutdown() == 0
 
+    def test_a_submit_delayed_in_the_parent_counts_in_the_child(
+        self, monkeypatch
+    ):
+        """A request arrives when the fabric receives it, not when the
+        child does: time the parent spends routing it is part of the
+        latency the child's decision reports."""
+        delay = 0.3
+        pool = make_pool(seed=7)
+        built = make_proc_fabric(pool)
+        fabric = built.service
+        route = fabric._router.route
+
+        def slow_route(*args, **kwargs):
+            time.sleep(delay)
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(fabric._router, "route", slow_route)
+        try:
+            before = time.monotonic()
+            ticket = fabric.submit(PlaceRequest(demand=(1, 0, 0), request_id=1))
+            fabric.step_all()
+            decision = ticket.result(10.0)
+            assert decision.placed
+            assert delay <= decision.latency <= time.monotonic() - before
+        finally:
+            assert built.shutdown() == 0
+
     def test_a_request_the_loop_places_during_submit_is_admitted(self):
         """The child's loop may step a request between ``submit`` and the
         submit handler's look at the ticket (a request that waited out a
