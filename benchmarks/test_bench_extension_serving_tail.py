@@ -32,9 +32,7 @@ below, so regenerating ``sharding_bench.json`` cannot move the goalposts):
   the throughput claim — no mean-throughput regression;
 * ``closed-events`` carries the tail claim — fabric p99 at least 2x
   better than the frozen PR-5 fabric p99, and within ~2x of the single
-  service measured the same way (the tentpole goal);
-* a ``speculation=2`` events run records what speculative dual-shard
-  admission adds on this workload.
+  service measured the same way (the tentpole goal).
 
 Results land in ``benchmarks/results/serving_tail_bench.json``. Smoke runs
 (``SERVING_TAIL_BENCH_SMOKE=1``) shrink the workload and skip the
@@ -125,14 +123,13 @@ def run_single(mode: str):
         service.drain()
 
 
-def run_fabric(mode: str, speculation: int):
+def run_fabric(mode: str):
     built = build_fabric(
         make_pool(),
         RackGroupPlan(NUM_SHARDS),
         workers="thread",
         config=FabricConfig(
             rebalance_interval=0.2,
-            speculation=speculation,
             service=SERVICE_CONFIG,
         ),
         obs=MetricsRegistry(),
@@ -159,14 +156,9 @@ def record(name, mode, report):
 
 def run_comparison():
     return [
-        record("fabric threads", "closed", run_fabric("closed", 1)),
+        record("fabric threads", "closed", run_fabric("closed")),
         record("single events", "closed-events", run_single("closed-events")),
-        record("fabric events", "closed-events", run_fabric("closed-events", 1)),
-        record(
-            "fabric events spec=2",
-            "closed-events",
-            run_fabric("closed-events", 2),
-        ),
+        record("fabric events", "closed-events", run_fabric("closed-events")),
     ]
 
 

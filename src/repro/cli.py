@@ -251,7 +251,6 @@ def _build_service(args):
         raise SystemExit("--workers proc requires --shards")
     config = FabricConfig(
         rebalance_interval=getattr(args, "rebalance_interval", None),
-        speculation=getattr(args, "speculation", 1),
         service=ServiceConfig(
             queue_capacity=args.queue_capacity,
             batch_window=args.batch_window,
@@ -629,10 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="where shard workers run: threads in this "
                             "process, or one spawned child process per "
                             "shard (proc, requires --shards)")
-        p.add_argument("--speculation", type=int, default=1,
-                       help="speculative placement fan-out for contended "
-                            "requests (1 = off): admit on up to this many "
-                            "top-ranked shards, first commit wins")
         p.add_argument("--coord", default=None, metavar="URL",
                        help="coordination server for proc workers: "
                             "tcp://HOST:PORT of a `repro coordd`, or "

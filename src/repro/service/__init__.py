@@ -49,9 +49,9 @@ Modules
     percentiles; :class:`WireLoadClient` drives a served endpoint over TCP.
 ``shard``
     :class:`ShardedPlacementFabric` — the one fabric: rack-aligned pool
-    partitions, a scoring router with spillover, batched and speculative
-    admission, failover re-routing, cross-shard rebalancing, and
-    fabric-level checkpoint/restore (see :doc:`docs/SHARDING`). It reaches
+    partitions, a scoring router with spillover, batched admission,
+    failover re-routing, cross-shard rebalancing, and fabric-level
+    checkpoint/restore (see :doc:`docs/SHARDING`). It reaches
     each shard's service through a :class:`ShardBackend`
     (``shard.backend``): :class:`LocalBackend` calls a service in this
     process; ``proc``'s :class:`ProcBackend` drives one in a child. A

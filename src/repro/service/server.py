@@ -532,11 +532,11 @@ class PlacementService:
         decisions: list[PlacementDecision] = []
         # Ticket resolutions collected under the lock, fired after it: a
         # resolution runs arbitrary caller callbacks (the fabric's decision
-        # bookkeeping, the async endpoint's loop bridge, speculative-loser
-        # cancellation on *other* shards' services), and running those while
-        # holding this service's lock both serializes every waiting client
-        # behind the scheduler and inverts lock order against cross-shard
-        # work. Placements stay ahead of failures in the resolution order.
+        # bookkeeping, the async endpoint's loop bridge), and running those
+        # while holding this service's lock both serializes every waiting
+        # client behind the scheduler and inverts lock order against
+        # cross-shard work. Placements stay ahead of failures in the
+        # resolution order.
         resolutions: "list[tuple[Ticket, PlacementDecision]]" = []
         with self._lock, self.timer.phase("step"):
             # This step reads every queued request: none is unread any more.
@@ -832,8 +832,8 @@ class PlacementService:
 
         Reads the deque length without the service lock (a single ``len``
         is atomic under the GIL). May be one arrival stale — callers use it
-        only as an admission *hint* (e.g. the fabric's speculation gate),
-        never for correctness.
+        only as an admission *hint* (e.g. the fabric's queue-depth gauge
+        and hand-back pass), never for correctness.
         """
         return len(self._queue)
 

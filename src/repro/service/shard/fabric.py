@@ -105,29 +105,17 @@ class FabricConfig:
     ``rebalance_interval=None`` disables the background sweep —
     :meth:`ShardedPlacementFabric.rebalance` stays available for explicit,
     deterministic invocation.
-
-    ``speculation`` is the tail-latency lever: when a request's best-ranked
-    shard cannot satisfy it *right now* (every copy would have to wait for
-    releases), the fabric submits copies to up to that many top-ranked
-    shards in parallel and keeps whichever places first — the loser copies
-    are cancelled (still queued) or released (placed moments later). ``1``
-    disables speculation entirely, and because speculation only ever fires
-    on currently-unsatisfiable requests, the placement decisions for
-    satisfiable traffic are identical either way.
     """
 
     spillover: bool = True
     rebalance_interval: "float | None" = None
     rebalance_candidates: int = 8
     rebalance_min_gain: float = 1e-9
-    speculation: int = 1
     service: ServiceConfig = field(default_factory=ServiceConfig)
 
     def __post_init__(self) -> None:
         if self.rebalance_interval is not None and self.rebalance_interval <= 0:
             raise ValidationError("rebalance_interval must be > 0 when set")
-        if self.speculation < 1:
-            raise ValidationError("speculation must be >= 1 (1 disables it)")
         if self.rebalance_candidates < 1:
             raise ValidationError("rebalance_candidates must be >= 1")
         if self.rebalance_min_gain < 0:
@@ -141,7 +129,9 @@ class FabricStats:
     Spillover submissions are counted once here, not once per shard tried,
     so ``submitted`` is the true arrival count. ``handbacks`` counts queued
     requests the scheduler loop moved off a shard that could not place them
-    (:meth:`ShardedPlacementFabric._hand_back`). ``batch_transfer_gain`` is
+    (:meth:`ShardedPlacementFabric._hand_back`). ``stale_released`` counts
+    placements a fenced attempt made on a live shard after a failover
+    re-routed its request; the fabric released them. ``batch_transfer_gain`` is
     the summed per-shard batch-transfer gain (filled when read through
     :attr:`ShardedPlacementFabric.stats`).
     """
@@ -156,8 +146,7 @@ class FabricStats:
     released: int = 0
     spillovers: int = 0
     handbacks: int = 0
-    speculations: int = 0
-    spec_released: int = 0
+    stale_released: int = 0
     failovers: int = 0
     unavailable: int = 0
     shard_deaths: int = 0
@@ -401,19 +390,14 @@ class ShardedPlacementFabric:
         self._owners: dict[int, int] = {}
         #: Shards quarantined by :meth:`mark_shard_down` (dead workers).
         self._down: set[int] = set()
-        #: request id → (request, outer ticket, attempt token, copy shards,
-        #: arrival) for every not-yet-decided request, so shard death can
-        #: re-route the victims without touching the dead worker, from their
-        #: arrival (``time.monotonic()`` when the fabric received them). The
-        #: attempt token fences stale decisions: a dying shard's late
-        #: callback loses to the re-route. ``copy shards`` holds every shard
-        #: still racing for the request — a singleton normally, several
-        #: under speculation; one attempt token is shared by all copies of a
-        #: speculation group so the first committed placement wins and
-        #: fences the rest.
-        self._inflight: dict[
-            int, tuple[PlaceRequest, Ticket, int, frozenset[int], float]
-        ] = {}
+        #: request id → (request, outer ticket, attempt token, arrival) for
+        #: every not-yet-decided request, so shard death can re-route the
+        #: victims without touching the dead worker, from their arrival
+        #: (``time.monotonic()`` when the fabric received them). The request
+        #: waits on exactly one shard, the one ``_owners`` names. The attempt
+        #: token fences stale decisions: a dying shard's late callback loses
+        #: to the re-route.
+        self._inflight: dict[int, tuple[PlaceRequest, Ticket, int, float]] = {}
         self._attempts = 0
         self._started = False
         self._flock = threading.Lock()
@@ -694,26 +678,7 @@ class ShardedPlacementFabric:
             if (self.config.spillover or failover)
             else route.ranked[:1]
         )
-        copies = 1
-        if (
-            self.config.speculation > 1
-            and len(candidates) > 1
-            and (
-                self._shards[candidates[0]].backend.backlog_hint > 0
-                or not self._shards[candidates[0]].state.can_satisfy(demand)
-            )
-        ):
-            # The best-ranked shard will not place this request in the next
-            # step — either it cannot satisfy the demand right now, or a
-            # backlog is queued ahead that will eat the capacity first — so
-            # the request would park there until releases free capacity.
-            # Racing copies on the top-ranked shards lets whichever shard
-            # frees up first win, instead of betting the whole wait on one
-            # shard's release schedule — this is the fabric's p99 lever.
-            # Immediately-placeable traffic never speculates, so its
-            # placements are identical with speculation on or off.
-            copies = self.config.speculation
-        if self._admit(request, ticket, candidates, copies, arrival):
+        if self._admit(request, ticket, candidates, arrival):
             return
         # No shard admitted: refuse when nobody could *ever* serve it,
         # reject when live shards exist but all declined right now, and
@@ -762,29 +727,21 @@ class ShardedPlacementFabric:
         request: PlaceRequest,
         ticket: Ticket,
         candidates,
-        copies: int,
         arrival: float,
     ) -> bool:
-        """Admit *request* on up to *copies* of *candidates*, best first.
+        """Admit *request* on the first of *candidates* that takes it.
 
-        ``copies=1`` is plain spillover; more races copies on the top
-        shards. Every copy shares one attempt token, so the whole group is
-        fenced as a unit: the first *placed* decision wins in
-        :meth:`_decision_callback` (which cancels or releases the losers),
-        and a failover re-route invalidates all copies at once. The owner
-        map points at the first admitted copy until a winner commits.
-        Returns ``True`` when a copy was admitted (or a concurrent failover
-        took the request over), ``False`` when every candidate declined at
-        the door — the caller resolves the terminal outcome. *arrival*
+        The call takes one fresh attempt token, so a decision from an
+        earlier attempt is fenced in :meth:`_decision_callback`. Returns
+        ``True`` when a shard admitted the request (or a concurrent failover
+        took it over), ``False`` when every candidate declined at the door —
+        the caller resolves the terminal outcome. *arrival*
         (``time.monotonic()``) is when the request first arrived at the
         fabric: a shard queues it from then, not from now.
         """
         rid = request.request_id
         attempt = None
-        admitted: "list[int]" = []
         for shard_id in candidates:
-            if len(admitted) >= copies:
-                break
             shard = self._shards[shard_id]
             # Register *before* handing the request to the shard: a worker
             # that dies mid-admission is scanned by mark_shard_down, which
@@ -795,19 +752,8 @@ class ShardedPlacementFabric:
                 if attempt is None:
                     self._attempts += 1
                     attempt = self._attempts
-                entry = self._inflight.get(rid)
-                if admitted and entry is None:
-                    # A copy already won (or lost terminally) while we were
-                    # still fanning out — don't resurrect the group.
-                    return True
-                if entry is not None and entry[2] != attempt:
-                    return True  # concurrent failover took the request over
-                self._inflight[rid] = (
-                    request, ticket, attempt,
-                    frozenset((*admitted, shard_id)), arrival,
-                )
-                if not admitted:
-                    self._owners[rid] = shard_id
+                self._inflight[rid] = (request, ticket, attempt, arrival)
+                self._owners[rid] = shard_id
             if not shard.backend.submit(
                 request,
                 attempt,
@@ -815,33 +761,22 @@ class ShardedPlacementFabric:
                 arrival=arrival,
             ):
                 # Declined at the door (queue full, draining, duplicate,
-                # dead worker) — drop this copy from the group and try the
-                # next-best shard, unless a concurrent failover already
-                # took the request over.
+                # dead worker) — try the next-best shard, unless a
+                # concurrent failover already took the request over.
                 with self._flock:
                     entry = self._inflight.get(rid)
                     if entry is None or entry[2] != attempt:
                         return True
-                    members = frozenset(s for s in entry[3] if s != shard_id)
-                    if members:
-                        self._inflight[rid] = (
-                            request, ticket, attempt, members, arrival,
-                        )
-                    else:
-                        del self._inflight[rid]
-                        self._owners[rid] = _ROUTING
-                    if not admitted:
-                        self._stats.spillovers += 1
+                    del self._inflight[rid]
+                    self._owners[rid] = _ROUTING
+                    self._stats.spillovers += 1
                 self._mc_rejected[shard_id].inc()
                 self._mc_spill[shard_id].inc()
                 continue
-            admitted.append(shard_id)
             self._mc_admitted[shard_id].inc()
             self._mc_queue[shard_id].set(shard.backend.backlog_hint)
-        if len(admitted) > 1:
-            with self._flock:
-                self._stats.speculations += 1
-        return bool(admitted)
+            return True
+        return False
 
     def _decision_callback(
         self, shard: Shard, request_id: int, outer: Ticket, attempt: int
@@ -851,85 +786,52 @@ class ShardedPlacementFabric:
         def callback(decision: PlacementDecision) -> None:
             translated = shard.translate(decision)
             stale_release = False
-            resolve = False
-            cancels: "tuple[int, ...]" = ()
             with self._flock:
                 entry = self._inflight.get(request_id)
-                if entry is None or entry[2] != attempt:
-                    # Stale: a failover re-routed this request, or another
-                    # speculative copy already won the group. A *placement*
-                    # decided by a fenced copy on a live shard would leak
-                    # capacity there — release it straight on the shard's
-                    # backend (the fabric owner map points at the winner,
-                    # so fabric-level release would refuse). Dead shards
-                    # keep the old behavior: their state is abandoned and
-                    # rebuilt from the checkpoint, so the decision is void —
-                    # as is one a since-restored shard's old service made.
+                stale = entry is None or entry[2] != attempt
+                if stale:
+                    # Stale: a failover re-routed this request. A
+                    # *placement* decided by the fenced attempt on a live
+                    # shard would leak capacity there — release it straight
+                    # on the shard's backend (the fabric owner map points at
+                    # the re-route, so fabric-level release would refuse).
+                    # Dead shards' decisions are void: their state is
+                    # abandoned and rebuilt from the checkpoint — as is one
+                    # a since-restored shard's old service made.
                     if (
                         translated.placed
                         and shard.shard_id not in self._down
                         and shard.service is service
                     ):
                         stale_release = True
-                        self._stats.spec_released += 1
+                        self._stats.stale_released += 1
                 else:
-                    request, ticket, _token, members, arrival = entry
+                    del self._inflight[request_id]
                     if translated.placed:
-                        del self._inflight[request_id]
                         self._owners[request_id] = shard.shard_id
                         self._stats.placed += 1
                         self._stats.total_distance += translated.distance
-                        cancels = tuple(
-                            s for s in members
-                            if s != shard.shard_id and s not in self._down
-                        )
-                        resolve = True
                     else:
-                        members = frozenset(
-                            s for s in members if s != shard.shard_id
-                        )
-                        if members:
-                            # Other speculative copies are still racing —
-                            # absorb this copy's non-placement and wait.
-                            self._inflight[request_id] = (
-                                request, ticket, attempt, members, arrival,
-                            )
-                            if self._owners.get(request_id) == shard.shard_id:
-                                self._owners[request_id] = min(members)
-                        else:
-                            del self._inflight[request_id]
-                            self._owners.pop(request_id, None)
-                            resolve = True
-                            if translated.status == DecisionStatus.REJECTED:
-                                self._stats.rejected += 1
-                            elif translated.status == DecisionStatus.TIMEOUT:
-                                self._stats.timed_out += 1
-                            elif translated.status == DecisionStatus.DROPPED:
-                                self._stats.dropped += 1
-                            elif translated.status == DecisionStatus.CANCELLED:
-                                self._stats.cancelled += 1
-                            elif translated.status == DecisionStatus.REFUSED:
-                                self._stats.refused += 1
-                            elif (
-                                translated.status
-                                == DecisionStatus.SHARD_UNAVAILABLE
-                            ):
-                                self._stats.unavailable += 1
-            if stale_release:
+                        self._owners.pop(request_id, None)
+                        if translated.status == DecisionStatus.REJECTED:
+                            self._stats.rejected += 1
+                        elif translated.status == DecisionStatus.TIMEOUT:
+                            self._stats.timed_out += 1
+                        elif translated.status == DecisionStatus.DROPPED:
+                            self._stats.dropped += 1
+                        elif translated.status == DecisionStatus.CANCELLED:
+                            self._stats.cancelled += 1
+                        elif translated.status == DecisionStatus.REFUSED:
+                            self._stats.refused += 1
+                        elif translated.status == DecisionStatus.SHARD_UNAVAILABLE:
+                            self._stats.unavailable += 1
+            if not stale:
+                outer._resolve(translated)
+            elif stale_release:
                 try:
-                    shard.backend.release(
-                        ReleaseRequest(request_id=request_id)
-                    )
+                    shard.backend.release(ReleaseRequest(request_id=request_id))
                 except ReproError:  # racing a shard death; nothing to free
                     pass
-                return
-            for sid in cancels:
-                # Loser copies still queued elsewhere: withdraw them. A
-                # copy that slips past the cancel (already being placed)
-                # resolves later as stale and is released above.
-                self._shards[sid].backend.cancel(request_id)
-            if resolve:
-                outer._resolve(translated)
 
         return callback
 
@@ -1014,43 +916,21 @@ class ShardedPlacementFabric:
                 return []
             self._down.add(shard_id)
             self._stats.shard_deaths += 1
-            victims = []
-            orphaned = []
-            for rid, entry in self._inflight.items():
-                if self._owners.get(rid) == shard_id:
-                    victims.append((rid, entry))
-                elif shard_id in entry[3]:
-                    # A speculative copy lived on the dead shard but the
-                    # group's primary is elsewhere: drop the dead copy from
-                    # the group so the survivors' outcomes stay decisive
-                    # (a group must never wait on a shard that will not
-                    # answer).
-                    orphaned.append((rid, entry))
+            victims = [
+                (rid, entry)
+                for rid, entry in self._inflight.items()
+                if self._owners.get(rid) == shard_id
+            ]
             for rid, _ in victims:
                 del self._inflight[rid]
                 self._owners[rid] = _ROUTING
-            for rid, (request, ticket, attempt, members, arrival) in orphaned:
-                self._inflight[rid] = (
-                    request, ticket, attempt, members - {shard_id}, arrival,
-                )
             self._stats.failovers += len(victims)
-            down = frozenset(self._down)
         self._m_failovers.labels(shard=str(shard_id)).inc()
         _log.warning(
             "shard %d marked down (%s): re-routing %d in-flight request(s)",
             shard_id, reason or "unspecified", len(victims),
         )
-        for rid, (_request, _ticket, _attempt, members, _arrival) in victims:
-            # Withdraw the victims' still-queued speculative copies on live
-            # shards before re-routing: the re-route carries a new attempt
-            # token, so any copy that outruns the cancel resolves as stale
-            # (and is released if it had placed).
-            for sid in members:
-                if sid != shard_id and sid not in down:
-                    self._shards[sid].backend.cancel(rid)
-        for rid, (request, ticket, _attempt, _members, arrival) in sorted(
-            victims
-        ):
+        for rid, (request, ticket, _attempt, arrival) in sorted(victims):
             self._dispatch(request, ticket, failover=True, arrival=arrival)
         return [rid for rid, _ in sorted(victims)]
 
@@ -1332,9 +1212,9 @@ class ShardedPlacementFabric:
         down as the pass hands requests to them); its ticket, owner entry
         and a fresh attempt token go with it, as on failover, and it keeps
         its arrival time, so its ``max_wait``, its reported latency and
-        the batching window still count from then. Speculating
-        requests are left to their copies. The pass runs again only after
-        some live shard's state changed, since nothing else can free room.
+        the batching window still count from then. The pass runs again only
+        after some live shard's state changed, since nothing else can free
+        room.
         """
         live = [s for s in self._live_shards() if s.service is not None]
         if not any(s.service.backlog_hint for s in live):
@@ -1358,7 +1238,8 @@ class ShardedPlacementFabric:
                     continue
                 with self._flock:
                     entry = self._inflight.get(rid)
-                if entry is None or entry[3] != {sid}:
+                    owner = self._owners.get(rid)
+                if entry is None or owner != sid:
                     continue
                 request, ticket = entry[0], entry[1]
                 # The source stays in as a waitable last resort, should every
@@ -1380,7 +1261,7 @@ class ShardedPlacementFabric:
                     self._owners[rid] = _ROUTING
                     self._stats.handbacks += 1
                 room[route.ranked[0]] = room[route.ranked[0]] - demand
-                if not self._admit(request, ticket, route.ranked, 1, arrival):
+                if not self._admit(request, ticket, route.ranked, arrival):
                     self._dispatch(
                         request, ticket, failover=True, arrival=arrival
                     )

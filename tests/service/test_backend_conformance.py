@@ -6,10 +6,12 @@ a shard's service runs. Each scenario below is one seeded script — submit,
 spill, duplicate id, release, cancel, ``submit_batch``, survivability
 targets, kill → re-route → restore, checkpoint → ``fabric_from_checkpoint``
 — run through ``build_fabric(workers=...)`` once per backend. Every backend
-must pass the scenario's own invariants, and the *records* the scenario
-returns (decisions, owner map, per-shard summaries, fabric stats,
-checkpoint bytes and the bytes of every shard's routing state — a proc
-shard's mirror) must be identical across backends. Latency is the only
+must pass the scenario's own invariants (at each quiescent point, every
+undecided request waits in exactly one live shard's queue, the one
+``owner_of`` names), and the *records* the scenario returns (decisions,
+owner map, per-shard summaries, fabric stats, checkpoint bytes and the
+bytes of every shard's routing state — a proc shard's mirror) must be
+identical across backends. Latency is the only
 field a process boundary may change, so it is the only one left out.
 
 The trace scenario is the parity trace ``test_proc_fabric.py`` used to run
@@ -90,6 +92,28 @@ def pump(fabric, rounds=80):
             break
 
 
+def queued_ids(shard):
+    """Request ids waiting on *shard*: its service's queue in this process,
+    or what the parent holds admitted and undecided for a child process."""
+    if shard.service is not None:
+        return {timed.request_id for timed in shard.service._queue}
+    return set(shard.backend._waiting)
+
+
+def assert_one_queue(fabric, tickets):
+    """At a quiescent point every undecided request waits in exactly one
+    live shard's queue, and ``owner_of`` names that shard."""
+    undecided = {t.request_id for t in tickets if not t.done}
+    down = fabric.down_shards
+    owner = {r: fabric.owner_of(r) for r in undecided}
+    assert all(sid is not None and sid not in down for sid in owner.values())
+    for shard in fabric.shards:
+        if shard.shard_id in down:
+            continue
+        waiting = {r for r, sid in owner.items() if sid == shard.shard_id}
+        assert queued_ids(shard) == waiting
+
+
 def trace_demands(pool, n, seed):
     rng = np.random.default_rng(seed)
     demands = []
@@ -153,6 +177,7 @@ def trace_scenario(built):
         # differs across the trace, not just at the end.
         if i % 7 == 6:
             pump(fabric)
+            assert_one_queue(fabric, tickets.values())
             placed = [
                 r for r, t in tickets.items()
                 if (v := t.result(0.2)) is not None and v.placed
@@ -166,8 +191,10 @@ def trace_scenario(built):
             for r, demand in TRANSFER_PAIR.items():
                 tickets[r] = fabric.submit(PlaceRequest(demand=demand, request_id=r))
             pump(fabric)
+            assert_one_queue(fabric, tickets.values())
             assert fabric.stats.batch_transfer_gain > gain
     pump(fabric)
+    assert_one_queue(fabric, tickets.values())
     duplicate = fabric.submit(PlaceRequest(demand=demands[0], request_id=1))
     assert duplicate.result(5.0).status == DecisionStatus.REJECTED
     # Requests the shards can't currently fit stay queued at a frozen
@@ -189,6 +216,7 @@ def trace_scenario(built):
     for r in pending:
         assert fabric.cancel(r)
         decisions[r] = essence(tickets[r].result(5.0))
+    assert_one_queue(fabric, tickets.values())
     # The union of shard ledgers is exactly the replayed live allocation.
     np.testing.assert_array_equal(fabric.global_allocated(), live)
     assert (
@@ -238,7 +266,9 @@ def batch_scenario(built, *, batched):
             tickets += fabric.submit_batch(requests[start:start + 6])
     else:
         tickets = [fabric.submit(request) for request in requests]
+    assert_one_queue(fabric, tickets)
     pump(fabric)
+    assert_one_queue(fabric, tickets)
     decisions = {t.request_id: essence(t.result(5.0)) for t in tickets}
     return {"decisions": decisions, **end_state(fabric)}
 
@@ -253,6 +283,7 @@ def failover_scenario(built):
         for i, d in enumerate(demands[:8])
     }
     pump(fabric)
+    assert_one_queue(fabric, tickets.values())
     before = {r: fabric.owner_of(r) for r, t in tickets.items() if t.result(5.0).placed}
     victim = 0
     held = sorted(r for r, owner in before.items() if owner == victim)
@@ -266,6 +297,7 @@ def failover_scenario(built):
         r for r in range(8, len(demands)) if fabric.owner_of(r) == victim
     )
     assert inflight_on_victim, "the victim shard should have requests queued"
+    assert_one_queue(fabric, tickets.values())
     gate = {"open": False}
     supervisor.restore_gate = lambda shard_id, now: gate["open"]
     supervisor.workers[victim].kill()
@@ -273,7 +305,9 @@ def failover_scenario(built):
     assert [(e.shard_id, e.restored) for e in events] == [(victim, False)]
     assert list(events[0].rerouted) == inflight_on_victim
     assert fabric.down_shards == frozenset({victim})
+    assert_one_queue(fabric, tickets.values())
     pump(fabric)
+    assert_one_queue(fabric, tickets.values())
     # Degraded: the dead shard's leases answer shard_unavailable, nothing
     # new lands on it, and a whole-fabric checkpoint is refused.
     assert (
@@ -300,6 +334,7 @@ def failover_scenario(built):
     assert fabric.release(ReleaseRequest(request_id=held[0])).released
     late = fabric.submit(PlaceRequest(demand=(1, 0, 0), request_id=999))
     pump(fabric)
+    assert_one_queue(fabric, [*tickets.values(), late])
     decisions = {r: essence(t.result(5.0)) for r, t in tickets.items()}
     return {
         "decisions": decisions,

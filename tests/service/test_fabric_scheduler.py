@@ -331,7 +331,7 @@ def test_a_step_that_blocks_is_failed_over_to_a_fresh_scheduler_loop():
     holders = Counter(rid for shard in fabric.shards for rid in shard.state.leases)
     assert holders[STUCK_REQUEST] == 1
     assert fabric.stats.placed == STUCK_REQUEST + 2
-    assert fabric.stats.spec_released == 0
+    assert fabric.stats.stale_released == 0
 
 
 # ------------------------------------------------------------ batching window

@@ -101,7 +101,7 @@ class TestAssembly:
             assert shard.service.config.max_batch == 7
 
     def test_fabric_config_passes_through(self):
-        config = FabricConfig(speculation=2)
+        config = FabricConfig(rebalance_candidates=3)
         built = build_fabric(make_pool(), 2, config=config)
         assert built.service.config is config
 

@@ -239,9 +239,9 @@ class TestBatchedRoutingDeterminism:
     def test_submit_batch_is_decision_identical_to_sequential(self):
         """Twin fabrics, one trace: batched vs one-at-a-time submission.
 
-        Speculation is disabled (``speculation=1``, the default), so every
-        request must land on the same shard with the same outcome and the
-        two checkpoint byte streams must match exactly.
+        Each request is admitted on one shard, so every request must land
+        on the same shard with the same outcome and the two checkpoint byte
+        streams must match exactly.
         """
 
         def run(batched: bool):
